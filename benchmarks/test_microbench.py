@@ -3,7 +3,8 @@
 The paper notes training is CPU-bound on the LP step; these benches break
 one environment step into its parts so the claim can be checked on this
 implementation: LP solve, softmin translation, flow simulation, GNN
-forward pass, and a full PPO update.
+forward pass, and a full PPO update — plus the graph kernels behind the
+classical baselines and the link-failure operators.
 """
 
 import numpy as np
@@ -370,6 +371,37 @@ def test_training_quick_curve(benchmark):
     result = benchmark.pedantic(curve, rounds=3, iterations=1, warmup_rounds=1)
     curve_points = next(iter(result.curves.values()))[0]
     assert curve_points.timesteps[-1] == 256
+
+
+# ---------------------------------------------------------------------------
+# Graph kernels: shortest-path tables and link-failure candidate scans.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.benchmark(group="graph")
+def test_graph_shortest_path_tables(benchmark):
+    """Single-path + ECMP tables on the 197-node Cogent-scale graph."""
+    from repro.graphs.zoo import topology
+    from repro.routing.shortest_path import ecmp_routing, shortest_path_routing
+
+    net = topology("cogent-like")
+
+    def build():
+        return shortest_path_routing(net), ecmp_routing(net)
+
+    single, multi = benchmark(build)
+    assert single.destination_table().shape == multi.destination_table().shape
+
+
+@pytest.mark.benchmark(group="graph")
+def test_graph_removable_link_scan(benchmark):
+    """Every link of the Cogent-scale graph whose loss keeps it connected."""
+    from repro.graphs.modifications import removable_links
+    from repro.graphs.zoo import topology
+
+    net = topology("cogent-like")
+    links = benchmark(removable_links, net)
+    assert 0 < len(links) < net.num_edges // 2
 
 
 # ---------------------------------------------------------------------------

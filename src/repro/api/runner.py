@@ -28,6 +28,7 @@ from repro.envs.multigraph import MultiGraphRoutingEnv
 from repro.envs.reward import RewardComputer
 from repro.envs.routing_env import RoutingEnv
 from repro.experiments.config import ExperimentScale
+from repro.flows.lp import network_fingerprint
 from repro.graphs.network import Network
 from repro.rl.ppo import PPO, PPOConfig
 from repro.rl.vec_env import VecEnv
@@ -96,20 +97,25 @@ def _dynamics_factory(spec: ScenarioSpec):
     ``None`` when the scenario is static — the batch paths then skip the
     dynamics machinery entirely, keeping them bit-identical to pre-dynamics
     behaviour.  Every draw a dynamics builder makes is seeded from its spec
-    params, so the factory is deliberately independent of the run seed.
+    params, so the factory is deliberately independent of the run seed and
+    builds each (network fingerprint, length) timeline once per run.
     """
     if spec.dynamics is None:
         return None
     builder = DYNAMICS.get(spec.dynamics.name)
     name, params = spec.dynamics.name, spec.dynamics.params
+    timelines: dict = {}
 
     def factory(network: Network, length: int):
-        try:
-            return builder(network, length, **params)
-        except TypeError as exc:
-            raise SpecValidationError(
-                f"dynamics {name!r} rejected params {params}: {exc}"
-            ) from None
+        key = (network_fingerprint(network), length)
+        if key not in timelines:
+            try:
+                timelines[key] = builder(network, length, **params)
+            except TypeError as exc:
+                raise SpecValidationError(
+                    f"dynamics {name!r} rejected params {params}: {exc}"
+                ) from None
+        return timelines[key]
 
     return factory
 

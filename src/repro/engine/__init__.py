@@ -37,11 +37,8 @@ from repro.engine.backend import (
     shared_factorisation_cache,
     use_factorisation_cache,
 )
-from repro.engine.softmin_batch import (
-    batch_distances_to_targets,
-    batch_prune_by_distance,
-    batch_softmin_ratios,
-)
+from repro.engine.softmin_batch import batch_prune_by_distance, batch_softmin_ratios
+from repro.graphs.kernels import batch_distances_to_targets
 from repro.engine.simulator_batch import (
     RoutingLoopError,
     destination_link_loads,

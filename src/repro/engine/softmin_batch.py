@@ -5,8 +5,8 @@ destination and then loops over every vertex and out-edge in Python.  This
 module computes the same destination-based splitting-ratio table as a batch:
 
 1. all weighted distance-to-target vectors at once, as the ``(n, n)`` matrix
-   ``D[t, v] = dist(v, t)`` via one C-level multi-source Dijkstra on the
-   transposed graph (:func:`scipy.sparse.csgraph.dijkstra`);
+   ``D[t, v] = dist(v, t)`` from one multi-source Dijkstra
+   (:func:`repro.graphs.kernels.batch_distances_to_targets`);
 2. the strictly-decreasing-distance DAG masks for every destination as one
    ``(n, e)`` boolean array (:func:`batch_prune_by_distance`);
 3. the per-vertex softmin over out-edge scores ``w[e] + D[t, head(e)]`` via
@@ -22,114 +22,9 @@ assert to 1e-8.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
+from repro.graphs.kernels import batch_distances_to_targets, edge_segments
 from repro.graphs.network import Network
-from repro.utils.caching import KeyedLRU
-
-
-class _GraphStructure:
-    """Weight-independent per-topology state for the batched translation.
-
-    Rebuilding scipy CSR matrices and the tail-vertex edge grouping on every
-    call dominates the softmin hot path on small graphs (PPO reward
-    computations call it once per environment step with fresh weights but an
-    unchanged topology).  Everything here depends only on the edge list, so
-    it is computed once per structural fingerprint and reused:
-
-    * ``indptr``/``indices`` — the canonical CSR pattern of the *transposed*
-      graph, plus ``perm`` mapping edge weights into its data slots.  The
-      canonical CSR form of a matrix is unique, so assembling from the
-      cached pattern yields bit-identical Dijkstra inputs to the previous
-      build-transpose-convert sequence.
-    * ``order``/``starts``/``seg_of_pos`` — edge ids grouped by tail vertex
-      for the segment reductions (stable order, matching the scalar
-      implementation's iteration order).
-
-    ``perm`` is ``None`` when the edge list carries parallel duplicate
-    edges (COO assembly would sum them); those graphs fall back to the
-    per-call construction.
-    """
-
-    __slots__ = ("indptr", "indices", "perm", "order", "starts", "seg_of_pos")
-
-    def __init__(self, network: Network):
-        n = network.num_nodes
-        e = network.num_edges
-        # Tag each edge with its id (1-based so an empty slot cannot alias
-        # edge 0), push through the COO->CSR conversion of the transposed
-        # graph, and read the slot permutation back out of ``data``.
-        template = csr_matrix(
-            (np.arange(1, e + 1, dtype=np.float64), (network.receivers, network.senders)),
-            shape=(n, n),
-        )
-        if template.nnz == e:
-            self.indptr = template.indptr
-            self.indices = template.indices
-            self.perm = template.data.astype(np.int64) - 1
-        else:  # parallel edges collapsed: cannot cache the pattern
-            self.indptr = self.indices = self.perm = None
-        self.order = np.argsort(network.senders, kind="stable")
-        sorted_senders = network.senders[self.order]
-        new_segment = np.r_[True, sorted_senders[1:] != sorted_senders[:-1]]
-        self.starts = np.flatnonzero(new_segment)
-        self.seg_of_pos = np.cumsum(new_segment) - 1
-
-
-#: Structures are tiny (a few index arrays) and keyed on the exact edge
-#: list, so a modest LRU covers every topology a process touches.
-_STRUCTURE_CACHE = KeyedLRU(max_entries=128)
-
-
-def _graph_structure(network: Network) -> _GraphStructure:
-    # Networks are immutable, so the structure is memoised on the instance;
-    # the LRU still shares one structure across equal re-built topologies.
-    structure = getattr(network, "_softmin_structure", None)
-    if structure is None:
-        key = (network.num_nodes, network.edges)
-        structure = _STRUCTURE_CACHE.lookup(key, lambda: _GraphStructure(network))
-        network._softmin_structure = structure
-    return structure
-
-
-def _edge_segments(network: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group edge ids by tail vertex for segment reductions.
-
-    Returns ``(order, starts, seg_of_pos)`` where ``order`` sorts edges by
-    sender (stable, so edge-id order is preserved within a vertex — the same
-    order the scalar implementation iterates), ``starts`` holds each
-    segment's first position in the sorted layout, and ``seg_of_pos`` maps a
-    sorted position back to its segment index.
-    """
-    structure = _graph_structure(network)
-    return structure.order, structure.starts, structure.seg_of_pos
-
-
-def batch_distances_to_targets(network: Network, weights: np.ndarray) -> np.ndarray:
-    """All-destination weighted distances ``D[t, v] = dist(v, t)``.
-
-    One multi-source Dijkstra on the transposed graph replaces ``n``
-    Python-level Dijkstra runs.  Unreachable pairs are ``inf``.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    n = network.num_nodes
-    structure = _graph_structure(network)
-    if structure.perm is not None:
-        # dist(v, t) in the original graph == dist(t, v) in the transposed
-        # graph, whose CSR pattern is cached; only the data slots change.
-        # Assemble without the csr_matrix constructor: its index validation
-        # re-checks the (already canonical, cached) pattern on every call
-        # and costs more than the Dijkstra run itself on small graphs.
-        transposed = csr_matrix.__new__(csr_matrix)
-        transposed.data = weights[structure.perm]
-        transposed.indices = structure.indices
-        transposed.indptr = structure.indptr
-        transposed._shape = (n, n)
-    else:
-        graph = csr_matrix((weights, (network.senders, network.receivers)), shape=(n, n))
-        transposed = graph.transpose().tocsr()
-    return dijkstra(transposed, directed=True)
 
 
 def _keep_mask(network: Network, distances: np.ndarray) -> np.ndarray:
@@ -178,7 +73,7 @@ def batch_softmin_ratios(
     # (n, e); inf where the head vertex cannot reach the destination.
     scores = weights[np.newaxis, :] + distances[:, network.receivers]
 
-    order, starts, seg_of_pos = _edge_segments(network)
+    order, starts, seg_of_pos = edge_segments(network)
     scores_sorted = np.where(keep[:, order], scores[:, order], np.inf)
 
     # Per-(destination, vertex) softmin, numerically stabilised by the

@@ -61,9 +61,9 @@ from typing import Optional, Union
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.sparse.csgraph import dijkstra
 
 from repro.faults import fault_point
+from repro.graphs.kernels import batch_distances_to_targets
 from repro.graphs.network import Network
 from repro.utils.caching import (
     KeyedLRU,
@@ -329,16 +329,13 @@ class LinearProgramStructure:
         """Per-destination shortest-path trees (distances, successor edges).
 
         Depends only on the topology, so it is computed once per structure:
-        one multi-target scipy Dijkstra on the transposed graph plus a
+        one multi-target Dijkstra over the network's shared CSR view plus a
         vectorized first-tight-edge successor selection per commodity.
         """
         if self._warm is None:
             net = self.network
             n, m = net.num_nodes, net.num_edges
-            graph = sparse.csr_matrix(
-                (np.ones(m), (net.senders, net.receivers)), shape=(n, n)
-            )
-            dist = dijkstra(graph.T.tocsr(), directed=True, indices=self.destinations)
+            dist = batch_distances_to_targets(net, np.ones(m), targets=self.destinations)
             succ = np.full((self.num_commodities, n), -1, dtype=np.int64)
             order = []
             edge_ids = np.arange(m)

@@ -22,8 +22,7 @@ installed into the ``_lp_fingerprint`` slot that
 cache (LP structures, ``splu`` factorisations, LP optima, the on-disk
 optimum store) keys a variant by *which perturbation of which base* it
 is.  The digest is deterministic across processes, and the originating
-delta stays attached as ``variant._dynamics_delta`` — the hook the
-incremental re-solve stack (ROADMAP item 5) will warm-start from.
+``(base, delta)`` pair stays attached as ``variant._dynamics_delta``.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class NetworkDelta:
         The variant keeps the base node set and directed-edge order (minus
         removed links), carries the delta fingerprint in its
         ``_lp_fingerprint`` slot, and records ``(base, delta)`` in
-        ``_dynamics_delta`` for incremental re-solve consumers.
+        ``_dynamics_delta``.
         """
         if self.is_identity:
             return base

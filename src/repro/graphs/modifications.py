@@ -11,17 +11,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
+from repro.graphs.kernels import bridges, is_connected, undirected_links
 from repro.graphs.network import Network
 from repro.utils.seeding import SeedLike, rng_from_seed
 
 MODIFICATION_KINDS = ("add_edge", "remove_edge", "add_node", "remove_node")
-
-
-def _undirected_links(network: Network) -> set[tuple[int, int]]:
-    return {tuple(sorted(edge)) for edge in network.edges}
 
 
 def _rebuild(num_nodes: int, links: set[tuple[int, int]], network: Network, suffix: str) -> Network:
@@ -31,16 +27,9 @@ def _rebuild(num_nodes: int, links: set[tuple[int, int]], network: Network, suff
     )
 
 
-def _is_connected(num_nodes: int, links: set[tuple[int, int]]) -> bool:
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
-    graph.add_edges_from(links)
-    return nx.is_connected(graph)
-
-
 def add_random_edge(network: Network, rng: np.random.Generator) -> Optional[Network]:
     """Add one absent undirected link, or ``None`` if the graph is complete."""
-    links = _undirected_links(network)
+    links = undirected_links(network)
     candidates = [
         (u, v)
         for u in range(network.num_nodes)
@@ -53,10 +42,23 @@ def add_random_edge(network: Network, rng: np.random.Generator) -> Optional[Netw
     return _rebuild(network.num_nodes, links, network, "+e")
 
 
+def removable_links(network: Network) -> list[tuple[int, int]]:
+    """The non-bridge links of a connected graph (none if disconnected).
+
+    Listed in link-set iteration order, which the RNG in
+    :func:`remove_random_edge` indexes into.
+    """
+    links = undirected_links(network)
+    if not is_connected(network.num_nodes, links):
+        return []
+    cut = bridges(network.num_nodes, links)
+    return [link for link in links if link not in cut]
+
+
 def remove_random_edge(network: Network, rng: np.random.Generator) -> Optional[Network]:
     """Remove one link whose deletion keeps the graph connected."""
-    links = _undirected_links(network)
-    candidates = [link for link in links if _is_connected(network.num_nodes, links - {link})]
+    links = undirected_links(network)
+    candidates = removable_links(network)
     if not candidates:
         return None
     links.discard(candidates[int(rng.integers(0, len(candidates)))])
@@ -96,7 +98,7 @@ def distinct_link_failures(
 
 def failed_links(base: Network, variant: Network) -> list[tuple[int, int]]:
     """The undirected links of ``base`` absent from ``variant``, sorted."""
-    return sorted(_undirected_links(base) - _undirected_links(variant))
+    return sorted(undirected_links(base) - undirected_links(variant))
 
 
 def add_random_node(network: Network, rng: np.random.Generator, degree: int = 2) -> Network:
@@ -104,7 +106,7 @@ def add_random_node(network: Network, rng: np.random.Generator, degree: int = 2)
     new_node = network.num_nodes
     degree = min(degree, network.num_nodes)
     attach = rng.choice(network.num_nodes, size=degree, replace=False)
-    links = _undirected_links(network)
+    links = undirected_links(network)
     for target in attach:
         links.add((int(target), new_node))
     return _rebuild(network.num_nodes + 1, links, network, "+n")
@@ -117,15 +119,15 @@ def remove_random_node(network: Network, rng: np.random.Generator) -> Optional[N
     """
     if network.num_nodes <= 3:
         return None
-    links = _undirected_links(network)
-    candidates = []
-    for victim in range(network.num_nodes):
-        remaining = {link for link in links if victim not in link}
-        graph = nx.Graph()
-        graph.add_nodes_from(n for n in range(network.num_nodes) if n != victim)
-        graph.add_edges_from(remaining)
-        if graph.number_of_nodes() >= 2 and nx.is_connected(graph):
-            candidates.append(victim)
+    links = undirected_links(network)
+    candidates = [
+        victim
+        for victim in range(network.num_nodes)
+        if is_connected(
+            network.num_nodes - 1,
+            [(u - (u > victim), v - (v > victim)) for u, v in links if victim not in (u, v)],
+        )
+    ]
     if not candidates:
         return None
     victim = candidates[int(rng.integers(0, len(candidates)))]

@@ -18,10 +18,14 @@ al.) treat full-duplex links.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import networkx as nx
 import numpy as np
+
+from repro.graphs import kernels
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 DEFAULT_CAPACITY = 10_000.0
 
@@ -148,6 +152,8 @@ class Network:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :class:`networkx.DiGraph` with ``capacity`` attributes."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         graph.add_nodes_from(range(self.num_nodes))
         for idx, (u, v) in enumerate(self.edges):
@@ -170,7 +176,8 @@ class Network:
 
     def is_strongly_connected(self) -> bool:
         """Whether every ordered node pair is connected by a directed path."""
-        return nx.is_strongly_connected(self.to_networkx())
+        distances = kernels.batch_distances_to_targets(self, np.ones(self.num_edges))
+        return bool(np.isfinite(distances).all())
 
     def with_capacities(self, capacities: Union[float, Sequence[float]]) -> "Network":
         """Return a copy of this topology with different link capacities."""
@@ -203,10 +210,7 @@ class Network:
                 raise ValueError("shortest-path weights must be non-negative")
         if target is not None:
             return self._distances_to(int(target), weights)
-        matrix = np.full((self.num_nodes, self.num_nodes), np.inf)
-        for t in range(self.num_nodes):
-            matrix[:, t] = self._distances_to(t, weights)
-        return matrix
+        return kernels.batch_distances_to_targets(self, weights).T.copy()
 
     def _distances_to(self, target: int, weights: np.ndarray) -> np.ndarray:
         """Dijkstra on the reversed graph from ``target``."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.graphs.kernels import undirected_links
 from repro.graphs.network import DEFAULT_CAPACITY, Network
 
 # Abilene PoPs, for reference (index order):
@@ -119,16 +120,10 @@ def topology(name: str, capacity: float = DEFAULT_CAPACITY) -> Network:
     network = random_connected_network(num_nodes, extra_edges, seed=seed, capacity=capacity)
     return Network.from_undirected(
         num_nodes,
-        _undirected_links(network),
+        sorted(undirected_links(network)),
         capacity,
         name=name,
     )
-
-
-def _undirected_links(network: Network) -> list[tuple[int, int]]:
-    """Collapse a bidirected network back to unique undirected links."""
-    links = {tuple(sorted(edge)) for edge in network.edges}
-    return sorted(links)
 
 
 def zoo_mixture(

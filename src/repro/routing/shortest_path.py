@@ -1,16 +1,21 @@
 """Classical shortest-path routing baselines.
 
 The paper compares every learned policy against "shortest-path routing … a
-simple classical method" (§VIII-A, the dotted lines in Figures 6 and 8).
-Two variants are provided:
+simple classical method" (§VIII-A, the dotted lines in Figures 6 and 8):
 
 * :func:`shortest_path_routing` — single next hop per (vertex, destination),
-  like plain OSPF/RIP with unique path selection;
+  like plain OSPF/RIP with unique path selection (lowest edge id wins ties);
 * :func:`ecmp_routing` — equal-cost multi-path: flow splits evenly across
   all next hops on shortest paths, like OSPF with ECMP enabled.
 
-Both are destination-based routings; weights default to unit (hop count) and
-may be any positive per-edge vector (e.g. inverse capacity).
+Weights default to unit (hop count) and may be any strictly positive, finite
+per-edge vector (e.g. inverse capacity).  Both tables are one array program
+over a single multi-source Dijkstra, ``D[t, v] = dist(v, t)``: out-edge
+``e = (v, u)`` is a next hop of ``v`` towards ``t`` iff it is *tight*,
+
+    D[t, v], D[t, u] finite,  v != t,  |w[e] + D[t, u] - D[t, v]| <= 1e-9 * max(1, D[t, v]),
+
+evaluated as one ``(targets × edges)`` mask.
 """
 
 from __future__ import annotations
@@ -19,53 +24,41 @@ from typing import Optional
 
 import numpy as np
 
+from repro.graphs.kernels import batch_distances_to_targets
 from repro.graphs.network import Network
+from repro.routing.softmin import _validate_weights
 from repro.routing.strategy import DestinationRouting
 
 _TIE_TOLERANCE = 1e-9
 
 
-def _resolve_weights(network: Network, weights: Optional[np.ndarray]) -> np.ndarray:
-    if weights is None:
-        return np.ones(network.num_edges)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (network.num_edges,):
-        raise ValueError(
-            f"weights has shape {weights.shape}, expected ({network.num_edges},)"
-        )
-    if np.any(weights <= 0.0):
-        raise ValueError("shortest-path weights must be strictly positive")
-    return weights
+def _tight_edges(network: Network, weights: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(target, edge)`` index pairs of every next hop on a shortest path.
 
-
-def _next_hop_edges(
-    network: Network, distances: np.ndarray, weights: np.ndarray, v: int
-) -> list[int]:
-    """Edge ids out of ``v`` lying on some shortest path to the target."""
-    hops = []
-    for edge_id in network.out_edges[v]:
-        u = network.edges[edge_id][1]
-        if np.isfinite(distances[u]) and abs(
-            weights[edge_id] + distances[u] - distances[v]
-        ) <= _TIE_TOLERANCE * max(1.0, distances[v]):
-            hops.append(edge_id)
-    return hops
+    Row-major order: targets ascending, edge ids ascending within a target.
+    """
+    weights = np.ones(network.num_edges) if weights is None else _validate_weights(network, weights)
+    distances = batch_distances_to_targets(network, weights)
+    tail = distances[:, network.senders]
+    head = distances[:, network.receivers]
+    with np.errstate(invalid="ignore"):  # inf - inf where neither end reaches t
+        tight = np.abs(weights + head - tail) <= _TIE_TOLERANCE * np.maximum(1.0, tail)
+    tight &= np.isfinite(tail) & np.isfinite(head)
+    tight &= network.senders != np.arange(network.num_nodes)[:, np.newaxis]
+    return np.nonzero(tight)
 
 
 def shortest_path_routing(
     network: Network, weights: Optional[np.ndarray] = None
 ) -> DestinationRouting:
     """Single-path shortest-path routing (lowest edge id breaks ties)."""
-    weights = _resolve_weights(network, weights)
-    table = np.zeros((network.num_nodes, network.num_edges))
-    for t in range(network.num_nodes):
-        distances = network.shortest_path_distances(weights, target=t)
-        for v in range(network.num_nodes):
-            if v == t or not np.isfinite(distances[v]):
-                continue
-            hops = _next_hop_edges(network, distances, weights, v)
-            if hops:
-                table[t, hops[0]] = 1.0
+    targets, edges = _tight_edges(network, weights)
+    n, m = network.num_nodes, network.num_edges
+    first = np.full((n, n), m)
+    np.minimum.at(first, (targets, network.senders[edges]), edges)
+    rows, tails = np.nonzero(first < m)
+    table = np.zeros((n, m))
+    table[rows, first[rows, tails]] = 1.0
     return DestinationRouting(network, table)
 
 
@@ -73,16 +66,13 @@ def ecmp_routing(
     network: Network, weights: Optional[np.ndarray] = None
 ) -> DestinationRouting:
     """Equal-cost multi-path: even split over all shortest next hops."""
-    weights = _resolve_weights(network, weights)
-    table = np.zeros((network.num_nodes, network.num_edges))
-    for t in range(network.num_nodes):
-        distances = network.shortest_path_distances(weights, target=t)
-        for v in range(network.num_nodes):
-            if v == t or not np.isfinite(distances[v]):
-                continue
-            hops = _next_hop_edges(network, distances, weights, v)
-            for edge_id in hops:
-                table[t, edge_id] = 1.0 / len(hops)
+    targets, edges = _tight_edges(network, weights)
+    n = network.num_nodes
+    tails = network.senders[edges]
+    counts = np.zeros((n, n), dtype=np.int64)
+    np.add.at(counts, (targets, tails), 1)
+    table = np.zeros((n, network.num_edges))
+    table[targets, edges] = 1.0 / counts[targets, tails]
     return DestinationRouting(network, table)
 
 

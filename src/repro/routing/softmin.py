@@ -108,7 +108,7 @@ def _validate_weights(network: Network, weights: np.ndarray) -> np.ndarray:
             f"weights has shape {weights.shape}, expected ({network.num_edges},)"
         )
     if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-        raise ValueError("softmin routing needs strictly positive finite edge weights")
+        raise ValueError("routing needs strictly positive finite edge weights")
     return weights
 
 

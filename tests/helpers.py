@@ -1,4 +1,4 @@
-"""Shared test utilities: numerical gradient checking and tiny fixtures."""
+"""Shared test utilities: gradient checking, tiny fixtures and loop oracles."""
 
 from __future__ import annotations
 
@@ -70,3 +70,61 @@ def line_network(num_nodes: int = 4, capacity: float = 10.0) -> Network:
     """A bidirected path graph — unique routes, good for exact assertions."""
     links = [(i, i + 1) for i in range(num_nodes - 1)]
     return Network.from_undirected(num_nodes, links, capacity, name=f"line-{num_nodes}")
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles: the per-vertex Python implementations the array kernels in
+# ``repro.routing.shortest_path`` and ``repro.graphs.modifications`` replaced.
+# ---------------------------------------------------------------------------
+
+_TIE_TOLERANCE = 1e-9
+
+
+def _next_hop_edges(network: Network, distances: np.ndarray, weights: np.ndarray, v: int):
+    """Edge ids out of ``v`` lying on some shortest path to the target."""
+    hops = []
+    for edge_id in network.out_edges[v]:
+        u = network.edges[edge_id][1]
+        if np.isfinite(distances[u]) and abs(
+            weights[edge_id] + distances[u] - distances[v]
+        ) <= _TIE_TOLERANCE * max(1.0, distances[v]):
+            hops.append(edge_id)
+    return hops
+
+
+def _reference_table(network: Network, weights, spread) -> np.ndarray:
+    weights = np.ones(network.num_edges) if weights is None else np.asarray(weights, float)
+    table = np.zeros((network.num_nodes, network.num_edges))
+    for t in range(network.num_nodes):
+        distances = network.shortest_path_distances(weights, target=t)
+        for v in range(network.num_nodes):
+            if v == t or not np.isfinite(distances[v]):
+                continue
+            chosen = spread(_next_hop_edges(network, distances, weights, v))
+            for edge_id in chosen:
+                table[t, edge_id] = 1.0 / len(chosen)
+    return table
+
+
+def reference_shortest_path_table(network: Network, weights=None) -> np.ndarray:
+    """Single-path table, one heap Dijkstra per target, lowest edge id wins."""
+    return _reference_table(network, weights, lambda hops: hops[:1])
+
+
+def reference_ecmp_table(network: Network, weights=None) -> np.ndarray:
+    """ECMP table, one heap Dijkstra per target, even split over ties."""
+    return _reference_table(network, weights, lambda hops: hops)
+
+
+def reference_removable_links(network: Network) -> list:
+    """Links whose deletion keeps the graph connected, one networkx rebuild each."""
+    import networkx as nx
+
+    def connected(links) -> bool:
+        graph = nx.Graph()
+        graph.add_nodes_from(range(network.num_nodes))
+        graph.add_edges_from(links)
+        return nx.is_connected(graph)
+
+    links = {tuple(sorted(edge)) for edge in network.edges}
+    return [link for link in links if connected(links - {link})]

@@ -495,6 +495,33 @@ class TestRunAndSweep:
         for label, entry in result.strategies.items():
             assert entry.count == 5 and np.all(np.asarray(entry.ratios) >= 1.0 - 1e-9)
 
+    def test_linkflap_preset_golden_at_seed_0(self):
+        spec = zoo_large_sparse_linkflap_spec()
+        timeline = DYNAMICS.get("link_flap")(
+            TOPOLOGIES.get("cogent-like")(), 8, **spec.dynamics.params
+        )
+        assert timeline.deltas[4].removed_links == ((131, 155), (159, 184))
+        result = api.run(spec)
+        assert result.strategies["shortest_path"].ratios == (
+            1.0, 1.3416856622905111, 1.0, 1.3416856622905111, 1.0
+        )
+        assert result.strategies["ecmp"].ratios == (
+            1.0, 1.1784188320646531, 1.0, 1.1239965553227005, 1.0
+        )
+
+    def test_each_timeline_is_built_once_per_run(self, monkeypatch):
+        builder = DYNAMICS.get("link_flap")
+        calls = []
+
+        def counting(network, length, **params):
+            calls.append((network.name, length))
+            return builder(network, length, **params)
+
+        monkeypatch.setattr(DYNAMICS, "get", lambda name: counting)
+        result = api.run(tiny_flap_spec())
+        assert len(result.strategies) == 2
+        assert calls == [("abilene", 8)]
+
 
 # ---------------------------------------------------------------------------
 # Service: dynamic scenarios are rejected, never silently served statically

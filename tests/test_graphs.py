@@ -1,9 +1,15 @@
 """Tests for the Network model, the topology zoo and the generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
 
+import repro
 from repro.graphs import (
     Network,
     TOPOLOGY_NAMES,
@@ -130,6 +136,27 @@ class TestNetworkConversion:
         assert triangle_network().is_strongly_connected()
         one_way = Network(3, [(0, 1), (1, 2)])
         assert not one_way.is_strongly_connected()
+        two_cycles = Network(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        assert not two_cycles.is_strongly_connected()
+        assert not Network(3, [(0, 1), (1, 0)]).is_strongly_connected()
+
+    def test_networkx_stays_off_the_import_path(self):
+        driver = (
+            "import sys\n"
+            "import repro.api\n"
+            "repro.api.get_scenario('fig6')\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", driver],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestShortestPaths:

@@ -8,7 +8,9 @@ graphs, weights and demands:
 * DAG pruning is always acyclic and preserves reachability;
 * the LP optimum lower-bounds every concrete routing's utilisation;
 * flow is conserved end-to-end through the simulator;
-* autodiff segment ops agree with their numpy definitions.
+* autodiff segment ops agree with their numpy definitions;
+* the array graph kernels (SP/ECMP tie masks, the bridge pass behind link
+  removal) equal the Python loop oracles in ``tests/helpers.py`` exactly.
 """
 
 import numpy as np
@@ -18,12 +20,19 @@ from hypothesis import given, settings, strategies as st
 from repro.flows.lp import solve_optimal_max_utilisation
 from repro.flows.simulator import link_loads, max_link_utilisation
 from repro.graphs.generators import random_connected_network
+from repro.graphs.modifications import removable_links, remove_random_edge
+from repro.graphs.network import Network
 from repro.routing.dag import prune_by_distance, prune_graph_frontier
 from repro.routing.shortest_path import ecmp_routing, shortest_path_routing
 from repro.routing.softmin import softmin, softmin_routing
 from repro.routing.strategy import validate_routing
 from repro.tensor import Tensor, segment_mean, segment_sum
 from repro.traffic import bimodal_matrix
+from tests.helpers import (
+    reference_ecmp_table,
+    reference_removable_links,
+    reference_shortest_path_table,
+)
 
 # Keep deadlines generous: LP solves inside properties are slow-ish.
 PROPERTY_SETTINGS = dict(max_examples=20, deadline=None)
@@ -48,6 +57,39 @@ def graph_and_weights(draw):
         )
     )
     return net, np.asarray(weights)
+
+
+@st.composite
+def directed_graph_and_weights(draw):
+    """Random digraphs, often not strongly connected, under four weight kinds.
+
+    "tiny" weights sit below the 1e-9 tie tolerance, where only the
+    ``tail != target`` rule keeps a target's own out-edges off its table.
+    """
+    num_nodes = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(num_nodes) for v in range(num_nodes) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=24, unique=True))
+    net = Network(num_nodes, edges)
+    kind = draw(st.sampled_from(["unit", "tied", "real", "tiny"]))
+    if kind == "unit":
+        return net, None
+    if kind == "tied":
+        values = st.integers(1, 3).map(float)
+    elif kind == "real":
+        values = st.floats(0.05, 20.0, allow_nan=False, allow_infinity=False)
+    else:
+        values = st.floats(1e-12, 1e-10)
+    weights = draw(st.lists(values, min_size=net.num_edges, max_size=net.num_edges))
+    return net, np.asarray(weights)
+
+
+@st.composite
+def undirected_network(draw):
+    """Random link sets: trees, cyclic and disconnected graphs alike."""
+    num_nodes = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)]
+    links = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=20, unique=True))
+    return Network.from_undirected(num_nodes, links, 7.0, name="prop")
 
 
 class TestSoftminProperties:
@@ -147,6 +189,38 @@ class TestRoutingProperties:
             received = dm[:, v].sum()
             sent = dm[v, :].sum()
             assert inflow - outflow == pytest.approx(received - sent, abs=1e-6)
+
+
+class TestGraphKernelProperties:
+    @given(data=directed_graph_and_weights())
+    @settings(max_examples=150, deadline=None)
+    def test_shortest_path_tables_equal_the_loop_oracles(self, data):
+        net, weights = data
+        assert np.array_equal(
+            shortest_path_routing(net, weights).destination_table(),
+            reference_shortest_path_table(net, weights),
+        )
+        assert np.array_equal(
+            ecmp_routing(net, weights).destination_table(),
+            reference_ecmp_table(net, weights),
+        )
+
+    @given(net=undirected_network(), seed=st.integers(0, 1000))
+    @settings(max_examples=150, deadline=None)
+    def test_link_removal_equals_the_networkx_oracle(self, net, seed):
+        expected = reference_removable_links(net)
+        assert removable_links(net) == expected  # same links, same order
+
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        removed = remove_random_edge(net, rng)
+        if not expected:
+            assert removed is None
+            return
+        drop = expected[int(oracle_rng.integers(0, len(expected)))]
+        links = {tuple(sorted(edge)) for edge in net.edges} - {drop}
+        assert removed == Network.from_undirected(net.num_nodes, sorted(links), 7.0)
+        assert removed.name == "prop-e"
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestSegmentOpProperties:

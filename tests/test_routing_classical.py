@@ -57,6 +57,15 @@ class TestShortestPath:
         with pytest.raises(ValueError, match="shape"):
             shortest_path_routing(triangle_network(), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("build", [shortest_path_routing, ecmp_routing])
+    def test_rejects_non_finite_weights(self, build, bad):
+        net = square_network()
+        weights = np.ones(net.num_edges)
+        weights[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build(net, weights)
+
 
 class TestECMP:
     def test_even_split_on_equal_paths(self):
