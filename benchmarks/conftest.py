@@ -5,10 +5,11 @@ micro-benchmarks) and prints the same rows/series the paper's figure
 reports; run with ``pytest benchmarks/ --benchmark-only -s`` to see them.
 
 The ``bench`` scale below is the quick preset: it exercises every code
-path end-to-end in seconds.  To regenerate the figures at meaningful
-training scale use the experiment runner directly::
+path end-to-end in seconds.  To regenerate a figure at meaningful
+training scale, run its scenario through the experiment runner::
 
-    python -m repro.experiments.runner all --preset standard
+    python -m repro.experiments.runner run fig6 --preset standard
+    python -m repro.experiments.runner run fig8-different --preset standard
 """
 
 import pytest

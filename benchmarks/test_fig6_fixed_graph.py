@@ -10,8 +10,9 @@ policies ≤ MLP (approximately).
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig6
-from repro.experiments.reporting import format_fig6
+from repro import api
+from repro.api.presets import fig6_spec
+from repro.experiments.reporting import format_scenario
 
 # Full experiment runs: excluded from tier-1 (see pyproject addopts);
 # run with `pytest benchmarks -m ''` or the nightly benchmark workflow.
@@ -20,12 +21,12 @@ pytestmark = pytest.mark.slow
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_fixed_graph(benchmark, bench_scale):
-    result = run_once(benchmark, fig6.run, bench_scale, seed=0)
+    result = run_once(benchmark, api.run, fig6_spec(scale=bench_scale, seed=0))
     print()
-    print(format_fig6(result))
+    print(format_scenario(result))
 
-    rows = dict((label, mean) for label, mean in result.rows())
-    sp = rows["Shortest path (dotted line)"]
+    rows = dict(result.rows())
+    sp = rows["shortest_path"]
 
     # All ratios are valid (>= 1 up to LP tolerance).
     for label, mean in rows.items():
@@ -33,5 +34,5 @@ def test_fig6_fixed_graph(benchmark, bench_scale):
 
     # Paper shape: learned policies beat classical shortest path.  The quick
     # preset trains for seconds, so allow a small tolerance above the line.
-    for label in ("MLP", "GNN", "GNN Iterative"):
+    for label in ("mlp", "gnn", "gnn_iterative"):
         assert rows[label] <= sp * 1.15, (label, rows[label], sp)

@@ -12,8 +12,9 @@ evaluate successfully on graphs never seen in training; the
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig8
-from repro.experiments.reporting import format_fig8
+from repro import api
+from repro.api.presets import fig8_different_spec, fig8_modifications_spec
+from repro.experiments.reporting import format_scenario
 
 # Full experiment runs: excluded from tier-1 (see pyproject addopts);
 # run with `pytest benchmarks -m ''` or the nightly benchmark workflow.
@@ -22,19 +23,28 @@ pytestmark = pytest.mark.slow
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_generalisation(benchmark, bench_scale):
-    result = run_once(benchmark, fig8.run, bench_scale, seed=0)
-    print()
-    print(format_fig8(result))
+    def both_settings():
+        return tuple(
+            api.run(build(scale=bench_scale, seed=0))
+            for build in (fig8_modifications_spec, fig8_different_spec)
+        )
 
-    for setting in (result.modifications, result.different_graphs):
-        assert setting.gnn.mean >= 1.0 - 1e-6
-        assert setting.gnn_iterative.mean >= 1.0 - 1e-6
-        assert setting.shortest_path.mean >= 1.0 - 1e-6
-        assert setting.gnn.count > 0 and setting.gnn_iterative.count > 0
+    modifications, different = run_once(benchmark, both_settings)
+    print()
+    print(format_scenario(modifications))
+    print()
+    print(format_scenario(different))
+
+    for setting in (modifications, different):
+        gnn, iterative = setting.policies["gnn"], setting.policies["gnn_iterative"]
+        assert gnn.mean >= 1.0 - 1e-6
+        assert iterative.mean >= 1.0 - 1e-6
+        assert setting.strategies["shortest_path"].mean >= 1.0 - 1e-6
+        assert gnn.count > 0 and iterative.count > 0
 
     # The generalisation gap: random unseen structures are harder for the
     # softmin translation than modified Abilene (paper's 'oddity' about the
     # very different bar heights).  Averaged over both policies.
-    mods = (result.modifications.gnn.mean + result.modifications.gnn_iterative.mean) / 2
-    diff = (result.different_graphs.gnn.mean + result.different_graphs.gnn_iterative.mean) / 2
+    mods = (modifications.ratio("gnn") + modifications.ratio("gnn_iterative")) / 2
+    diff = (different.ratio("gnn") + different.ratio("gnn_iterative")) / 2
     assert diff >= mods * 0.8, (mods, diff)

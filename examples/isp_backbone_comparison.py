@@ -13,9 +13,18 @@ Run:  python examples/isp_backbone_comparison.py [--timesteps 4096]
 
 import argparse
 
-from repro import GNNPolicy, MLPPolicy, PPO, PPOConfig, RoutingEnv, abilene
+from repro import (
+    GNNPolicy,
+    MLPPolicy,
+    PPO,
+    PPOConfig,
+    RoutingEnv,
+    abilene,
+    batch_evaluate,
+    batch_evaluate_routing,
+    shortest_path_routing,
+)
 from repro.envs import RewardComputer
-from repro.experiments.evaluate import evaluate_policy, evaluate_shortest_path
 from repro.traffic import train_test_sequences
 
 MEMORY = 5
@@ -54,13 +63,13 @@ def main():
     print(f"  GNN trained   (final mean episode reward {gnn_train_reward:.1f})")
 
     print("\nHeld-out test performance (mean max-utilisation ratio, 1.0 = optimal):")
-    common = dict(network=network, sequences=test_seqs, memory_length=MEMORY, reward_computer=rewarder)
+    common = dict(memory_length=MEMORY, reward_computer=rewarder)
     results = [
-        ("MLP (Valadarsky et al.)", evaluate_policy(mlp, **common).mean),
-        ("GNN (GDDR)", evaluate_policy(gnn, **common).mean),
+        ("MLP (Valadarsky et al.)", batch_evaluate(mlp, network, test_seqs, **common).mean),
+        ("GNN (GDDR)", batch_evaluate(gnn, network, test_seqs, **common).mean),
         (
             "shortest path",
-            evaluate_shortest_path(network, test_seqs, memory_length=MEMORY, reward_computer=rewarder).mean,
+            batch_evaluate_routing(shortest_path_routing, network, test_seqs, **common).mean,
         ),
     ]
     for label, mean in sorted(results, key=lambda r: r[1]):

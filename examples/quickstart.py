@@ -13,13 +13,13 @@ from repro import (
     PPOConfig,
     RoutingEnv,
     abilene,
+    batch_evaluate,
     ecmp_routing,
     shortest_path_routing,
     train_test_sequences,
     utilisation_ratio,
 )
 from repro.envs import RewardComputer
-from repro.experiments.evaluate import evaluate_policy
 from repro.routing import oblivious_routing
 
 
@@ -51,10 +51,9 @@ def main():
     print("\nTraining a GNN agent with PPO (2048 timesteps, a few seconds)...")
     PPO(policy, env, config, seed=2).learn(2048)
 
-    # evaluate_policy is the single-network case of repro.engine's
-    # batch_evaluate, which scores many sequences/topologies in one call on
-    # the vectorized evaluation engine.
-    result = evaluate_policy(
+    # batch_evaluate scores many sequences/topologies in one call on the
+    # vectorized evaluation engine; here it is one network's test sequences.
+    result = batch_evaluate(
         policy, network, test_seqs, memory_length=3, reward_computer=rewarder
     )
     sp_ratio = utilisation_ratio(network, shortest_path_routing(network), demand)

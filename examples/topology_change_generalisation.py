@@ -13,9 +13,17 @@ Run:  python examples/topology_change_generalisation.py [--timesteps 4096]
 
 import argparse
 
-from repro import IterativeGNNPolicy, MultiGraphRoutingEnv, PPO, PPOConfig, abilene
+from repro import (
+    IterativeGNNPolicy,
+    MultiGraphRoutingEnv,
+    PPO,
+    PPOConfig,
+    abilene,
+    batch_evaluate,
+    batch_evaluate_routing,
+    shortest_path_routing,
+)
 from repro.envs import RewardComputer
-from repro.experiments.evaluate import evaluate_policy, evaluate_shortest_path
 from repro.graphs import random_connected_network, random_modification
 from repro.traffic import cyclical_sequence
 
@@ -62,7 +70,7 @@ def main():
     print(f"  {'topology':<34} {'GNN-Iterative':>14} {'shortest path':>14}")
     for label, network in unseen:
         test_seqs = sequences_for(network, seed=900)
-        agent = evaluate_policy(
+        agent = batch_evaluate(
             policy,
             network,
             test_seqs,
@@ -70,8 +78,12 @@ def main():
             iterative=True,
             reward_computer=rewarder,
         ).mean
-        classical = evaluate_shortest_path(
-            network, test_seqs, memory_length=MEMORY, reward_computer=rewarder
+        classical = batch_evaluate_routing(
+            shortest_path_routing,
+            network,
+            test_seqs,
+            memory_length=MEMORY,
+            reward_computer=rewarder,
         ).mean
         print(f"  {label:<34} {agent:>14.3f} {classical:>14.3f}")
     print("\nThe same trained parameters were reused for every topology —")

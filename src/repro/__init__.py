@@ -22,7 +22,7 @@ Subpackage map (bottom-up):
 ``repro.tuning``    random-search hyperparameter tuner (OpenTuner subst.)
 ``repro.api``       declarative scenario layer: registry-backed
                     ScenarioSpec + run(spec), JSON in/out
-``repro.experiments`` scale presets, CLI runner, legacy figure shims
+``repro.experiments`` scale presets, CLI runner, text reports
 ==================  =======================================================
 """
 

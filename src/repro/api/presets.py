@@ -12,10 +12,9 @@ strategy comparison grid.
 new entries (a spec object or a factory).  ``runner run <name>`` and
 ``runner list scenarios`` read this registry.
 
-The ``*_spec`` builder functions take ``(preset, seed, overrides)`` so the
-deprecation shims in :mod:`repro.experiments` can reproduce the historical
-seed choreography exactly; the registry entries are the same builders at
-their defaults.
+The figure ``*_spec`` builders take ``(preset, seed, scale)`` so callers
+can pin a seed or an exact :class:`ExperimentScale`; the registry entries
+are the same builders at their defaults.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ def scenario_names() -> list[str]:
 
 
 def _training(preset: str, scale: Optional[ExperimentScale]) -> TrainingSpec:
-    """A TrainingSpec pinning ``scale`` exactly (shim path) or just the preset."""
+    """A TrainingSpec pinning ``scale`` exactly (when given) or just the preset."""
     if scale is None:
         return TrainingSpec(preset=preset)
     overrides = {

@@ -6,8 +6,8 @@ all pass through here, so multi-seed / multi-topology evaluation always
 rides the vectorized engine (:func:`repro.engine.batch_evaluate` /
 :func:`repro.engine.batch_evaluate_routing`).
 
-Seed choreography (kept bit-compatible with the pre-API figure runners so
-the deprecation shims reproduce historical numbers): with scenario seed
+Seed choreography (bit-compatible with the pre-API figure runners, so
+historical numbers reproduce): with scenario seed
 ``s``, single-topology scenarios draw one train/test sequence split from
 ``s``; pool scenarios draw per-graph training splits from ``s + 100 + i``
 and held-out test splits from ``s + 200 + i``; the ``i``-th policy trains
@@ -234,7 +234,7 @@ class _SeedRun:
         )
 
     def _training_env(self, iterative: bool, seed: int):
-        """The env PPO trains on: bare env, or a lockstep ``VecEnv`` stack.
+        """The lockstep ``VecEnv`` stack PPO trains on.
 
         Slot 0 always receives ``seed`` itself so ``n_envs=1`` is the
         sequential path, bit for bit; extra slots get seeds derived with a
@@ -243,8 +243,6 @@ class _SeedRun:
         solved for one slot's traffic are cache hits for every other.
         """
         n_envs = self.spec.training.n_envs
-        if n_envs == 1:
-            return self._train_env(iterative, seed)
         return VecEnv(
             [self._train_env(iterative, seed + 1000003 * j) for j in range(n_envs)]
         )

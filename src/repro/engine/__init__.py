@@ -15,13 +15,7 @@ batch evaluation API built on top of them:
   :class:`FactorisationCache`);
 * :mod:`~repro.engine.evaluate` — :func:`batch_evaluate` /
   :func:`batch_evaluate_routing`, evaluating many traffic matrices, seeds
-  and topologies per call;
-* :mod:`~repro.engine.benchmark` — the scalar-vs-batched speedup
-  measurement guarding the engine in CI.
-
-The scalar implementations remain available (``vectorized=False`` on
-``softmin_routing`` / ``link_loads``) as the reference the equivalence
-tests compare against.
+  and topologies per call.
 """
 
 from repro.engine.backend import (
@@ -70,18 +64,6 @@ __all__ = [
     "batch_evaluate",
     "batch_evaluate_routing",
     "warm_lp_cache",
-    "EngineBenchmark",
-    "engine_speedup",
-    "BENCH_WORKLOADS",
-    "bench_workload",
-    "BackendBenchmark",
-    "backend_comparison",
-    "SPARSE_BENCH_NODES",
-    "sparse_bench_nodes",
-    "LPBenchmark",
-    "lp_phase_comparison",
-    "LP_BENCH_MATRICES",
-    "lp_bench_matrices",
 ]
 
 _LAZY = {
@@ -90,23 +72,11 @@ _LAZY = {
     "batch_evaluate": "repro.engine.evaluate",
     "batch_evaluate_routing": "repro.engine.evaluate",
     "warm_lp_cache": "repro.engine.evaluate",
-    "EngineBenchmark": "repro.engine.benchmark",
-    "engine_speedup": "repro.engine.benchmark",
-    "BENCH_WORKLOADS": "repro.engine.benchmark",
-    "bench_workload": "repro.engine.benchmark",
-    "BackendBenchmark": "repro.engine.benchmark",
-    "backend_comparison": "repro.engine.benchmark",
-    "SPARSE_BENCH_NODES": "repro.engine.benchmark",
-    "sparse_bench_nodes": "repro.engine.benchmark",
-    "LPBenchmark": "repro.engine.benchmark",
-    "lp_phase_comparison": "repro.engine.benchmark",
-    "LP_BENCH_MATRICES": "repro.engine.benchmark",
-    "lp_bench_matrices": "repro.engine.benchmark",
 }
 
 
 def __getattr__(name: str):
-    # evaluate/benchmark import the environment layer, which itself imports
+    # evaluate imports the environment layer, which itself imports
     # the engine's array modules — loading them lazily keeps the package
     # import acyclic.
     if name in _LAZY:

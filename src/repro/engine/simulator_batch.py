@@ -53,8 +53,7 @@ def _stacked_systems(
     """The ``(k, n, n)`` stack of ``I - Pᵀ`` balance systems.
 
     ``table`` holds one splitting-ratio row per batch member; ``targets[i]``
-    is member ``i``'s absorbing destination (its forwarding row is zeroed,
-    exactly like the scalar ``_forwarding_matrix``).
+    is member ``i``'s absorbing destination (its forwarding row is zeroed).
     """
     k = table.shape[0]
     n = network.num_nodes

@@ -1,21 +1,17 @@
-"""Experiment harness: declarative scenarios plus legacy figure shims.
+"""Experiment harness: scale presets, the CLI runner and text reports.
 
-The experiments layer is now a thin veneer over :mod:`repro.api`:
+The experiments layer is a thin veneer over :mod:`repro.api`:
 
 * :mod:`~repro.experiments.config` — :class:`ExperimentScale` presets
   (``quick`` for CI & benchmarks, ``standard`` for meaningful shapes,
   ``paper`` for the full 500k-timestep schedule), referenced by every
   scenario spec's training axis;
-* :mod:`~repro.experiments.fig6` / :mod:`~repro.experiments.fig7` /
-  :mod:`~repro.experiments.fig8` / :mod:`~repro.experiments.throughput` —
-  deprecation shims keeping the historical ``run(scale, seed, echo)``
-  surface over the bundled scenario presets
-  (:mod:`repro.api.presets`), bit-compatible with the pre-API runners;
 * :mod:`~repro.experiments.runner` — the CLI
-  (``run``/``list``/``bench`` plus the legacy figure subcommands);
+  (``run``/``sweep``/``worker``/``serve``/``list``/``describe``);
 * :mod:`~repro.experiments.reporting` — plain-text result rendering.
 
-Run from the command line::
+The paper's figures are registered scenarios (:mod:`repro.api.presets`).
+Run them from the command line::
 
     python -m repro.experiments.runner run fig6 --preset standard --seed 0
     python -m repro.experiments.runner list scenarios
@@ -28,11 +24,6 @@ from repro.experiments.config import (
     scale_field_names,
     scaled,
 )
-from repro.experiments.evaluate import (
-    evaluate_policy,
-    evaluate_shortest_path,
-    EvaluationResult,
-)
 
 __all__ = [
     "ExperimentScale",
@@ -40,7 +31,4 @@ __all__ = [
     "get_preset",
     "scaled",
     "scale_field_names",
-    "evaluate_policy",
-    "evaluate_shortest_path",
-    "EvaluationResult",
 ]

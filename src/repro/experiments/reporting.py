@@ -1,18 +1,12 @@
 """Plain-text rendering of experiment results.
 
-The harness prints the same rows/series the paper's figures report; these
-helpers keep that formatting in one place for the CLI runner, the
-examples and EXPERIMENTS.md.
+The CLI runner prints every scenario and sweep through these helpers, so
+the rows/series the paper's figures report are formatted in one place.
 """
 
 from __future__ import annotations
 
 import math
-
-from repro.experiments.fig6 import Fig6Result
-from repro.experiments.fig7 import Fig7Result
-from repro.experiments.fig8 import Fig8Result
-from repro.experiments.throughput import ThroughputResult
 
 
 def _bar(value: float, scale: float = 20.0, maximum: float = 2.5) -> str:
@@ -20,67 +14,6 @@ def _bar(value: float, scale: float = 20.0, maximum: float = 2.5) -> str:
         return ""
     filled = int(round(min(value, maximum) / maximum * scale))
     return "#" * filled
-
-
-def format_fig6(result: Fig6Result) -> str:
-    """Figure 6 as a text table: mean max-utilisation ratio per policy."""
-    lines = [
-        "Figure 6 - Learning to route on a fixed graph (Abilene)",
-        "mean max-utilisation ratio vs LP optimum (lower is better, 1.0 = optimal)",
-        "",
-    ]
-    for label, mean in result.rows():
-        lines.append(f"  {label:<28} {mean:6.3f}  {_bar(mean)}")
-    return "\n".join(lines)
-
-
-def format_fig7(result: Fig7Result, points: int = 10) -> str:
-    """Figure 7 as two downsampled (timesteps, reward) series."""
-    lines = [
-        "Figure 7 - Learning curves (mean total reward per episode; higher is better)",
-        "",
-    ]
-    for curve in result.curves():
-        lines.append(f"  {curve.label}:")
-        n = len(curve.timesteps)
-        if n == 0:
-            lines.append("    (no updates logged)")
-            continue
-        stride = max(1, n // points)
-        for i in range(0, n, stride):
-            lines.append(
-                f"    t={curve.timesteps[i]:>8}  reward={curve.mean_episode_rewards[i]:9.2f}"
-            )
-        if (n - 1) % stride != 0:
-            lines.append(
-                f"    t={curve.timesteps[-1]:>8}  reward={curve.mean_episode_rewards[-1]:9.2f}"
-            )
-    return "\n".join(lines)
-
-
-def format_fig8(result: Fig8Result) -> str:
-    """Figure 8 as a text table: bars per setting and policy."""
-    lines = [
-        "Figure 8 - Generalising to unseen graphs",
-        "mean max-utilisation ratio vs LP optimum (lower is better)",
-        "",
-    ]
-    for setting, policy, mean in result.rows():
-        lines.append(f"  {setting:<22} {policy:<16} {mean:6.3f}  {_bar(mean)}")
-    return "\n".join(lines)
-
-
-def format_throughput(result: ThroughputResult) -> str:
-    """The §VIII-D throughput-parity prose result."""
-    return "\n".join(
-        [
-            "Training throughput (environment steps per second)",
-            f"  MLP agent: {result.mlp_fps:8.1f} fps",
-            f"  GNN agent: {result.gnn_fps:8.1f} fps",
-            f"  GNN overhead factor: {result.gnn_overhead:.2f}x "
-            "(paper: ~1.0, both agents ≈70 fps)",
-        ]
-    )
 
 
 def format_scenario(result) -> str:
@@ -165,63 +98,4 @@ def format_sweep(result, store_dir=None) -> str:
     if store_dir:
         footer += f" (store: {store_dir})"
     lines += ["", footer]
-    return "\n".join(lines)
-
-
-def format_engine_bench(result) -> str:
-    """The engine microbenchmark: scalar vs batched evaluation timing."""
-    return "\n".join(
-        [
-            "Batch evaluation engine - scalar reference vs vectorized",
-            f"  workload: {result.num_matrices} full demand matrices on a "
-            f"{result.num_nodes}-node / {result.num_edges}-edge graph",
-            f"  scalar loops:   {result.scalar_seconds * 1e3:8.2f} ms",
-            f"  batched engine: {result.batched_seconds * 1e3:8.2f} ms",
-            f"  speedup: {result.speedup:.1f}x (acceptance floor: 5x)",
-        ]
-    )
-
-
-def format_lp_bench(result) -> str:
-    """The LP-phase benchmark: loop-assembled fresh solves vs structure reuse.
-
-    ``result`` is a :class:`repro.engine.benchmark.LPBenchmark`; the legacy
-    side is the pre-structure-cache pipeline (per-commodity loop assembly +
-    a fresh solver per matrix), the structured side the vectorized,
-    warm-started structure-cache path.
-    """
-    solver = "direct HiGHS (warm-started)" if result.direct_solver else "linprog fallback"
-    return "\n".join(
-        [
-            "LP reward denominator - loop-assembled fresh solves vs structure reuse",
-            f"  workload: {result.num_matrices} distinct sparse demand matrices on "
-            f"{result.topology_name} ({result.num_nodes} nodes / {result.num_edges} edges)",
-            f"  solver path: {solver}",
-            f"  legacy pipeline:     {result.legacy_seconds * 1e3:8.1f} ms",
-            f"  structure-reusing:   {result.structured_seconds * 1e3:8.1f} ms",
-            f"  speedup: {result.speedup:.1f}x (acceptance floor: 5x)",
-        ]
-    )
-
-
-def format_backend_bench(results) -> str:
-    """Dense-vs-sparse backend comparison as a per-size table.
-
-    ``results`` is a list of :class:`repro.engine.benchmark.BackendBenchmark`;
-    the ``auto`` column shows what the selection rule would pick for each
-    topology (sparse speedups < 1 at small sizes are expected — that is
-    exactly why ``auto`` keeps dense there).
-    """
-    lines = [
-        "Solver backend - dense stacked LAPACK vs sparse splu factorisation",
-        "  (fixed-routing sequence solves; 'auto' = what backend selection picks)",
-        "",
-        "  nodes  edges  DMs   dense (ms)  sparse (ms)  sparse speedup  auto",
-    ]
-    for r in results:
-        lines.append(
-            f"  {r.num_nodes:>5}  {r.num_edges:>5}  {r.num_matrices:>3}"
-            f"  {r.dense_seconds * 1e3:>10.2f}  {r.sparse_seconds * 1e3:>11.2f}"
-            f"  {r.speedup:>13.2f}x  {r.auto_backend}"
-        )
     return "\n".join(lines)

@@ -191,59 +191,6 @@ def demand_destinations(demand: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _loop_assemble(network: Network, destinations, objective: str = "max"):
-    """Reference loop assembly (the pre-structure-cache implementation).
-
-    Returns ``(a_eq, a_ub, cost)`` exactly as the original per-commodity
-    ``lil_matrix`` + ``sparse.hstack`` code built them (``a_ub`` is ``None``
-    for the average objective).  Kept as the oracle the vectorized assembly
-    is property-tested against, and as the "main" side of the LP-phase
-    benchmark.
-    """
-    if objective not in LP_OBJECTIVES:
-        raise ValueError(f"objective must be one of {LP_OBJECTIVES}, got {objective!r}")
-    n, m = network.num_nodes, network.num_edges
-    destinations = [int(t) for t in destinations]
-    k = len(destinations)
-    has_u = objective == "max"
-    num_vars = k * m + (1 if has_u else 0)
-    u_index = k * m
-
-    incidence = sparse.lil_matrix((n, m))
-    for e, (u, v) in enumerate(network.edges):
-        incidence[u, e] = 1.0
-        incidence[v, e] = -1.0
-    incidence = incidence.tocsr()
-
-    eq_rows = []
-    for ci, t in enumerate(destinations):
-        keep = np.array([v for v in range(n) if v != t])
-        block = incidence[keep]
-        padded = sparse.hstack(
-            [
-                sparse.csr_matrix((n - 1, ci * m)),
-                block,
-                sparse.csr_matrix((n - 1, (k - ci - 1) * m + (1 if has_u else 0))),
-            ]
-        )
-        eq_rows.append(padded)
-    a_eq = sparse.vstack(eq_rows).tocsr()
-
-    if has_u:
-        ub = sparse.lil_matrix((m, num_vars))
-        for e in range(m):
-            for ci in range(k):
-                ub[e, ci * m + e] = 1.0
-            ub[e, u_index] = -float(network.capacities[e])
-        a_ub = ub.tocsr()
-        cost = np.zeros(num_vars)
-        cost[u_index] = 1.0
-    else:
-        a_ub = None
-        cost = np.tile(1.0 / (m * network.capacities), k)
-    return a_eq, a_ub, cost
-
-
 class LinearProgramStructure:
     """Assembled constraints for one (network, destination-support) pair.
 
@@ -614,43 +561,6 @@ def solve_optimal_average_utilisation(
         return OptimalRouting(0.0, np.zeros(network.num_edges), np.zeros((0, network.num_edges)))
     cache = lp_cache if lp_cache is not None else shared_lp_cache()
     return cache.structure(network, destinations, "average").solve(demand)
-
-
-def _reference_solve(network: Network, demand_matrix: np.ndarray) -> OptimalRouting:
-    """The pre-structure-cache pipeline: loop assembly + fresh ``linprog``.
-
-    Solves the identical destination-aggregated LP with no structure or
-    model reuse.  This is the "main" side of the LP-phase benchmark and an
-    independent oracle for the re-solve equivalence tests.
-    """
-    demand = _validate_inputs(network, demand_matrix)
-    m = network.num_edges
-    destinations = [int(t) for t in demand_destinations(demand)]
-    if not destinations:
-        return OptimalRouting(0.0, np.zeros(m), np.zeros((0, m)))
-    k = len(destinations)
-    u_index = k * m
-    a_eq, a_ub, cost = _loop_assemble(network, destinations, "max")
-    keep = [np.array([v for v in range(network.num_nodes) if v != t]) for t in destinations]
-    b_eq = np.concatenate([demand[rows, t] for rows, t in zip(keep, destinations)])
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.zeros(m),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise InfeasibleRoutingError(
-            f"optimal-routing LP failed on {network!r}: {result.message}"
-        )
-    solution = result.x
-    commodity_flows = solution[: k * m].reshape(k, m)
-    return OptimalRouting(
-        float(solution[u_index]), commodity_flows.sum(axis=0), commodity_flows
-    )
 
 
 def solve_mcf_per_pair(

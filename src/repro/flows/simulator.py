@@ -14,11 +14,9 @@ the paper's DAG conversion exists to avoid (§VI).  A routing whose loops
 trap flow forever (no leakage to the destination) has a singular system and
 raises :class:`RoutingLoopError`.
 
-By default the linear systems are stacked and solved in one batched LAPACK
-call by :mod:`repro.engine.simulator_batch` — all destinations (or all
-flows) at once.  The original one-solve-per-destination scalar path is kept
-behind ``vectorized=False`` as the reference implementation the equivalence
-tests compare against.
+The linear systems are stacked and solved in one batched call by
+:mod:`repro.engine.simulator_batch` — all destinations (or all flows) at
+once.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from repro.engine.simulator_batch import (
-    _NEGATIVE_FLOW_TOLERANCE,
     RoutingLoopError,
     destination_link_loads,
     flow_link_loads,
@@ -46,82 +43,19 @@ __all__ = [
 ]
 
 
-def _forwarding_matrix(network: Network, ratios: np.ndarray, target: int) -> np.ndarray:
-    """Dense ``P`` with ``P[u, v] = Σ ratios of edges u→v``; row ``target`` zero."""
-    p = np.zeros((network.num_nodes, network.num_nodes))
-    for edge_id, (u, v) in enumerate(network.edges):
-        if ratios[edge_id] != 0.0:
-            p[u, v] += ratios[edge_id]
-    p[target, :] = 0.0
-    return p
-
-
-def _solve_throughflow(
-    network: Network, ratios: np.ndarray, injections: np.ndarray, target: int
-) -> np.ndarray:
-    """Solve ``(I - Pᵀ) x = b`` for the node throughflow ``x`` (scalar path)."""
-    p = _forwarding_matrix(network, ratios, target)
-    system = np.eye(network.num_nodes) - p.T
-    try:
-        x = np.linalg.solve(system, injections)
-    except np.linalg.LinAlgError as error:
-        raise RoutingLoopError(
-            f"routing to destination {target} traps flow in a loop: {error}"
-        ) from None
-    if np.any(x < -_NEGATIVE_FLOW_TOLERANCE * max(1.0, float(np.abs(injections).sum()))):
-        raise RoutingLoopError(
-            f"routing to destination {target} yields negative throughflow; "
-            "the splitting ratios are inconsistent"
-        )
-    return np.maximum(x, 0.0)
-
-
-def _link_loads_scalar(
-    network: Network, routing: RoutingStrategy, demand: np.ndarray
-) -> np.ndarray:
-    """The original per-destination / per-flow solve loop."""
-    loads = np.zeros(network.num_edges)
-    senders = network.senders
-    if isinstance(routing, DestinationRouting) or routing.destination_based:
-        for t in range(network.num_nodes):
-            injections = demand[:, t].copy()
-            injections[t] = 0.0
-            if injections.sum() <= 0.0:
-                continue
-            ratios = routing.ratios(int(np.argmax(injections)), t)
-            x = _solve_throughflow(network, ratios, injections, t)
-            loads += x[senders] * ratios
-    else:
-        for s in range(network.num_nodes):
-            for t in range(network.num_nodes):
-                d = demand[s, t]
-                if s == t or d <= 0.0:
-                    continue
-                ratios = routing.ratios(s, t)
-                injections = np.zeros(network.num_nodes)
-                injections[s] = d
-                x = _solve_throughflow(network, ratios, injections, t)
-                loads += x[senders] * ratios
-    return loads
-
-
 def link_loads(
     network: Network,
     routing: RoutingStrategy,
     demand_matrix: np.ndarray,
-    vectorized: bool = True,
     backend: str = "auto",
 ) -> np.ndarray:
     """Total flow per edge when ``routing`` carries ``demand_matrix``.
 
-    Returns an array aligned with ``network.edges``.  With ``vectorized``
-    (the default) destination-based routings are simulated with one batched
-    solve over all active destinations and per-flow routings with one
-    batched solve over all positive-demand flows; ``vectorized=False``
-    forces the original scalar loop.  ``backend`` picks the balance-system
-    solver (``"auto"``/``"dense"``/``"sparse"``, see
-    :mod:`repro.engine.backend`); the scalar path is dense by definition
-    and ignores it.
+    Returns an array aligned with ``network.edges``.  Destination-based
+    routings are simulated with one batched solve over all active
+    destinations and per-flow routings with one batched solve over all
+    positive-demand flows.  ``backend`` picks the balance-system solver
+    (``"auto"``/``"dense"``/``"sparse"``, see :mod:`repro.engine.backend`).
     """
     demand = check_square_matrix("demand_matrix", demand_matrix)
     if demand.shape[0] != network.num_nodes:
@@ -129,14 +63,10 @@ def link_loads(
             f"demand matrix size {demand.shape[0]} does not match network "
             f"({network.num_nodes} nodes)"
         )
-    if not vectorized:
-        return _link_loads_scalar(network, routing, demand)
     if isinstance(routing, DestinationRouting):
         return destination_link_loads(
             network, routing.destination_table(), demand, backend=backend
         )
-    if routing.destination_based:
-        return _link_loads_scalar(network, routing, demand)
     flows = [
         (s, t, float(demand[s, t]), routing.ratios(s, t))
         for s in range(network.num_nodes)

@@ -1,8 +1,8 @@
 """End-to-end tests for ``repro.api.run`` and the scenario CLI.
 
-Covers: shim/API result equivalence for the figure presets, the three new
-scenarios running from JSON files through ``runner run``, multi-seed
-pooling, and builder-level failures surfacing as validation errors.
+Covers: the new scenarios running from JSON files through ``runner run``,
+multi-seed pooling, and builder-level failures surfacing as validation
+errors.
 """
 
 import numpy as np
@@ -10,33 +10,12 @@ import pytest
 
 from repro import api
 from repro.api.presets import (
-    fig6_spec,
-    fig7_spec,
     link_failure_sweep_spec,
     strategy_grid_spec,
     zoo_gravity_burst_spec,
 )
-from repro.experiments import fig6, fig7
-from repro.experiments.config import ExperimentScale, get_preset
+from repro.experiments.config import get_preset
 from repro.experiments.runner import main
-
-TINY = ExperimentScale(
-    total_timesteps=64,
-    n_steps=32,
-    batch_size=16,
-    n_epochs=1,
-    sequence_length=8,
-    cycle_length=4,
-    memory_length=3,
-    num_train_sequences=1,
-    num_test_sequences=1,
-    latent=4,
-    hidden=8,
-    num_processing_steps=1,
-    mlp_hidden=(16,),
-    num_train_graphs=2,
-    num_test_graphs=1,
-)
 
 #: Overrides shrinking any quick-preset scenario to test size while keeping
 #: its structure (topology pools, strategy grids, multi-seed evaluation).
@@ -57,39 +36,6 @@ TINY_UPDATES = {
 
 def tiny(spec: api.ScenarioSpec) -> api.ScenarioSpec:
     return spec.with_updates(TINY_UPDATES)
-
-
-class TestShimEquivalence:
-    """The deprecation shims must reproduce ``repro.api.run`` exactly."""
-
-    def test_fig6_shim_matches_api_run(self):
-        via_api = api.run(fig6_spec(scale=TINY, seed=0))
-        with pytest.warns(DeprecationWarning):
-            via_shim = fig6.run(TINY, seed=0)
-        assert via_shim.mlp.ratios == via_api.policies["mlp"].ratios
-        assert via_shim.gnn.ratios == via_api.policies["gnn"].ratios
-        assert via_shim.gnn_iterative.ratios == via_api.policies["gnn_iterative"].ratios
-        assert via_shim.shortest_path.ratios == via_api.strategies["shortest_path"].ratios
-
-    def test_fig7_shim_matches_api_run(self):
-        via_api = api.run(fig7_spec(scale=TINY, seed=0))
-        with pytest.warns(DeprecationWarning):
-            via_shim = fig7.run(TINY, seed=0)
-        assert via_shim.mlp.label == "MLP"  # historical labels preserved
-        for label, curve in (("mlp", via_shim.mlp), ("gnn", via_shim.gnn)):
-            api_curve = via_api.curves[label][0]
-            assert curve.timesteps == api_curve.timesteps
-            np.testing.assert_allclose(
-                curve.mean_episode_rewards, api_curve.mean_episode_rewards
-            )
-
-    @pytest.mark.slow
-    def test_fig6_shim_matches_api_run_quick_preset(self):
-        quick = get_preset("quick")
-        via_api = api.run(fig6_spec(scale=quick, seed=0))
-        via_shim = fig6.run(quick, seed=0)
-        assert via_shim.gnn.ratios == via_api.policies["gnn"].ratios
-        assert via_shim.shortest_path.ratios == via_api.strategies["shortest_path"].ratios
 
 
 class TestNewScenariosFromJSON:

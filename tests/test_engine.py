@@ -2,7 +2,7 @@
 
 The engine must be a drop-in replacement for the scalar routing/simulation
 pipeline: every test here pins the batched implementations against the
-scalar reference paths (``vectorized=False``) to 1e-8 on random graphs, and
+scalar loop oracles in ``tests/helpers.py`` to 1e-8 on random graphs, and
 checks the batch-evaluation API reproduces the environment-driven results.
 """
 
@@ -42,7 +42,11 @@ from repro.routing.shortest_path import shortest_path_routing
 from repro.routing.softmin import softmin_routing
 from repro.traffic import bimodal_matrix, cyclical_sequence, sparse_matrix
 from repro.traffic.sequences import DemandSequence
-from tests.helpers import triangle_network
+from tests.helpers import (
+    reference_link_loads,
+    reference_softmin_routing,
+    triangle_network,
+)
 
 
 def random_case(seed, num_nodes=12, extra_edges=14):
@@ -83,7 +87,7 @@ class TestBatchSoftmin:
     def test_matches_scalar_table(self, seed, gamma):
         net, weights = random_case(seed)
         batched = softmin_routing(net, weights, gamma=gamma)
-        scalar = softmin_routing(net, weights, gamma=gamma, vectorized=False)
+        scalar = reference_softmin_routing(net, weights, gamma=gamma)
         np.testing.assert_allclose(
             batched.destination_table(), scalar.destination_table(), atol=1e-8
         )
@@ -93,7 +97,7 @@ class TestBatchSoftmin:
         weights = np.random.default_rng(11).uniform(0.3, 3.0, net.num_edges)
         np.testing.assert_allclose(
             batch_softmin_ratios(net, weights, 2.0),
-            softmin_routing(net, weights, gamma=2.0, vectorized=False).destination_table(),
+            reference_softmin_routing(net, weights, gamma=2.0).destination_table(),
             atol=1e-8,
         )
 
@@ -111,7 +115,7 @@ class TestBatchSimulator:
         demand = bimodal_matrix(net.num_nodes, seed=seed)
         np.testing.assert_allclose(
             link_loads(net, routing, demand),
-            link_loads(net, routing, demand, vectorized=False),
+            reference_link_loads(net, routing, demand),
             atol=1e-8,
         )
 
@@ -122,7 +126,7 @@ class TestBatchSimulator:
         demand = sparse_matrix(net.num_nodes, seed=7, density=0.4)
         np.testing.assert_allclose(
             link_loads(net, routing, demand),
-            link_loads(net, routing, demand, vectorized=False),
+            reference_link_loads(net, routing, demand),
             atol=1e-8,
         )
 
@@ -135,7 +139,7 @@ class TestBatchSimulator:
         for step in range(demands.shape[0]):
             np.testing.assert_allclose(
                 batched[step],
-                link_loads(net, routing, demands[step], vectorized=False),
+                reference_link_loads(net, routing, demands[step]),
                 atol=1e-8,
             )
 
@@ -205,7 +209,7 @@ class TestSparseBackend:
         demand = bimodal_matrix(net.num_nodes, seed=9)
         np.testing.assert_allclose(
             link_loads(net, routing, demand, backend="sparse"),
-            link_loads(net, routing, demand, vectorized=False),
+            reference_link_loads(net, routing, demand),
             atol=1e-8,
         )
 
@@ -495,16 +499,16 @@ class TestBatchEvaluate:
         seqs = [cyclical_sequence(net.num_nodes, 8, 4, seed=i) for i in range(2)]
         return net, seqs
 
-    def test_single_network_matches_evaluate_policy(self):
-        from repro.experiments.evaluate import evaluate_policy
-
+    def test_single_network_matches_list_form(self):
         net, seqs = self._setup()
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=0)
-        direct = evaluate_policy(policy, net, seqs, memory_length=3)
+        listed = batch_evaluate(policy, [net], [seqs], memory_length=3)
         batched = batch_evaluate(policy, net, seqs, memory_length=3)
         assert isinstance(batched, BatchEvaluationResult)
         assert len(batched.per_network) == 1
-        np.testing.assert_allclose(batched.per_network[0].ratios, direct.ratios, rtol=1e-12)
+        np.testing.assert_allclose(
+            batched.per_network[0].ratios, listed.per_network[0].ratios, rtol=1e-12
+        )
 
     def test_many_networks_one_call(self):
         net_a = abilene()
@@ -597,8 +601,3 @@ class TestBatchEvaluate:
         for bad in (0, -1, True, 1.5):
             with pytest.raises(ValueError, match="workers"):
                 warm_lp_cache(net, seqs, RewardComputer(), memory_length=3, workers=bad)
-
-    def test_evaluation_result_reexport(self):
-        from repro.experiments.evaluate import EvaluationResult as Reexported
-
-        assert Reexported is EvaluationResult

@@ -14,8 +14,6 @@ from repro.flows.lp import (
     LinearProgramStructure,
     LPOptimumStore,
     OptimalUtilisationCache,
-    _loop_assemble,
-    _reference_solve,
     demand_destinations,
     network_fingerprint,
     solve_mcf_per_pair,
@@ -24,7 +22,13 @@ from repro.flows.lp import (
 )
 from repro.graphs import Network, abilene, random_connected_network
 from repro.traffic import bimodal_matrix, gravity_matrix, sparse_matrix
-from tests.helpers import line_network, square_network, triangle_network
+from tests.helpers import (
+    line_network,
+    reference_lp_assemble,
+    reference_lp_solve,
+    square_network,
+    triangle_network,
+)
 
 
 def dm_single(n, s, t, d):
@@ -153,7 +157,7 @@ class TestVectorizedAssembly:
         dm = bimodal_matrix(net.num_nodes, seed=seed)
         destinations = demand_destinations(dm)
         structure = LinearProgramStructure(net, destinations, objective)
-        a_eq, a_ub, cost = _loop_assemble(net, destinations, objective)
+        a_eq, a_ub, cost = reference_lp_assemble(net, destinations, objective)
         np.testing.assert_array_equal(structure.a_eq.toarray(), a_eq.toarray())
         if objective == "max":
             np.testing.assert_array_equal(structure.a_ub.toarray(), a_ub.toarray())
@@ -170,7 +174,7 @@ class TestVectorizedAssembly:
         destinations = demand_destinations(dm)
         np.testing.assert_array_equal(destinations, [1, 7])
         structure = LinearProgramStructure(net, destinations)
-        a_eq, a_ub, _ = _loop_assemble(net, destinations)
+        a_eq, a_ub, _ = reference_lp_assemble(net, destinations)
         np.testing.assert_array_equal(structure.a_eq.toarray(), a_eq.toarray())
         np.testing.assert_array_equal(structure.a_ub.toarray(), a_ub.toarray())
 
@@ -192,7 +196,7 @@ class TestVectorizedAssembly:
         with pytest.raises(ValueError, match="objective"):
             LinearProgramStructure(net, [0], "median")
         with pytest.raises(ValueError, match="objective"):
-            _loop_assemble(net, [0], "median")
+            reference_lp_assemble(net, [0], "median")
 
 
 class TestStructureCache:
@@ -221,7 +225,7 @@ class TestStructureCache:
         rescaled = np.where(base > 0.0, base * rng.uniform(0.5, 2.0, base.shape), 0.0)
         resolved = solve_optimal_max_utilisation(net, rescaled, lp_cache=cache)
         assert cache.hits >= 1  # the second solve reused the structure
-        fresh = _reference_solve(net, rescaled).max_utilisation
+        fresh = reference_lp_solve(net, rescaled).max_utilisation
         oracle = solve_mcf_per_pair(net, rescaled).max_utilisation
         assert resolved.max_utilisation == pytest.approx(fresh, abs=1e-8)
         assert resolved.max_utilisation == pytest.approx(oracle, abs=1e-8)

@@ -17,12 +17,13 @@ from repro import (
     PPOConfig,
     RoutingEnv,
     abilene,
+    batch_evaluate,
+    batch_evaluate_routing,
     cyclical_sequence,
 )
 from repro.envs import IterativeRoutingEnv, RewardComputer
-from repro.experiments.evaluate import evaluate_policy, evaluate_shortest_path
 from repro.graphs import random_modification
-from repro.routing import ecmp_routing
+from repro.routing import ecmp_routing, shortest_path_routing
 from repro.traffic import train_test_sequences
 
 
@@ -43,7 +44,7 @@ class TestEndToEndTraining:
         """
         net, train, test, rewarder = fixed_setup
         policy = GNNPolicy(memory_length=3, latent=8, hidden=16, num_processing_steps=2, seed=3)
-        before = evaluate_policy(
+        before = batch_evaluate(
             policy, net, test, memory_length=3, reward_computer=rewarder
         ).mean
 
@@ -51,7 +52,7 @@ class TestEndToEndTraining:
         cfg = PPOConfig(n_steps=64, batch_size=32, n_epochs=4, learning_rate=1e-3)
         PPO(policy, env, cfg, seed=1).learn(640)
 
-        after = evaluate_policy(
+        after = batch_evaluate(
             policy, net, test, memory_length=3, reward_computer=rewarder
         ).mean
         # Allow a small tolerance: the run is short, but it must not regress
@@ -110,7 +111,7 @@ class TestGeneralisationLoop:
 
         unseen = random_modification(base, seed=99)
         test_seq = [cyclical_sequence(unseen.num_nodes, 8, 4, seed=77)]
-        result = evaluate_policy(policy, unseen, test_seq, memory_length=3)
+        result = batch_evaluate(policy, unseen, test_seq, memory_length=3)
         assert result.mean >= 1.0 - 1e-6
         assert np.isfinite(result.mean)
 
@@ -121,7 +122,7 @@ class TestGeneralisationLoop:
         policy = MLPPolicy(base.num_nodes, base.num_edges, memory_length=3, seed=0)
         seq = [cyclical_sequence(modified.num_nodes, 8, 4, seed=0)]
         with pytest.raises(ValueError):
-            evaluate_policy(policy, modified, seq, memory_length=3)
+            batch_evaluate(policy, modified, seq, memory_length=3)
 
 
 class TestQualitativeShapes:
@@ -137,7 +138,9 @@ class TestQualitativeShapes:
                 policy_ratios.append(
                     rewarder.utilisation_ratio(net, ecmp, seq.matrix(step))
                 )
-        sp = evaluate_shortest_path(net, test, memory_length=3, reward_computer=rewarder)
+        sp = batch_evaluate_routing(
+            shortest_path_routing, net, test, memory_length=3, reward_computer=rewarder
+        )
         assert np.mean(policy_ratios) <= sp.mean + 1e-9
 
     def test_reward_bounded_below_by_minus_ratio_of_worst_link(self, fixed_setup):

@@ -1,20 +1,19 @@
-"""Tests for result formatting and the CLI runner."""
+"""Tests for result formatting, the CLI runner and the engine report script."""
 
 import pytest
 
-from repro.experiments.evaluate import EvaluationResult
-from repro.experiments.fig6 import Fig6Result
-from repro.experiments.fig7 import Fig7Result, LearningCurve
-from repro.experiments.fig8 import Fig8Result, GeneralisationSetting
-from repro.experiments.reporting import (
-    _bar,
-    format_fig6,
-    format_fig7,
-    format_fig8,
-    format_throughput,
+from benchmarks import engine_report
+from repro.api.presets import (
+    fig6_spec,
+    fig7_spec,
+    fig8_different_spec,
+    fig8_modifications_spec,
+    throughput_spec,
 )
+from repro.api.results import LearningCurve, ScenarioResult
+from repro.engine.evaluate import EvaluationResult
+from repro.experiments.reporting import _bar, format_scenario
 from repro.experiments.runner import build_parser, main
-from repro.experiments.throughput import ThroughputResult
 
 
 def eval_result(mean):
@@ -35,49 +34,45 @@ class TestFormatting:
         assert _bar(float("inf")) == ""
 
     def test_format_fig6_contains_all_rows(self):
-        result = Fig6Result(
-            mlp=eval_result(1.18),
-            gnn=eval_result(1.11),
-            gnn_iterative=eval_result(1.14),
-            shortest_path=eval_result(1.30),
+        result = ScenarioResult(
+            spec=fig6_spec(),
+            policies={
+                "mlp": eval_result(1.18),
+                "gnn": eval_result(1.11),
+                "gnn_iterative": eval_result(1.14),
+            },
+            strategies={"shortest_path": eval_result(1.30)},
         )
-        text = format_fig6(result)
-        for token in ("MLP", "GNN", "GNN Iterative", "Shortest path", "1.180", "1.300"):
+        text = format_scenario(result)
+        for token in ("Fig. 6", "mlp", "gnn_iterative", "shortest_path", "1.180", "1.300"):
             assert token in text
 
-    def test_format_fig7_downsamples(self):
-        curve = LearningCurve("MLP", tuple(range(0, 1000, 10)), tuple([-100.0] * 100))
-        result = Fig7Result(mlp=curve, gnn=LearningCurve("GNN", (1,), (-5.0,)))
-        text = format_fig7(result, points=5)
-        assert text.count("t=") < 100  # downsampled
-        assert "GNN" in text
-
     def test_format_fig7_empty_curve(self):
-        result = Fig7Result(
-            mlp=LearningCurve("MLP", (), ()), gnn=LearningCurve("GNN", (), ())
+        empty = LearningCurve("gnn", (), ())
+        result = ScenarioResult(
+            spec=fig7_spec(),
+            curves={"mlp": (LearningCurve("mlp", (1,), (-5.0,)),), "gnn": (empty,)},
         )
-        assert "no updates" in format_fig7(result)
+        text = format_scenario(result)
+        assert "seed 0:     -5.00" in text
+        assert "n/a (no completed episode)" in text
 
     def test_format_fig8(self):
-        setting = GeneralisationSetting(
-            label="Graph Modifications",
-            gnn=eval_result(1.2),
-            gnn_iterative=eval_result(1.15),
-            shortest_path=eval_result(1.5),
-        )
-        other = GeneralisationSetting(
-            label="Different Graphs",
-            gnn=eval_result(2.0),
-            gnn_iterative=eval_result(1.8),
-            shortest_path=eval_result(1.6),
-        )
-        text = format_fig8(Fig8Result(modifications=setting, different_graphs=other))
-        assert "Graph Modifications" in text and "Different Graphs" in text
+        def setting(spec, gnn, iterative, sp):
+            return ScenarioResult(
+                spec=spec,
+                policies={"gnn": eval_result(gnn), "gnn_iterative": eval_result(iterative)},
+                strategies={"shortest_path": eval_result(sp)},
+            )
+
+        modifications = format_scenario(setting(fig8_modifications_spec(), 1.2, 1.15, 1.5))
+        different = format_scenario(setting(fig8_different_spec(), 2.0, 1.8, 1.6))
+        assert "modified Abilene" in modifications and "1.150" in modifications
+        assert "different random graphs" in different and "1.800" in different
 
     def test_format_throughput(self):
-        text = format_throughput(ThroughputResult(mlp_fps=70.0, gnn_fps=70.0))
-        assert "70.0 fps" in text
-        assert "1.00x" in text
+        result = ScenarioResult(spec=throughput_spec(), throughput={"mlp": 70.0, "gnn": 70.0})
+        assert "70.0 fps" in format_scenario(result)
 
     def test_learning_curve_final_reward(self):
         curve = LearningCurve("GNN", (1, 2), (-9.0, -5.0))
@@ -85,13 +80,6 @@ class TestFormatting:
 
 
 class TestRunnerCLI:
-    def test_legacy_parser_defaults(self):
-        args = build_parser().parse_args(["fig7"])
-        assert args.command == "fig7"
-        assert args.preset == "quick"
-        assert args.seed is None  # falls back to 0 inside the legacy path
-        assert args.timesteps is None
-
     def test_run_parser_defaults(self):
         args = build_parser().parse_args(["run", "fig6"])
         assert args.command == "run"
@@ -105,10 +93,10 @@ class TestRunnerCLI:
 
     def test_parser_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig6", "--preset", "huge"])
+            build_parser().parse_args(["run", "fig6", "--preset", "huge"])
 
     def test_main_runs_throughput_quick(self, capsys):
-        code = main(["throughput", "--preset", "quick", "--timesteps", "64"])
+        code = main(["run", "throughput", "--preset", "quick", "--timesteps", "64"])
         assert code == 0
         out = capsys.readouterr().out
         assert "fps" in out
@@ -160,60 +148,52 @@ class TestRunnerCLI:
 
 class TestBenchPresets:
     def test_bench_parser_accepts_preset(self):
-        args = build_parser().parse_args(["bench", "--preset", "standard"])
-        assert args.command == "bench"
+        args = engine_report.build_parser().parse_args(["--preset", "standard"])
         assert args.preset == "standard"
+        assert engine_report.build_parser().parse_args([]).preset == "quick"
 
     def test_bench_workload_scales_with_preset(self):
-        from repro.engine.benchmark import BENCH_WORKLOADS, bench_workload
-
-        assert set(BENCH_WORKLOADS) == {"quick", "standard", "paper"}
+        assert set(engine_report.BENCH_WORKLOADS) == {"quick", "standard", "paper"}
         quick, standard, paper = (
-            bench_workload("quick"), bench_workload("standard"), bench_workload("paper")
+            engine_report.bench_workload(p) for p in ("quick", "standard", "paper")
         )
         assert quick["num_nodes"] < standard["num_nodes"] < paper["num_nodes"]
         assert quick["num_matrices"] < standard["num_matrices"] < paper["num_matrices"]
 
     def test_bench_workload_unknown_preset(self):
-        from repro.engine.benchmark import bench_workload
-
         with pytest.raises(ValueError, match="unknown bench preset"):
-            bench_workload("galactic")
+            engine_report.bench_workload("galactic")
 
     def test_bench_parser_accepts_sparse_nodes(self):
-        args = build_parser().parse_args(["bench", "--sparse-nodes", "320"])
+        args = engine_report.build_parser().parse_args(["--sparse-nodes", "320"])
         assert args.sparse_nodes == 320
-        assert build_parser().parse_args(["bench"]).sparse_nodes is None
+        assert engine_report.build_parser().parse_args([]).sparse_nodes is None
 
     def test_bench_rejects_tiny_sparse_nodes(self, capsys):
-        assert main(["bench", "--sparse-nodes", "4"]) == 2
+        assert engine_report.main(["--sparse-nodes", "4"]) == 2
         assert "--sparse-nodes" in capsys.readouterr().err
 
     def test_sparse_bench_nodes_scales_with_preset(self):
-        from repro.engine.benchmark import SPARSE_BENCH_NODES, sparse_bench_nodes
-
-        assert set(SPARSE_BENCH_NODES) == {"quick", "standard", "paper"}
-        for preset, sizes in SPARSE_BENCH_NODES.items():
-            assert sparse_bench_nodes(preset) == sizes
+        nodes = engine_report.SPARSE_BENCH_NODES
+        assert set(nodes) == {"quick", "standard", "paper"}
+        for preset, sizes in nodes.items():
+            assert engine_report.sparse_bench_nodes(preset) == sizes
             assert sizes == tuple(sorted(sizes))
         with pytest.raises(ValueError, match="unknown bench preset"):
-            sparse_bench_nodes("galactic")
+            engine_report.sparse_bench_nodes("galactic")
 
     def test_format_backend_bench_rows(self):
-        from repro.engine.benchmark import BackendBenchmark
-        from repro.experiments.reporting import format_backend_bench
-
         rows = [
-            BackendBenchmark(
+            engine_report.BackendBenchmark(
                 num_nodes=96, num_edges=254, num_matrices=4,
                 dense_seconds=0.009, sparse_seconds=0.035, auto_backend="dense",
             ),
-            BackendBenchmark(
+            engine_report.BackendBenchmark(
                 num_nodes=256, num_edges=680, num_matrices=4,
                 dense_seconds=0.27, sparse_seconds=0.15, auto_backend="sparse",
             ),
         ]
-        text = format_backend_bench(rows)
+        text = engine_report.format_backend_bench(rows)
         assert "dense stacked LAPACK" in text
         assert "96" in text and "256" in text
         assert "0.26x" in text  # dense wins at the small size
