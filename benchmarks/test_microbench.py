@@ -396,6 +396,25 @@ def test_graph_shortest_path_tables(benchmark):
 
 
 @pytest.mark.benchmark(group="graph")
+def test_graph_proportional_tables(benchmark):
+    """Capacity-proportional + inverse-weight tables on the 197-node graph."""
+    from repro.graphs.zoo import topology
+    from repro.routing.proportional import (
+        capacity_proportional_routing,
+        inverse_weight_routing,
+    )
+
+    net = topology("cogent-like")
+    weights = np.random.default_rng(0).uniform(0.3, 3.0, net.num_edges)
+
+    def build():
+        return capacity_proportional_routing(net), inverse_weight_routing(net, weights)
+
+    by_capacity, by_weight = benchmark(build)
+    assert by_capacity.destination_table().shape == by_weight.destination_table().shape
+
+
+@pytest.mark.benchmark(group="graph")
 def test_graph_removable_link_scan(benchmark):
     """Every link of the Cogent-scale graph whose loss keeps it connected."""
     from repro.graphs.modifications import removable_links

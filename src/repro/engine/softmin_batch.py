@@ -1,37 +1,29 @@
-"""Vectorized softmin translation: all destinations in one array program.
+"""Vectorized softmin translation: every row of a routing table in one program.
 
-The scalar pipeline in :mod:`repro.routing.softmin` runs one Dijkstra per
-destination and then loops over every vertex and out-edge in Python.  This
-module computes the same destination-based splitting-ratio table as a batch:
+All destinations at once, from the :mod:`repro.graphs.kernels` pipeline:
 
-1. all weighted distance-to-target vectors at once, as the ``(n, n)`` matrix
-   ``D[t, v] = dist(v, t)`` from one multi-source Dijkstra
-   (:func:`repro.graphs.kernels.batch_distances_to_targets`);
-2. the strictly-decreasing-distance DAG masks for every destination as one
-   ``(n, e)`` boolean array (:func:`batch_prune_by_distance`);
-3. the per-vertex softmin over out-edge scores ``w[e] + D[t, head(e)]`` via
-   segment reductions (``np.minimum.reduceat`` / ``np.add.reduceat``) over
-   edges grouped by tail vertex, for all destinations simultaneously.
+1. the ``(n, n)`` distances ``D[t, v] = dist(v, t)`` from one multi-source
+   Dijkstra;
+2. the strictly-decreasing-distance DAG masks as one ``(n, e)`` array;
+3. the per-vertex softmin over out-edge scores ``w[e] + D[t, head(e)]``
+   (:func:`masked_softmin_ratios`, which the per-flow ``frontier`` pruner
+   reuses over stacked (source, target) rows).
 
-The result is numerically equivalent to the scalar implementation (the
-per-path distance sums and per-vertex softmax normalisations associate in
-the same order), which the equivalence tests in ``tests/test_engine.py``
-assert to 1e-8.
+The per-destination Python loops this replaced are the oracles in
+``tests/helpers.py``; ``tests/test_engine.py`` pins the two to 1e-8.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.kernels import batch_distances_to_targets, edge_segments
+from repro.graphs.kernels import (
+    batch_distances_to_targets,
+    decreasing_distance_mask,
+    edge_segments,
+    normalise_segments,
+)
 from repro.graphs.network import Network
-
-
-def _keep_mask(network: Network, distances: np.ndarray) -> np.ndarray:
-    """The strictly-decreasing-distance rule over precomputed distances."""
-    tail = distances[:, network.senders]
-    head = distances[:, network.receivers]
-    return np.isfinite(tail) & np.isfinite(head) & (tail > head)
 
 
 def batch_prune_by_distance(network: Network, weights: np.ndarray) -> np.ndarray:
@@ -41,7 +33,30 @@ def batch_prune_by_distance(network: Network, weights: np.ndarray) -> np.ndarray
     ``t``: keep edge ``(u, v)`` iff both endpoints reach ``t`` and
     ``dist(u, t) > dist(v, t)``.  Shape ``(num_nodes, num_edges)``.
     """
-    return _keep_mask(network, batch_distances_to_targets(network, weights))
+    return decreasing_distance_mask(network, batch_distances_to_targets(network, weights))
+
+
+def masked_softmin_ratios(
+    network: Network, scores: np.ndarray, keep: np.ndarray, gamma: float
+) -> np.ndarray:
+    """Per-(row, vertex) softmin (paper Equation 3) over the kept out-edges.
+
+    ``scores`` and ``keep`` are ``(rows, num_edges)``; kept scores must be
+    finite.  Vertices with no kept out-edge get all-zero ratios.
+    """
+    order, starts, seg_of_pos = edge_segments(network)
+    scores_sorted = np.where(keep[:, order], scores[:, order], np.inf)
+
+    # Stabilised by the segment minimum exactly like the scalar `softmin`.
+    seg_min = np.minimum.reduceat(scores_sorted, starts, axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        exps = np.exp(-gamma * (scores_sorted - seg_min[:, seg_of_pos]))
+    exps[~np.isfinite(exps)] = 0.0  # pruned edges of empty/partial segments
+
+    ratios_sorted, _ = normalise_segments(exps, starts, seg_of_pos)
+    ratios = np.zeros_like(ratios_sorted)
+    ratios[:, order] = ratios_sorted
+    return ratios
 
 
 def batch_softmin_ratios(
@@ -49,8 +64,8 @@ def batch_softmin_ratios(
 ) -> np.ndarray:
     """Softmin splitting-ratio table for **all** destinations at once.
 
-    Returns the ``(num_nodes, num_edges)`` array whose row ``t`` matches the
-    scalar per-destination translation (distance pruner): at each vertex the
+    Returns the ``(num_nodes, num_edges)`` array whose row ``t`` is the
+    distance-pruner translation for destination ``t``: at each vertex the
     allowed out-edges ``e = (v, u)`` score ``w[e] + dist(u, t)`` and receive
     the softmin (paper Equation 3) of those scores.
 
@@ -68,25 +83,7 @@ def batch_softmin_ratios(
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     weights = np.asarray(weights, dtype=np.float64)
     distances = batch_distances_to_targets(network, weights)
-
-    keep = _keep_mask(network, distances)
+    keep = decreasing_distance_mask(network, distances)
     # (n, e); inf where the head vertex cannot reach the destination.
     scores = weights[np.newaxis, :] + distances[:, network.receivers]
-
-    order, starts, seg_of_pos = edge_segments(network)
-    scores_sorted = np.where(keep[:, order], scores[:, order], np.inf)
-
-    # Per-(destination, vertex) softmin, numerically stabilised by the
-    # segment minimum exactly like the scalar `softmin` helper.
-    seg_min = np.minimum.reduceat(scores_sorted, starts, axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        exps = np.exp(-gamma * (scores_sorted - seg_min[:, seg_of_pos]))
-    exps[~np.isfinite(exps)] = 0.0  # pruned edges of empty/partial segments
-
-    seg_sum = np.add.reduceat(exps, starts, axis=1)
-    denom = seg_sum[:, seg_of_pos]
-    ratios_sorted = np.divide(exps, denom, out=np.zeros_like(exps), where=denom > 0.0)
-
-    ratios = np.zeros_like(ratios_sorted)
-    ratios[:, order] = ratios_sorted
-    return ratios
+    return masked_softmin_ratios(network, scores, keep, gamma)

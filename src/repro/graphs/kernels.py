@@ -1,9 +1,12 @@
 """Array graph kernels shared by routing, the batch engine and the LP layer.
 
-Distances come from one multi-source Dijkstra over a CSR view of the
-transposed graph, cached per topology.  Undirected connectivity and bridges
-(links whose loss disconnects the graph, Tarjan 1974) serve the
-link-failure operators and the random-graph generators.
+Every routing table comes from three kernels: distances to the destinations
+from one multi-source Dijkstra over a CSR view of the transposed graph,
+cached per topology; the strictly-decreasing-distance keep mask (the DAG);
+and one per-(row, tail vertex) normaliser turning edge shares into ratios.
+Undirected connectivity and bridges (links whose loss disconnects the
+graph, Tarjan 1974) serve the link-failure operators and the random-graph
+generators.
 """
 
 from __future__ import annotations
@@ -86,6 +89,48 @@ def batch_distances_to_targets(
     transposed.indptr = structure.indptr
     transposed._shape = (network.num_nodes, network.num_nodes)
     return dijkstra(transposed, directed=True, indices=targets)
+
+
+def decreasing_distance_mask(network, distances: np.ndarray) -> np.ndarray:
+    """Routing DAGs from ``(rows, num_nodes)`` distances to each row's target.
+
+    Keeps ``(u, v)`` iff ``inf > D[i, u] > D[i, v]``: every row is acyclic,
+    and under positive weights each vertex reaching the target keeps an edge.
+    """
+    tail = distances[:, network.senders]
+    head = distances[:, network.receivers]
+    return np.isfinite(tail) & np.isfinite(head) & (tail > head)
+
+
+def normalise_segments(
+    shares: np.ndarray, starts: np.ndarray, seg_of_pos: np.ndarray, floor: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum-and-divide per (row, segment) in the :func:`edge_segments` layout.
+
+    Returns ``(ratios, covered)``; ``covered`` marks entries whose segment
+    total exceeds ``floor``, and uncovered entries are zero.
+    """
+    totals = np.add.reduceat(shares, starts, axis=1)[:, seg_of_pos]
+    covered = totals > floor
+    ratios = np.divide(shares, totals, out=np.zeros_like(shares), where=covered)
+    return ratios, covered
+
+
+def normalise_out_edges(
+    network, shares: np.ndarray, fallback: Optional[np.ndarray] = None, floor: float = 0.0
+) -> np.ndarray:
+    """Each out-edge's share over its tail vertex's total, per row.
+
+    Where a vertex's total is at most ``floor`` its entries come from
+    ``fallback`` (same ``(rows, num_edges)`` shape), or are zero without one.
+    """
+    order, starts, seg_of_pos = edge_segments(network)
+    sorted_ratios, covered = normalise_segments(shares[:, order], starts, seg_of_pos, floor)
+    if fallback is not None:
+        sorted_ratios = np.where(covered, sorted_ratios, fallback[:, order])
+    ratios = np.empty_like(sorted_ratios)
+    ratios[:, order] = sorted_ratios
+    return ratios
 
 
 def undirected_links(network) -> set[tuple[int, int]]:

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from repro.graphs import kernels
+from repro.utils.validation import check_node
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -196,7 +197,8 @@ class Network:
         target:
             If given, return the 1-D array ``d[v] = dist(v, target)``;
             otherwise the full ``(n, n)`` matrix ``d[u, v] = dist(u, v)``.
-            Unreachable pairs give ``inf``.
+            Unreachable pairs give ``inf``; ``target`` must be in
+            ``0..num_nodes-1``.
         """
         if weights is None:
             weights = np.ones(self.num_edges)
@@ -209,27 +211,9 @@ class Network:
             if np.any(weights < 0.0):
                 raise ValueError("shortest-path weights must be non-negative")
         if target is not None:
-            return self._distances_to(int(target), weights)
+            target = check_node("target", target, self.num_nodes)
+            return kernels.batch_distances_to_targets(self, weights, targets=[target])[0]
         return kernels.batch_distances_to_targets(self, weights).T.copy()
-
-    def _distances_to(self, target: int, weights: np.ndarray) -> np.ndarray:
-        """Dijkstra on the reversed graph from ``target``."""
-        import heapq
-
-        dist = np.full(self.num_nodes, np.inf)
-        dist[target] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, target)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            for edge_id in self.in_edges[v]:
-                u = self.edges[edge_id][0]
-                candidate = d + weights[edge_id]
-                if candidate < dist[u]:
-                    dist[u] = candidate
-                    heapq.heappush(heap, (candidate, u))
-        return dist
 
     # ------------------------------------------------------------------
     # Dunder

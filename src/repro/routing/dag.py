@@ -10,8 +10,9 @@ balancing).  Two pruners are provided:
   makes the kept subgraph acyclic, every vertex that can reach ``t`` keeps
   at least one outgoing edge (its shortest-path edge), and all
   distance-reducing detours survive, preserving multipath.  Because it only
-  depends on the destination it is also fast (shared across sources).  This
-  is the library default.
+  depends on the destination it is shared across sources.  This is the
+  library default: one row of the kernel keep mask
+  (:func:`repro.graphs.kernels.decreasing_distance_mask`).
 
 * :func:`prune_graph_frontier` — a faithful implementation of the paper's
   Figure 3 algorithm: Dijkstra from the source recording ``frontier_meets``
@@ -23,7 +24,10 @@ balancing).  Two pruners are provided:
   a cycle or lose ``s``→``t`` reachability this implementation skips the
   offending stitch, so its output is always a valid routing DAG.
 
-Both return a boolean mask over ``network.edges`` (True = edge kept).
+Both return a boolean mask over ``network.edges`` (True = edge kept) and
+reject vertex ids outside ``0..num_nodes-1``.  :func:`_dijkstra_with_meets`
+is the library's one heap search: its Fig. 3 bookkeeping needs the paper's
+tie order, not csgraph's.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.graphs.kernels import decreasing_distance_mask
 from repro.graphs.network import Network
+from repro.utils.validation import check_node
 
 
 def prune_by_distance(
@@ -56,13 +62,8 @@ def prune_by_distance(
     vertex with finite distance to ``target`` has an outgoing edge, so a
     routing defined on it always delivers.
     """
-    weights = np.asarray(weights, dtype=np.float64)
     distances = network.shortest_path_distances(weights, target=target)
-    mask = np.zeros(network.num_edges, dtype=bool)
-    for edge_id, (u, v) in enumerate(network.edges):
-        if np.isfinite(distances[u]) and np.isfinite(distances[v]):
-            mask[edge_id] = distances[u] > distances[v]
-    return mask
+    return decreasing_distance_mask(network, distances[np.newaxis])[0]
 
 
 def _dijkstra_with_meets(
@@ -169,6 +170,8 @@ def prune_graph_frontier(
     ``source → target`` subgraph; stitches that would break acyclicity are
     skipped.
     """
+    source = check_node("source", source, network.num_nodes)
+    target = check_node("target", target, network.num_nodes)
     weights = np.asarray(weights, dtype=np.float64)
     dist_from_source, parents, meets = _dijkstra_with_meets(network, weights, source, target)
     if target not in parents:

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.flows.lp import solve_optimal_max_utilisation
+from repro.graphs.kernels import normalise_out_edges
 from repro.graphs.network import Network
 from repro.routing.shortest_path import ecmp_routing
 from repro.routing.strategy import DestinationRouting
@@ -92,37 +93,20 @@ def lp_derived_routing(
     """Destination-based routing extracted from the LP optimum for a demand.
 
     For each destination ``t`` the LP's flow ``f_t`` is cycle-cancelled and
-    converted to ratios ``f_t(e) / Σ_out f_t`` at each vertex.  Vertices the
-    LP routes no ``t``-bound flow through fall back to ECMP toward ``t`` so
-    the routing stays total (delivery for any demand, not just the
-    reference).
+    the stacked flows are normalised to ratios ``f_t(e) / Σ_out f_t`` at each
+    vertex.  Vertices the LP routes no ``t``-bound flow through fall back to
+    ECMP toward ``t`` so the routing stays total (delivery for any demand,
+    not just the reference); ``t``'s own out-edges carry nothing.
     """
     solution = solve_optimal_max_utilisation(network, reference_demand)
-    ecmp = ecmp_routing(network)
-    table = np.zeros((network.num_nodes, network.num_edges))
-
     reference = np.asarray(reference_demand, dtype=np.float64)
     destinations = [t for t in range(network.num_nodes) if reference[:, t].sum() > 0.0]
-    flow_by_destination = dict(zip(destinations, solution.commodity_flows))
-
-    for t in range(network.num_nodes):
-        ecmp_row = ecmp.destination_ratios(t)
-        flows = flow_by_destination.get(t)
-        if flows is None:
-            table[t] = ecmp_row
-            continue
-        flows = cancel_flow_cycles(network, flows)
-        row = np.zeros(network.num_edges)
-        for v in range(network.num_nodes):
-            if v == t:
-                continue
-            out = list(network.out_edges[v])
-            total = float(flows[out].sum()) if out else 0.0
-            if total > _FLOW_TOLERANCE:
-                row[out] = flows[out] / total
-            else:
-                row[out] = ecmp_row[out]
-        table[t] = row
+    flows = np.zeros((network.num_nodes, network.num_edges))
+    for t, commodity in zip(destinations, solution.commodity_flows):
+        flows[t] = cancel_flow_cycles(network, commodity)
+    ecmp = ecmp_routing(network).destination_table()
+    table = normalise_out_edges(network, flows, fallback=ecmp, floor=_FLOW_TOLERANCE)
+    table[network.senders == np.arange(network.num_nodes)[:, np.newaxis]] = 0.0
     return DestinationRouting(network, table)
 
 

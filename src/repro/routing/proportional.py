@@ -13,44 +13,30 @@ loop-free strictly-decreasing-distance DAG:
 
 Both produce :class:`~repro.routing.strategy.DestinationRouting` objects
 obeying the §IV-A constraints, so they slot into the same simulator,
-evaluation and ablation harness as softmin routing.
+evaluation and ablation harness as softmin routing.  Each table is the
+kernel keep mask times the scores, normalised per vertex.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.kernels import (
+    batch_distances_to_targets,
+    decreasing_distance_mask,
+    normalise_out_edges,
+)
 from repro.graphs.network import Network
-from repro.routing.dag import prune_by_distance
-from repro.routing.softmin import _masked_distances_to, _validate_weights
+from repro.routing.softmin import _validate_weights
 from repro.routing.strategy import DestinationRouting
 
 
 def _proportional_table(
     network: Network, weights: np.ndarray, scores: np.ndarray
 ) -> np.ndarray:
-    """Build a per-destination ratio table splitting ∝ ``scores`` on the DAG."""
-    table = np.zeros((network.num_nodes, network.num_edges))
-    for t in range(network.num_nodes):
-        mask = prune_by_distance(network, weights, t)
-        distances = _masked_distances_to(network, weights, mask, t)
-        for v in range(network.num_nodes):
-            if v == t or not np.isfinite(distances[v]):
-                continue
-            allowed = [
-                e
-                for e in network.out_edges[v]
-                if mask[e] and np.isfinite(distances[network.edges[e][1]])
-            ]
-            if not allowed:
-                continue
-            share = scores[allowed]
-            total = share.sum()
-            if total <= 0.0:
-                share = np.ones(len(allowed))
-                total = float(len(allowed))
-            table[t, allowed] = share / total
-    return table
+    """Per-destination ratios splitting ∝ positive ``scores`` on each DAG."""
+    keep = decreasing_distance_mask(network, batch_distances_to_targets(network, weights))
+    return normalise_out_edges(network, keep * scores)
 
 
 def inverse_weight_routing(network: Network, weights: np.ndarray) -> DestinationRouting:

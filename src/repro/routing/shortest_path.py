@@ -15,7 +15,8 @@ over a single multi-source Dijkstra, ``D[t, v] = dist(v, t)``: out-edge
 
     D[t, v], D[t, u] finite,  v != t,  |w[e] + D[t, u] - D[t, v]| <= 1e-9 * max(1, D[t, v]),
 
-evaluated as one ``(targets × edges)`` mask.
+evaluated as one ``(targets × edges)`` mask.  ECMP normalises the mask per
+vertex (a sum of ones is exact, so each share is exactly ``1 / #hops``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graphs.kernels import batch_distances_to_targets
+from repro.graphs.kernels import batch_distances_to_targets, normalise_out_edges
 from repro.graphs.network import Network
 from repro.routing.softmin import _validate_weights
 from repro.routing.strategy import DestinationRouting
@@ -32,11 +33,8 @@ from repro.routing.strategy import DestinationRouting
 _TIE_TOLERANCE = 1e-9
 
 
-def _tight_edges(network: Network, weights: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``(target, edge)`` index pairs of every next hop on a shortest path.
-
-    Row-major order: targets ascending, edge ids ascending within a target.
-    """
+def _tight_edges(network: Network, weights: Optional[np.ndarray]) -> np.ndarray:
+    """``(targets, edges)`` mask of every next hop on a shortest path."""
     weights = np.ones(network.num_edges) if weights is None else _validate_weights(network, weights)
     distances = batch_distances_to_targets(network, weights)
     tail = distances[:, network.senders]
@@ -45,14 +43,14 @@ def _tight_edges(network: Network, weights: Optional[np.ndarray]) -> tuple[np.nd
         tight = np.abs(weights + head - tail) <= _TIE_TOLERANCE * np.maximum(1.0, tail)
     tight &= np.isfinite(tail) & np.isfinite(head)
     tight &= network.senders != np.arange(network.num_nodes)[:, np.newaxis]
-    return np.nonzero(tight)
+    return tight
 
 
 def shortest_path_routing(
     network: Network, weights: Optional[np.ndarray] = None
 ) -> DestinationRouting:
     """Single-path shortest-path routing (lowest edge id breaks ties)."""
-    targets, edges = _tight_edges(network, weights)
+    targets, edges = np.nonzero(_tight_edges(network, weights))
     n, m = network.num_nodes, network.num_edges
     first = np.full((n, n), m)
     np.minimum.at(first, (targets, network.senders[edges]), edges)
@@ -66,14 +64,8 @@ def ecmp_routing(
     network: Network, weights: Optional[np.ndarray] = None
 ) -> DestinationRouting:
     """Equal-cost multi-path: even split over all shortest next hops."""
-    targets, edges = _tight_edges(network, weights)
-    n = network.num_nodes
-    tails = network.senders[edges]
-    counts = np.zeros((n, n), dtype=np.int64)
-    np.add.at(counts, (targets, tails), 1)
-    table = np.zeros((n, network.num_edges))
-    table[targets, edges] = 1.0 / counts[targets, tails]
-    return DestinationRouting(network, table)
+    tight = _tight_edges(network, weights)
+    return DestinationRouting(network, normalise_out_edges(network, tight.astype(np.float64)))
 
 
 def inverse_capacity_weights(network: Network) -> np.ndarray:

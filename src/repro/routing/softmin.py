@@ -12,22 +12,22 @@ translation works per flow ``(s, t)``:
 
 With the default ``distance`` pruner the DAG — and therefore the ratios —
 depends only on the destination, so the result is a
-:class:`~repro.routing.strategy.DestinationRouting`.  By default the whole
-table is produced by the vectorized batch engine
-(:func:`repro.engine.batch_softmin_ratios`), which computes every
-destination at once.  The
-``frontier`` pruner (the paper's Figure 3) is per-(source, target); the
-result is then a per-flow :class:`~repro.routing.strategy.FlowRouting`.
+:class:`~repro.routing.strategy.DestinationRouting` built by
+:func:`repro.engine.batch_softmin_ratios`.  The ``frontier`` pruner (the
+paper's Figure 3) is per-(source, target): each flow's in-DAG distances come
+from the shared kernel with pruned edges weighted ``inf``, the stacked flows
+share one segment softmin, and the result is a per-flow
+:class:`~repro.routing.strategy.FlowRouting`.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.engine.softmin_batch import batch_softmin_ratios
+from repro.engine.softmin_batch import batch_softmin_ratios, masked_softmin_ratios
+from repro.graphs.kernels import batch_distances_to_targets
 from repro.graphs.network import Network
 from repro.routing.dag import prune_graph_frontier
 from repro.routing.strategy import DestinationRouting, FlowRouting, RoutingStrategy
@@ -49,55 +49,6 @@ def softmin(values: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     shifted = -gamma * (values - values.min())
     exps = np.exp(shifted)
     return exps / exps.sum()
-
-
-def _masked_distances_to(
-    network: Network, weights: np.ndarray, mask: np.ndarray, target: int
-) -> np.ndarray:
-    """Weighted distance to ``target`` using only edges allowed by ``mask``."""
-    dist = np.full(network.num_nodes, np.inf)
-    dist[target] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, target)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for edge_id in network.in_edges[v]:
-            if not mask[edge_id]:
-                continue
-            u = network.edges[edge_id][0]
-            candidate = d + weights[edge_id]
-            if candidate < dist[u]:
-                dist[u] = candidate
-                heapq.heappush(heap, (candidate, u))
-    return dist
-
-
-def _ratios_for_mask(
-    network: Network,
-    weights: np.ndarray,
-    mask: np.ndarray,
-    target: int,
-    gamma: float,
-) -> np.ndarray:
-    """Softmin splitting ratios for one destination over a pruned DAG."""
-    distances = _masked_distances_to(network, weights, mask, target)
-    ratios = np.zeros(network.num_edges)
-    for v in range(network.num_nodes):
-        if v == target or not np.isfinite(distances[v]):
-            continue
-        allowed = [
-            e
-            for e in network.out_edges[v]
-            if mask[e] and np.isfinite(distances[network.edges[e][1]])
-        ]
-        if not allowed:
-            continue
-        scores = np.array(
-            [weights[e] + distances[network.edges[e][1]] for e in allowed]
-        )
-        ratios[allowed] = softmin(scores, gamma)
-    return ratios
 
 
 def _validate_weights(network: Network, weights: np.ndarray) -> np.ndarray:
@@ -148,16 +99,17 @@ def softmin_routing(
     if pruner == "distance":
         return DestinationRouting(network, batch_softmin_ratios(network, weights, gamma))
     if pruner == "frontier":
+        n = network.num_nodes
         if pairs is None:
-            pairs = [
-                (s, t)
-                for s in range(network.num_nodes)
-                for t in range(network.num_nodes)
-                if s != t
-            ]
-        table = {}
-        for s, t in pairs:
-            mask = prune_graph_frontier(network, weights, s, t)
-            table[(s, t)] = _ratios_for_mask(network, weights, mask, t, gamma)
-        return FlowRouting(network, table)
+            pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+        pairs = list(pairs)
+        masks = np.zeros((len(pairs), network.num_edges), dtype=bool)
+        distances = np.zeros((len(pairs), n))
+        for row, (s, t) in enumerate(pairs):
+            masks[row] = prune_graph_frontier(network, weights, s, t)
+            in_dag = np.where(masks[row], weights, np.inf)
+            distances[row] = batch_distances_to_targets(network, in_dag, targets=[t])[0]
+        head = distances[:, network.receivers]
+        ratios = masked_softmin_ratios(network, weights + head, masks & np.isfinite(head), gamma)
+        return FlowRouting(network, dict(zip(pairs, ratios)))
     raise ValueError(f"unknown pruner {pruner!r}; choose 'distance' or 'frontier'")

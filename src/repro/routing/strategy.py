@@ -39,10 +39,6 @@ class RoutingValidationError(ValueError):
 class RoutingStrategy:
     """Abstract strategy: per-flow splitting ratios over the edge list."""
 
-    #: True when ratios depend only on the destination (enables the fast
-    #: aggregated simulation path).
-    destination_based: bool = False
-
     def __init__(self, network: Network):
         self.network = network
 
@@ -105,8 +101,6 @@ class DestinationRouting(RoutingStrategy):
         Array of shape ``(num_nodes, num_edges)``: row ``t`` holds the ratio
         vector used by all flows destined to ``t``.
     """
-
-    destination_based = True
 
     def __init__(self, network: Network, per_destination: np.ndarray):
         super().__init__(network)

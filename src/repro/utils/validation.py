@@ -25,6 +25,14 @@ def check_probability(name: str, value: float) -> float:
     return value
 
 
+def check_node(name: str, value: int, num_nodes: int) -> int:
+    """Require a vertex id in ``0..num_nodes-1`` (no negative wrap); return it."""
+    value = int(value)
+    if not 0 <= value < num_nodes:
+        raise ValueError(f"{name} must be in 0..{num_nodes - 1}, got {value}")
+    return value
+
+
 def check_square_matrix(name: str, matrix: np.ndarray) -> np.ndarray:
     """Require a square 2-D array; return it as float64."""
     matrix = np.asarray(matrix, dtype=np.float64)

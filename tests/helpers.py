@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable
 
 import numpy as np
@@ -15,10 +16,12 @@ from repro.flows.lp import (
     OptimalRouting,
     _validate_inputs,
     demand_destinations,
+    solve_optimal_max_utilisation,
 )
 from repro.graphs.network import Network
-from repro.routing.dag import prune_by_distance
-from repro.routing.softmin import DEFAULT_GAMMA, _ratios_for_mask, _validate_weights
+from repro.routing.oblivious import _FLOW_TOLERANCE, cancel_flow_cycles
+from repro.routing.shortest_path import ecmp_routing
+from repro.routing.softmin import DEFAULT_GAMMA, _validate_weights, softmin
 from repro.routing.strategy import DestinationRouting, RoutingStrategy
 from repro.tensor import Tensor
 from repro.utils.validation import check_square_matrix
@@ -87,11 +90,148 @@ def line_network(num_nodes: int = 4, capacity: float = 10.0) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# Loop oracles: the per-vertex Python implementations the array kernels in
-# ``repro.routing.shortest_path`` and ``repro.graphs.modifications`` replaced.
+# Loop oracles: the heap Dijkstras and per-vertex Python loops the array
+# kernels in ``repro.graphs.kernels`` (distances, the decreasing-distance keep
+# mask, the per-vertex normaliser) and ``repro.graphs.modifications`` replaced.
 # ---------------------------------------------------------------------------
 
 _TIE_TOLERANCE = 1e-9
+
+
+def reference_distances_to(network: Network, weights: np.ndarray, target: int) -> np.ndarray:
+    """Dijkstra on the reversed graph from ``target``."""
+    dist = np.full(network.num_nodes, np.inf)
+    dist[target] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, target)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for edge_id in network.in_edges[v]:
+            u = network.edges[edge_id][0]
+            candidate = d + weights[edge_id]
+            if candidate < dist[u]:
+                dist[u] = candidate
+                heapq.heappush(heap, (candidate, u))
+    return dist
+
+
+def reference_masked_distances_to(
+    network: Network, weights: np.ndarray, mask: np.ndarray, target: int
+) -> np.ndarray:
+    """Weighted distance to ``target`` using only edges allowed by ``mask``."""
+    dist = np.full(network.num_nodes, np.inf)
+    dist[target] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, target)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for edge_id in network.in_edges[v]:
+            if not mask[edge_id]:
+                continue
+            u = network.edges[edge_id][0]
+            candidate = d + weights[edge_id]
+            if candidate < dist[u]:
+                dist[u] = candidate
+                heapq.heappush(heap, (candidate, u))
+    return dist
+
+
+def reference_prune_by_distance(network: Network, weights: np.ndarray, target: int) -> np.ndarray:
+    """Strictly-decreasing-distance mask, one edge at a time over a heap Dijkstra."""
+    weights = np.asarray(weights, dtype=np.float64)
+    distances = reference_distances_to(network, weights, target)
+    mask = np.zeros(network.num_edges, dtype=bool)
+    for edge_id, (u, v) in enumerate(network.edges):
+        if np.isfinite(distances[u]) and np.isfinite(distances[v]):
+            mask[edge_id] = distances[u] > distances[v]
+    return mask
+
+
+def reference_ratios_for_mask(
+    network: Network,
+    weights: np.ndarray,
+    mask: np.ndarray,
+    target: int,
+    gamma: float,
+) -> np.ndarray:
+    """Softmin splitting ratios for one destination over a pruned DAG."""
+    distances = reference_masked_distances_to(network, weights, mask, target)
+    ratios = np.zeros(network.num_edges)
+    for v in range(network.num_nodes):
+        if v == target or not np.isfinite(distances[v]):
+            continue
+        allowed = [
+            e
+            for e in network.out_edges[v]
+            if mask[e] and np.isfinite(distances[network.edges[e][1]])
+        ]
+        if not allowed:
+            continue
+        scores = np.array(
+            [weights[e] + distances[network.edges[e][1]] for e in allowed]
+        )
+        ratios[allowed] = softmin(scores, gamma)
+    return ratios
+
+
+def reference_proportional_table(
+    network: Network, weights: np.ndarray, scores: np.ndarray
+) -> np.ndarray:
+    """Build a per-destination ratio table splitting ∝ ``scores`` on the DAG."""
+    table = np.zeros((network.num_nodes, network.num_edges))
+    for t in range(network.num_nodes):
+        mask = reference_prune_by_distance(network, weights, t)
+        distances = reference_masked_distances_to(network, weights, mask, t)
+        for v in range(network.num_nodes):
+            if v == t or not np.isfinite(distances[v]):
+                continue
+            allowed = [
+                e
+                for e in network.out_edges[v]
+                if mask[e] and np.isfinite(distances[network.edges[e][1]])
+            ]
+            if not allowed:
+                continue
+            share = scores[allowed]
+            total = share.sum()
+            if total <= 0.0:
+                share = np.ones(len(allowed))
+                total = float(len(allowed))
+            table[t, allowed] = share / total
+    return table
+
+
+def reference_lp_derived_table(network: Network, reference_demand: np.ndarray) -> np.ndarray:
+    """LP-derived ratio table, one destination and vertex at a time (ECMP fallback)."""
+    solution = solve_optimal_max_utilisation(network, reference_demand)
+    ecmp = ecmp_routing(network)
+    table = np.zeros((network.num_nodes, network.num_edges))
+
+    reference = np.asarray(reference_demand, dtype=np.float64)
+    destinations = [t for t in range(network.num_nodes) if reference[:, t].sum() > 0.0]
+    flow_by_destination = dict(zip(destinations, solution.commodity_flows))
+
+    for t in range(network.num_nodes):
+        ecmp_row = ecmp.destination_ratios(t)
+        flows = flow_by_destination.get(t)
+        if flows is None:
+            table[t] = ecmp_row
+            continue
+        flows = cancel_flow_cycles(network, flows)
+        row = np.zeros(network.num_edges)
+        for v in range(network.num_nodes):
+            if v == t:
+                continue
+            out = list(network.out_edges[v])
+            total = float(flows[out].sum()) if out else 0.0
+            if total > _FLOW_TOLERANCE:
+                row[out] = flows[out] / total
+            else:
+                row[out] = ecmp_row[out]
+        table[t] = row
+    return table
 
 
 def _next_hop_edges(network: Network, distances: np.ndarray, weights: np.ndarray, v: int):
@@ -110,7 +250,7 @@ def _reference_table(network: Network, weights, spread) -> np.ndarray:
     weights = np.ones(network.num_edges) if weights is None else np.asarray(weights, float)
     table = np.zeros((network.num_nodes, network.num_edges))
     for t in range(network.num_nodes):
-        distances = network.shortest_path_distances(weights, target=t)
+        distances = reference_distances_to(network, weights, t)
         for v in range(network.num_nodes):
             if v == t or not np.isfinite(distances[v]):
                 continue
@@ -160,8 +300,8 @@ def reference_softmin_routing(
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     table = np.zeros((network.num_nodes, network.num_edges))
     for t in range(network.num_nodes):
-        mask = prune_by_distance(network, weights, t)
-        table[t] = _ratios_for_mask(network, weights, mask, t, gamma)
+        mask = reference_prune_by_distance(network, weights, t)
+        table[t] = reference_ratios_for_mask(network, weights, mask, t, gamma)
     return DestinationRouting(network, table)
 
 
@@ -201,7 +341,7 @@ def _link_loads_scalar(
     """The original per-destination / per-flow solve loop."""
     loads = np.zeros(network.num_edges)
     senders = network.senders
-    if isinstance(routing, DestinationRouting) or routing.destination_based:
+    if isinstance(routing, DestinationRouting):
         for t in range(network.num_nodes):
             injections = demand[:, t].copy()
             injections[t] = 0.0

@@ -37,13 +37,14 @@ from repro.envs.reward import RewardComputer
 from repro.flows.simulator import RoutingLoopError, link_loads, utilisation_ratio
 from repro.graphs import Network, abilene, random_connected_network
 from repro.policies import GNNPolicy, IterativeGNNPolicy
-from repro.routing.dag import prune_by_distance
 from repro.routing.shortest_path import shortest_path_routing
 from repro.routing.softmin import softmin_routing
 from repro.traffic import bimodal_matrix, cyclical_sequence, sparse_matrix
 from repro.traffic.sequences import DemandSequence
 from tests.helpers import (
+    reference_distances_to,
     reference_link_loads,
+    reference_prune_by_distance,
     reference_softmin_routing,
     triangle_network,
 )
@@ -62,7 +63,7 @@ class TestBatchDistances:
         net, weights = random_case(seed)
         batched = batch_distances_to_targets(net, weights)
         for t in range(net.num_nodes):
-            scalar = net.shortest_path_distances(weights, target=t)
+            scalar = reference_distances_to(net, weights, t)
             np.testing.assert_allclose(batched[t], scalar, atol=1e-8)
 
     def test_unreachable_is_inf(self):
@@ -78,7 +79,7 @@ class TestBatchPrune:
         net, weights = random_case(seed)
         batched = batch_prune_by_distance(net, weights)
         for t in range(net.num_nodes):
-            np.testing.assert_array_equal(batched[t], prune_by_distance(net, weights, t))
+            np.testing.assert_array_equal(batched[t], reference_prune_by_distance(net, weights, t))
 
 
 class TestBatchSoftmin:

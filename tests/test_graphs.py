@@ -195,6 +195,12 @@ class TestShortestPaths:
         with pytest.raises(ValueError, match="shape"):
             net.shortest_path_distances(np.ones(2))
 
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_rejects_out_of_range_target(self, target):
+        # -1 must not wrap to the last node.
+        with pytest.raises(ValueError, match=r"target must be in 0\.\.2"):
+            triangle_network().shortest_path_distances(target=target)
+
 
 class TestZoo:
     def test_abilene_shape(self):

@@ -10,7 +10,14 @@ graphs, weights and demands:
 * flow is conserved end-to-end through the simulator;
 * autodiff segment ops agree with their numpy definitions;
 * the array graph kernels (SP/ECMP tie masks, the bridge pass behind link
-  removal) equal the Python loop oracles in ``tests/helpers.py`` exactly.
+  removal) equal the Python loop oracles in ``tests/helpers.py`` exactly;
+* every table built on the kernel keep mask and per-vertex normaliser
+  (proportional, LP-derived, frontier softmin) equals its per-vertex loop
+  oracle: exactly when every share is exact (the proportional tables under
+  unit weights and capacities), to 1e-12 otherwise.  The segment reduction
+  adds a vertex's first share to the sum of the rest while the oracles' sum
+  runs left to right, so three or more inexact shares may differ in the
+  last bit.
 """
 
 import numpy as np
@@ -23,6 +30,8 @@ from repro.graphs.generators import random_connected_network
 from repro.graphs.modifications import removable_links, remove_random_edge
 from repro.graphs.network import Network
 from repro.routing.dag import prune_by_distance, prune_graph_frontier
+from repro.routing.oblivious import lp_derived_routing
+from repro.routing.proportional import capacity_proportional_routing, inverse_weight_routing
 from repro.routing.shortest_path import ecmp_routing, shortest_path_routing
 from repro.routing.softmin import softmin, softmin_routing
 from repro.routing.strategy import validate_routing
@@ -30,6 +39,9 @@ from repro.tensor import Tensor, segment_mean, segment_sum
 from repro.traffic import bimodal_matrix
 from tests.helpers import (
     reference_ecmp_table,
+    reference_lp_derived_table,
+    reference_proportional_table,
+    reference_ratios_for_mask,
     reference_removable_links,
     reference_shortest_path_table,
 )
@@ -81,6 +93,25 @@ def directed_graph_and_weights(draw):
         values = st.floats(1e-12, 1e-10)
     weights = draw(st.lists(values, min_size=net.num_edges, max_size=net.num_edges))
     return net, np.asarray(weights)
+
+
+@st.composite
+def unit_or_random_network(draw, max_nodes=9):
+    """``(network, weights, unit)``: unit weights and capacities, or random ones."""
+    seed = draw(st.integers(0, 10_000))
+    net = network_for(seed, draw(st.integers(4, max_nodes)), draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        return net, np.ones(net.num_edges), True
+    rng = np.random.default_rng(seed)
+    net = net.with_capacities(rng.uniform(1.0, 100.0, net.num_edges))
+    return net, rng.uniform(0.05, 20.0, net.num_edges), False
+
+
+def assert_tables_match(actual, expected, exact):
+    if exact:
+        np.testing.assert_array_equal(actual, expected)
+    else:
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
 
 
 @st.composite
@@ -221,6 +252,45 @@ class TestGraphKernelProperties:
         assert removed == Network.from_undirected(net.num_nodes, sorted(links), 7.0)
         assert removed.name == "prop-e"
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestNormalisedTableProperties:
+    @given(data=unit_or_random_network())
+    @settings(max_examples=60, deadline=None)
+    def test_proportional_tables_equal_the_loop_oracle(self, data):
+        net, weights, unit = data
+        assert_tables_match(
+            inverse_weight_routing(net, weights).destination_table(),
+            reference_proportional_table(net, weights, 1.0 / weights),
+            unit,
+        )
+        assert_tables_match(
+            capacity_proportional_routing(net).destination_table(),
+            reference_proportional_table(net, np.ones(net.num_edges), net.capacities),
+            unit,
+        )
+
+    @given(data=unit_or_random_network(max_nodes=6), seed=st.integers(0, 1000))
+    @settings(max_examples=8, deadline=None)
+    def test_lp_derived_table_equals_the_loop_oracle(self, data, seed):
+        net, _, _ = data
+        dm = bimodal_matrix(net.num_nodes, seed=seed, low_mean=5.0, high_mean=10.0, std=1.0)
+        dm[:, seed % net.num_nodes] = 0.0  # one destination takes the all-ECMP row
+        assert_tables_match(
+            lp_derived_routing(net, dm).destination_table(),
+            reference_lp_derived_table(net, dm),
+            exact=False,
+        )
+
+    @given(data=unit_or_random_network(), gamma=st.floats(0.0, 10.0))
+    @settings(max_examples=30, deadline=None)
+    def test_frontier_softmin_equals_the_loop_oracle(self, data, gamma):
+        net, weights, _ = data
+        routing = softmin_routing(net, weights, gamma=gamma, pruner="frontier")
+        for s, t in routing.flows():
+            mask = prune_graph_frontier(net, weights, s, t)
+            expected = reference_ratios_for_mask(net, weights, mask, t, gamma)
+            assert_tables_match(routing.ratios(s, t), expected, exact=False)
 
 
 class TestSegmentOpProperties:

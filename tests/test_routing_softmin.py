@@ -83,6 +83,12 @@ class TestPruneByDistance:
         for e, (u, v) in enumerate(net.edges):
             assert mask[e] == (distances[u] > distances[v])
 
+    @pytest.mark.parametrize("target", [-1, 4])
+    def test_rejects_out_of_range_target(self, target):
+        net = square_network()
+        with pytest.raises(ValueError, match=r"target must be in 0\.\.3"):
+            prune_by_distance(net, np.ones(net.num_edges), target)
+
     def test_multipath_preserved(self):
         # Square without diagonal: both 0->1->2 and 0->3->2 survive to t=2.
         net = Network.from_undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -117,6 +123,15 @@ class TestPruneGraphFrontier:
         kept = {net.edges[e] for e in range(net.num_edges) if mask[e]}
         # At minimum one shortest path; multipath keeps both branches.
         assert ((0, 1) in kept and (1, 2) in kept) or ((0, 3) in kept and (3, 2) in kept)
+
+    @pytest.mark.parametrize(
+        "role, pair",
+        [("target", (0, -1)), ("source", (-1, 0)), ("target", (0, 4)), ("source", (4, 0))],
+    )
+    def test_rejects_out_of_range_vertices(self, role, pair):
+        net = square_network()
+        with pytest.raises(ValueError, match=rf"{role} must be in 0\.\.3"):
+            prune_graph_frontier(net, np.ones(net.num_edges), *pair)
 
     def test_unreachable_target_raises(self):
         net = Network(3, [(0, 1), (1, 0), (1, 2)])

@@ -44,9 +44,6 @@ class TestFlowRouting:
         routing = FlowRouting(net, {(0, 2): np.zeros(net.num_edges)})
         assert list(routing.flows()) == [(0, 2)]
 
-    def test_not_destination_based(self):
-        assert not FlowRouting(line_network(3), {}).destination_based
-
 
 class TestDestinationRouting:
     def test_same_ratios_for_all_sources(self):
@@ -60,10 +57,6 @@ class TestDestinationRouting:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             DestinationRouting(triangle_network(), np.zeros((2, 2)))
-
-    def test_is_destination_based(self):
-        net = triangle_network()
-        assert DestinationRouting(net, np.zeros((3, net.num_edges))).destination_based
 
 
 class TestValidateRouting:
