@@ -106,9 +106,9 @@ def test_gn_reducer_forward_cost(benchmark, reducer):
     )
     obs = GraphObservation(net, np.stack([dm] * 5) / dm.mean())
     rng = np.random.default_rng(0)
-    action, _, value = benchmark(policy.act, obs, rng)
-    assert action.shape == (net.num_edges,)
-    assert np.isfinite(value)
+    actions, _, values = benchmark(policy.act_batch, [obs], rng)
+    assert actions[0].shape == (net.num_edges,)
+    assert np.isfinite(values[0])
 
 
 @pytest.mark.benchmark(group="ablation-memory")

@@ -66,8 +66,8 @@ def test_gnn_policy_forward(benchmark, setup):
     history = np.stack([dm] * 5) / dm.mean()
     obs = GraphObservation(net, history)
     rng = np.random.default_rng(0)
-    action, _, _ = benchmark(policy.act, obs, rng)
-    assert action.shape == (net.num_edges,)
+    actions, _, _ = benchmark(policy.act_batch, [obs], rng)
+    assert actions[0].shape == (net.num_edges,)
 
 
 @pytest.mark.benchmark(group="micro")
@@ -77,8 +77,8 @@ def test_mlp_policy_forward(benchmark, setup):
     history = np.stack([dm] * 5) / dm.mean()
     obs = GraphObservation(net, history)
     rng = np.random.default_rng(0)
-    action, _, _ = benchmark(policy.act, obs, rng)
-    assert action.shape == (net.num_edges,)
+    actions, _, _ = benchmark(policy.act_batch, [obs], rng)
+    assert actions[0].shape == (net.num_edges,)
 
 
 @pytest.mark.benchmark(group="micro")

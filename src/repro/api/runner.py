@@ -23,10 +23,9 @@ from repro.api.registry import DYNAMICS, POLICIES, STRATEGIES, TOPOLOGIES, TRAFF
 from repro.api.results import EvaluationResult, LearningCurve, ScenarioResult, merge_results
 from repro.api.spec import PolicySpec, ScenarioSpec, SpecValidationError
 from repro.engine.evaluate import batch_evaluate, batch_evaluate_routing, warm_lp_cache
-from repro.envs.iterative_env import IterativeRoutingEnv
+from repro.envs.factory import make_routing_env
 from repro.envs.multigraph import MultiGraphRoutingEnv
 from repro.envs.reward import RewardComputer
-from repro.envs.routing_env import RoutingEnv
 from repro.experiments.config import ExperimentScale
 from repro.flows.lp import network_fingerprint
 from repro.graphs.network import Network
@@ -193,45 +192,17 @@ class _SeedRun:
 
     def _train_env(self, iterative: bool, seed: int):
         scale = self.scale
-        if not self.single:
-            pairs = list(zip(self.train_graphs, self.train_groups))
-            if iterative:
-                return MultiGraphRoutingEnv(
-                    pairs,
-                    iterative=True,
-                    memory_length=scale.memory_length,
-                    weight_scale=scale.weight_scale,
-                    reward_computer=self.rewarder,
-                    seed=seed,
-                )
-            return MultiGraphRoutingEnv(
-                pairs,
-                iterative=False,
-                memory_length=scale.memory_length,
-                softmin_gamma=scale.softmin_gamma,
-                weight_scale=scale.weight_scale,
-                reward_computer=self.rewarder,
-                seed=seed,
-            )
-        network = self.train_graphs[0]
-        if iterative:
-            return IterativeRoutingEnv(
-                network,
-                self.train_seqs,
-                memory_length=scale.memory_length,
-                weight_scale=scale.weight_scale,
-                reward_computer=self.rewarder,
-                seed=seed,
-            )
-        return RoutingEnv(
-            network,
-            self.train_seqs,
+        options = dict(
+            iterative=iterative,
             memory_length=scale.memory_length,
             softmin_gamma=scale.softmin_gamma,
             weight_scale=scale.weight_scale,
             reward_computer=self.rewarder,
             seed=seed,
         )
+        if not self.single:
+            return MultiGraphRoutingEnv(list(zip(self.train_graphs, self.train_groups)), **options)
+        return make_routing_env(self.train_graphs[0], self.train_seqs, **options)
 
     def _training_env(self, iterative: bool, seed: int):
         """The lockstep ``VecEnv`` stack PPO trains on.

@@ -31,9 +31,8 @@ import numpy as np
 
 from repro.engine.backend import check_backend, default_backend
 from repro.engine.simulator_batch import destination_link_loads_sequence
-from repro.envs.iterative_env import IterativeRoutingEnv
+from repro.envs.factory import make_routing_env
 from repro.envs.reward import RewardComputer
-from repro.envs.routing_env import RoutingEnv
 from repro.graphs.dynamics import NetworkTimeline
 from repro.graphs.network import Network
 from repro.routing.strategy import DestinationRouting, RoutingStrategy
@@ -238,41 +237,26 @@ def _rollout_policy(
     path underneath is vectorized.  ``timeline`` scores each step against
     the network in force at that step (one-shot policies only).
     """
-    if iterative:
-        if timeline is not None:
-            raise ValueError(
-                "iterative policies cannot evaluate dynamic scenarios "
-                "(their sub-step loop is bound to one edge set)"
-            )
-        env = IterativeRoutingEnv(
-            network,
-            sequences,
-            memory_length=memory_length,
-            weight_scale=weight_scale,
-            reward_computer=rewarder,
-            sample_sequences=False,
-            seed=seed,
-        )
-    else:
-        env = RoutingEnv(
-            network,
-            sequences,
-            memory_length=memory_length,
-            softmin_gamma=softmin_gamma,
-            weight_scale=weight_scale,
-            reward_computer=rewarder,
-            sample_sequences=False,
-            seed=seed,
-            dynamics=timeline,
-        )
+    env = make_routing_env(
+        network,
+        sequences,
+        iterative=iterative,
+        memory_length=memory_length,
+        softmin_gamma=softmin_gamma,
+        weight_scale=weight_scale,
+        reward_computer=rewarder,
+        seed=seed,
+        sample_sequences=False,
+        dynamics=timeline,
+    )
     rng = rng_from_seed(seed)
     ratios: list[float] = []
     for _ in range(len(sequences)):
         observation = env.reset()
         done = False
         while not done:
-            action, _, _ = policy.act(observation, rng, deterministic=True)
-            observation, _, done, info = env.step(action)
+            actions, _, _ = policy.act_batch([observation], rng, deterministic=True)
+            observation, _, done, info = env.step(actions[0])
             if "utilisation_ratio" in info:
                 ratios.append(info["utilisation_ratio"])
     return EvaluationResult(tuple(ratios))
@@ -320,9 +304,9 @@ def batch_evaluate(
     Parameters
     ----------
     policy:
-        Any policy with the ``act(observation, rng, deterministic)``
-        protocol (MLP, one-shot GNN, or — with ``iterative=True`` — the
-        iterative GNN).
+        Any :class:`~repro.policies.base.ActorCriticPolicy` (MLP, one-shot
+        GNN, or — with ``iterative=True`` — the iterative GNN); each step
+        is one ``act_batch([observation], deterministic=True)`` call.
     networks:
         A single :class:`Network` or a sequence of them.
     traffic_sequences:

@@ -13,12 +13,17 @@ supplies the optimum, and the reward is ``-U_agent / U_optimal``
   edge (paper §VII-B); reward arrives when the last edge is set;
 * :class:`~repro.envs.multigraph.MultiGraphRoutingEnv` — samples a
   topology per episode, for the generalisation experiments (Fig. 8).
+
+:func:`~repro.envs.factory.make_routing_env` picks and builds the one-shot
+or iterative environment; training, evaluation and the multi-topology pool
+all go through it.
 """
 
 from repro.envs.observation import GraphObservation
 from repro.envs.reward import RewardComputer, weights_from_action, gamma_from_action
 from repro.envs.routing_env import RoutingEnv
 from repro.envs.iterative_env import IterativeRoutingEnv
+from repro.envs.factory import make_routing_env
 from repro.envs.multigraph import MultiGraphRoutingEnv
 
 __all__ = [
@@ -29,4 +34,5 @@ __all__ = [
     "RoutingEnv",
     "IterativeRoutingEnv",
     "MultiGraphRoutingEnv",
+    "make_routing_env",
 ]

@@ -9,18 +9,14 @@ being applicable in this setting.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-
-from repro.envs.iterative_env import IterativeRoutingEnv
+from repro.envs.factory import InnerEnv, make_routing_env
 from repro.envs.reward import RewardComputer
-from repro.envs.routing_env import RoutingEnv
 from repro.graphs.network import Network
 from repro.rl.env import Env
 from repro.traffic.sequences import DemandSequence
 from repro.utils.seeding import SeedLike, rng_from_seed
-
-InnerEnv = Union[RoutingEnv, IterativeRoutingEnv]
 
 
 class MultiGraphRoutingEnv(Env):
@@ -32,8 +28,9 @@ class MultiGraphRoutingEnv(Env):
         List of ``(network, sequences)`` pairs; one inner environment is
         built per pair.
     iterative:
-        Build :class:`IterativeRoutingEnv` inner envs (fixed 2-D actions)
-        instead of :class:`RoutingEnv` (per-edge actions).
+        Build iterative inner envs (fixed 2-D actions) instead of one-shot
+        ones (per-edge actions); see
+        :func:`~repro.envs.factory.make_routing_env`.
     memory_length / softmin_gamma / weight_scale:
         Forwarded to the inner environments.
     reward_computer:
@@ -60,28 +57,20 @@ class MultiGraphRoutingEnv(Env):
         self._rng = rng_from_seed(seed)
         self.iterative = bool(iterative)
         self.inner_envs: list[InnerEnv] = []
-        for i, (network, sequences) in enumerate(graph_sequences):
+        for network, sequences in graph_sequences:
             child_seed = int(self._rng.integers(0, 2**31 - 1))
-            if iterative:
-                env: InnerEnv = IterativeRoutingEnv(
+            self.inner_envs.append(
+                make_routing_env(
                     network,
                     sequences,
-                    memory_length=memory_length,
-                    weight_scale=weight_scale,
-                    reward_computer=self.rewarder,
-                    seed=child_seed,
-                )
-            else:
-                env = RoutingEnv(
-                    network,
-                    sequences,
+                    iterative=self.iterative,
                     memory_length=memory_length,
                     softmin_gamma=softmin_gamma,
                     weight_scale=weight_scale,
                     reward_computer=self.rewarder,
                     seed=child_seed,
                 )
-            self.inner_envs.append(env)
+            )
         self._current: Optional[InnerEnv] = None
         # Spaces vary per topology in the one-shot case; expose the
         # iterative fixed space when available.

@@ -10,8 +10,10 @@
   policy (paper §VII-B): one edge is set per action, edge inputs carry
   ``(weight, set, target)`` markers, the global output is ``(weight, γ)``.
 
-All implement the :class:`~repro.policies.base.ActorCriticPolicy` interface
-consumed by :class:`repro.rl.ppo.PPO`.
+Each implements one batched forward, ``_forward_batch``; the shared
+:class:`~repro.policies.base.ActorCriticPolicy` builds ``act_batch``
+(inference for rollouts, evaluation and serving) and ``evaluate`` (the
+differentiable PPO minibatch pass) on top of it.
 """
 
 from repro.policies.base import ActorCriticPolicy

@@ -1,22 +1,26 @@
 """The actor-critic policy interface consumed by PPO.
 
-A policy owns its networks and its action distribution and exposes two
-views of the same computation:
+A policy owns its networks and its action distribution and implements one
+forward, :meth:`ActorCriticPolicy._forward_batch`, over a batch of
+observations.  Two consumers share it:
 
-* :meth:`ActorCriticPolicy.act` — numpy-only single-observation inference
-  used while collecting rollouts (wrapped in ``no_grad``);
-* :meth:`ActorCriticPolicy.evaluate` — differentiable batch evaluation
-  used inside the PPO update.
+* :meth:`ActorCriticPolicy.act_batch` — numpy-only inference under
+  ``no_grad``: samples (or, deterministically, copies) one action per
+  observation.  Rollout collection, evaluation and the service all call
+  it; evaluation and the service pass a batch of one;
+* :meth:`ActorCriticPolicy.evaluate` — differentiable log-probs, values
+  and entropies of a minibatch, used inside the PPO update.
 
 Observations are opaque objects; each concrete policy knows how to
 featurize the observations its environment emits.  Actions are numpy
 arrays whose length may vary across observations (different topologies
-have different |E|), which is why per-sample quantities (log-prob, value,
-entropy) are scalars collected into a batch vector.
+have different |E|), so the forward returns the concatenated means with
+each entry's sample id and the per-sample quantities are segment sums.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -31,40 +35,17 @@ class ActorCriticPolicy(Module):
 
     distribution: DiagonalGaussian
 
-    # ------------------------------------------------------------------
-    # To implement in subclasses
-    # ------------------------------------------------------------------
-    def action_mean_and_value(self, observation: Any) -> tuple[Tensor, Tensor]:
-        """Differentiable forward pass for one observation.
+    def _forward_batch(
+        self, observations: Sequence[Any]
+    ) -> tuple[Tensor, Tensor, np.ndarray]:
+        """Differentiable forward over a batch of observations.
 
-        Returns ``(mean, value)`` where ``mean`` is the action-distribution
-        mean (1-D tensor) and ``value`` a scalar tensor.
+        Returns ``(means_flat, values, sample_ids)``: every observation's
+        action-distribution mean concatenated into one 1-D tensor, the
+        ``(B,)`` value estimates, and for each mean entry the index of the
+        observation it belongs to (non-decreasing).
         """
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Shared implementation
-    # ------------------------------------------------------------------
-    def act(
-        self,
-        observation: Any,
-        rng: np.random.Generator,
-        deterministic: bool = False,
-    ) -> tuple[np.ndarray, float, float]:
-        """Sample an action for rollout collection (no gradients).
-
-        Returns ``(action, log_prob, value)``.
-        """
-        with no_grad():
-            mean_t, value_t = self.action_mean_and_value(observation)
-        mean = mean_t.numpy()
-        value = float(value_t.numpy())
-        if deterministic:
-            action = mean.copy()
-        else:
-            action = self.distribution.sample(mean, rng)
-        log_prob = self.distribution.log_prob_value(mean, action)
-        return action, log_prob, value
 
     def act_batch(
         self,
@@ -72,60 +53,47 @@ class ActorCriticPolicy(Module):
         rng: np.random.Generator,
         deterministic: bool = False,
     ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Sample actions for a lockstep batch of observations (no gradients).
+        """Sample actions for a batch of observations (no gradients).
 
         Returns ``(actions, log_probs, values)`` with one entry per
-        observation, actions sampled from the shared ``rng`` in slot order.
-        The default implementation falls back to per-observation
-        :meth:`act` calls (identical RNG stream); policies with batched
-        forward passes override it to run one forward for the whole batch.
+        observation, actions sampled from the shared ``rng`` in slot order
+        (``deterministic`` returns the means).
         """
-        actions: list[np.ndarray] = []
-        log_probs = np.empty(len(observations))
-        values = np.empty(len(observations))
-        for i, observation in enumerate(observations):
-            action, log_prob, value = self.act(observation, rng, deterministic)
-            actions.append(action)
-            log_probs[i] = log_prob
-            values[i] = value
-        return actions, log_probs, values
-
-    def _sample_batch(
-        self,
-        means: Sequence[np.ndarray],
-        rng: np.random.Generator,
-        deterministic: bool,
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Shared sampling/log-prob tail for batched ``act_batch`` overrides.
-
-        Draws per-slot actions from the shared ``rng`` in slot order (the
-        same consumption order as sequential :meth:`act` calls) and scores
-        them with the batched numpy log-prob.
-        """
+        with no_grad():
+            means_flat, values, sample_ids = self._forward_batch(observations)
+        flat = means_flat.numpy()
+        ends = list(accumulate(np.bincount(sample_ids, minlength=len(observations)).tolist()))
+        means = [flat[start:end] for start, end in zip([0, *ends], ends)]
         if deterministic:
             actions = [mean.copy() for mean in means]
         else:
             actions = [self.distribution.sample(mean, rng) for mean in means]
-        return actions, self.distribution.log_prob_values(list(means), actions)
+        log_probs = self.distribution.log_prob_values(means, actions)
+        return actions, log_probs, values.numpy().copy()
 
     def evaluate(
         self, observations: Sequence[Any], actions: Sequence[np.ndarray]
     ) -> tuple[Tensor, Tensor, Tensor]:
         """Differentiable evaluation of a minibatch.
 
-        Returns stacked 1-D tensors ``(log_probs, values, entropies)`` of
-        length ``len(observations)``.  The default implementation evaluates
-        sample-by-sample; policies with batched forward passes override it.
+        Returns 1-D tensors ``(log_probs, values, entropies)`` of length
+        ``len(observations)``.
         """
-        from repro.tensor import stack
-
-        log_probs, values, entropies = [], [], []
-        for observation, action in zip(observations, actions):
-            mean, value = self.action_mean_and_value(observation)
-            log_probs.append(self.distribution.log_prob(mean, action))
-            values.append(value)
-            entropies.append(self.distribution.entropy(np.asarray(action).size))
-        return stack(log_probs), stack(values), stack(entropies)
+        means_flat, values, sample_ids = self._forward_batch(observations)
+        actions_flat = np.concatenate([np.asarray(a).ravel() for a in actions])
+        if actions_flat.size != len(sample_ids):
+            raise ValueError(
+                f"expected {len(sample_ids)} action entries (edges or action "
+                f"dimensions) across the batch, got {actions_flat.size}"
+            )
+        num_samples = len(observations)
+        log_probs = self.distribution.log_prob_flat_batch(
+            means_flat, actions_flat, sample_ids, num_samples
+        )
+        entropies = self.distribution.entropy_batch(
+            np.bincount(sample_ids, minlength=num_samples)
+        )
+        return log_probs, values, entropies
 
     # ------------------------------------------------------------------
     # Parameter traversal: Module walk plus the distribution parameter.

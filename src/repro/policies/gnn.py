@@ -17,14 +17,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.envs.observation import GraphObservation
 from repro.gnn.graphs_tuple import batch_graphs
 from repro.gnn.models import EncodeProcessDecode
 from repro.policies.base import ActorCriticPolicy
 from repro.rl.distributions import DiagonalGaussian
-from repro.tensor import Tensor, no_grad
 from repro.utils.seeding import SeedLike, rng_from_seed
 
 
@@ -94,39 +91,8 @@ class GNNPolicy(ActorCriticPolicy):
         edge_out, global_out = self.model(graph)
         means_flat = edge_out.reshape((-1,))  # (E_total,)
         values = global_out.reshape((-1,))  # (B,)
-        return means_flat, values, graph
+        return means_flat, values, graph.edge_graph_ids
 
-    # ------------------------------------------------------------------
-    def action_mean_and_value(self, observation) -> tuple[Tensor, Tensor]:
-        means_flat, values, _ = self._forward_batch([observation])
-        return means_flat, values.sum()
-
-    def act_batch(self, observations, rng, deterministic=False):
-        """One GraphsTuple forward for all lockstep observations.
-
-        For a batch of one this runs the identical ``_forward_batch([obs])``
-        call that :meth:`act` makes, so single-env rollouts are
-        bit-identical to the sequential path.
-        """
-        with no_grad():
-            means_flat, values, graph = self._forward_batch(observations)
-        counts = np.bincount(graph.edge_graph_ids, minlength=graph.num_graphs)
-        means = np.split(means_flat.numpy(), np.cumsum(counts)[:-1])
-        actions, log_probs = self._sample_batch(means, rng, deterministic)
-        return actions, log_probs, values.numpy().copy()
-
-    def evaluate(self, observations, actions):
-        """One GraphsTuple forward for the whole (mixed-topology) batch."""
-        means_flat, values, graph = self._forward_batch(observations)
-        actions_flat = np.concatenate([np.asarray(a).ravel() for a in actions])
-        if actions_flat.size != graph.num_edges:
-            raise ValueError(
-                f"batch actions cover {actions_flat.size} edges but graphs have "
-                f"{graph.num_edges}"
-            )
-        log_probs = self.distribution.log_prob_flat_batch(
-            means_flat, actions_flat, graph.edge_graph_ids, graph.num_graphs
-        )
-        dims = np.bincount(graph.edge_graph_ids, minlength=graph.num_graphs)
-        entropies = self.distribution.entropy_batch(dims)
-        return log_probs, values, entropies
+    # Bound on the class itself so per-class instrumentation that targets
+    # ``GNNPolicy.act_batch`` still finds it; it is the base implementation.
+    act_batch = ActorCriticPolicy.act_batch

@@ -24,7 +24,6 @@ from repro.gnn.graphs_tuple import batch_graphs
 from repro.gnn.models import EncodeProcessDecode
 from repro.policies.base import ActorCriticPolicy
 from repro.rl.distributions import DiagonalGaussian
-from repro.tensor import Tensor, no_grad
 from repro.utils.seeding import SeedLike, rng_from_seed
 
 ACTION_DIM = 2  # (edge weight, softmin gamma)
@@ -89,35 +88,7 @@ class IterativeGNNPolicy(ActorCriticPolicy):
             edge_features=[o.edge_state for o in obs],
         )
         _, global_out = self.model(graph)  # (B, 3)
-        means = global_out[:, :ACTION_DIM]  # (B, 2)
+        means = global_out[:, :ACTION_DIM].reshape((-1,))  # (B * 2,)
         values = global_out[:, ACTION_DIM]  # (B,)
-        return means, values
-
-    # ------------------------------------------------------------------
-    def action_mean_and_value(self, observation) -> tuple[Tensor, Tensor]:
-        means, values = self._forward_batch([observation])
-        return means.reshape((-1,)), values.sum()
-
-    def act_batch(self, observations, rng, deterministic=False):
-        """One GraphsTuple forward for all lockstep observations."""
-        with no_grad():
-            means_t, values_t = self._forward_batch(observations)
-        means_np = means_t.numpy()
-        means = [means_np[i] for i in range(len(observations))]
-        actions, log_probs = self._sample_batch(means, rng, deterministic)
-        return actions, log_probs, values_t.numpy().copy()
-
-    def evaluate(self, observations, actions):
-        means, values = self._forward_batch(observations)
-        batch_size = means.shape[0]
-        actions_flat = np.concatenate([np.asarray(a).ravel() for a in actions])
-        if actions_flat.size != batch_size * ACTION_DIM:
-            raise ValueError(
-                f"expected {batch_size * ACTION_DIM} action entries, got {actions_flat.size}"
-            )
-        sample_ids = np.repeat(np.arange(batch_size), ACTION_DIM)
-        log_probs = self.distribution.log_prob_flat_batch(
-            means.reshape((-1,)), actions_flat, sample_ids, batch_size
-        )
-        entropies = self.distribution.entropy_batch(np.full(batch_size, ACTION_DIM))
-        return log_probs, values, entropies
+        sample_ids = np.arange(len(obs)).repeat(ACTION_DIM)
+        return means, values, sample_ids

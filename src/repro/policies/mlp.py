@@ -16,7 +16,7 @@ import numpy as np
 from repro.envs.observation import GraphObservation
 from repro.policies.base import ActorCriticPolicy
 from repro.rl.distributions import DiagonalGaussian
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor
 from repro.tensor.nn import MLP
 from repro.utils.seeding import SeedLike, rng_from_seed
 
@@ -71,44 +71,10 @@ class MLPPolicy(ActorCriticPolicy):
             )
         return flat
 
-    def action_mean_and_value(self, observation) -> tuple[Tensor, Tensor]:
-        x = Tensor(self._flat(observation))
-        mean = self.pi(x)
-        value = self.vf(x).sum()  # (1,) -> scalar
-        return mean, value
-
-    def act_batch(self, observations, rng, deterministic=False):
-        """One stacked forward for all lockstep observations.
-
-        A batch of one takes the per-observation path: BLAS may route the
-        1-row matrix product through a different kernel than the
-        vector-matrix product :meth:`act` performs, and single-env rollouts
-        must stay bit-identical to the sequential implementation.
-        """
-        if len(observations) == 1:
-            return super().act_batch(observations, rng, deterministic)
-        with no_grad():
-            x = Tensor(np.stack([self._flat(obs) for obs in observations]))
-            means_t = self.pi(x)  # (B, num_edges)
-            values_t = self.vf(x).reshape((-1,))  # (B,)
-        means_np = means_t.numpy()
-        means = [means_np[i] for i in range(len(observations))]
-        actions, log_probs = self._sample_batch(means, rng, deterministic)
-        return actions, log_probs, values_t.numpy().copy()
-
-    def evaluate(self, observations, actions):
-        """Batched evaluation: one forward pass over the stacked inputs."""
-        batch = np.stack([self._flat(obs) for obs in observations])
-        x = Tensor(batch)
-        means = self.pi(x)  # (B, num_edges)
+    def _forward_batch(self, observations):
+        """One stacked forward: row ``i`` of the input is observation ``i``."""
+        x = Tensor(np.array([self._flat(obs) for obs in observations]))
+        means = self.pi(x).reshape((-1,))  # (B * num_edges,)
         values = self.vf(x).reshape((-1,))  # (B,)
-        batch_size = batch.shape[0]
-        actions_flat = np.concatenate([np.asarray(a).ravel() for a in actions])
-        sample_ids = np.repeat(np.arange(batch_size), self.num_edges)
-        log_probs = self.distribution.log_prob_flat_batch(
-            means.reshape((-1,)), actions_flat, sample_ids, batch_size
-        )
-        entropies = self.distribution.entropy_batch(
-            np.full(batch_size, self.num_edges)
-        )
-        return log_probs, values, entropies
+        sample_ids = np.arange(len(observations)).repeat(self.num_edges)
+        return means, values, sample_ids

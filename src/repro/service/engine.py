@@ -105,7 +105,9 @@ class ServiceEngine:
             self.memory_length = scale.memory_length
             self.softmin_gamma = scale.softmin_gamma
             self.weight_scale = scale.weight_scale
-            self.demand_scale = demand_normaliser(run.train_seqs)
+            # Offline evaluation normalises by the test sequences it rolls
+            # over; serving the same scale keeps served ratios equal to it.
+            self.demand_scale = demand_normaliser(run.test_seqs)
 
             # label -> ("strategy", strategy) | ("policy", (policy, iterative)),
             # in scenario order (policies first, matching result dictionaries).
@@ -283,8 +285,8 @@ class ServiceEngine:
                 f"deployment observes memory_length={self.memory_length}"
             )
         observation = GraphObservation(self.network, history / self.demand_scale)
-        action, _, _ = policy.act(observation, self._rng, deterministic=True)
-        weights = weights_from_action(action, self.weight_scale)
+        actions, _, _ = policy.act_batch([observation], self._rng, deterministic=True)
+        weights = weights_from_action(actions[0], self.weight_scale)
         routing = self.rewarder.routing_from_weights(
             self.network, weights, self.softmin_gamma
         )

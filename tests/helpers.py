@@ -1,4 +1,4 @@
-"""Shared test utilities: gradient checking, tiny fixtures and loop oracles."""
+"""Shared test utilities: gradient checking, tiny fixtures and loop/policy oracles."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from repro.routing.oblivious import _FLOW_TOLERANCE, cancel_flow_cycles
 from repro.routing.shortest_path import ecmp_routing
 from repro.routing.softmin import DEFAULT_GAMMA, _validate_weights, softmin
 from repro.routing.strategy import DestinationRouting, RoutingStrategy
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 from repro.utils.validation import check_square_matrix
 
 
@@ -470,3 +470,40 @@ def reference_lp_solve(network: Network, demand_matrix: np.ndarray) -> OptimalRo
     return OptimalRouting(
         float(solution[u_index]), commodity_flows.sum(axis=0), commodity_flows
     )
+
+
+# ---------------------------------------------------------------------------
+# Policy oracle: the per-observation ``act`` every policy had before
+# inference became ``act_batch`` over one shared ``_forward_batch``.
+# ---------------------------------------------------------------------------
+
+
+def _reference_mean_and_value(policy, observation) -> tuple[Tensor, Tensor]:
+    """One observation's ``(mean, value)``.
+
+    MLP-style policies (those with ``_flat``) run ``pi``/``vf`` on the 1-D
+    input row — a vector-matrix product, not the stacked ``(1, d)`` one
+    ``act_batch`` performs; GNN policies run ``_forward_batch([o])``.
+    """
+    if hasattr(policy, "_flat"):
+        x = Tensor(policy._flat(observation))
+        return policy.pi(x), policy.vf(x).sum()
+    means_flat, values, _ = policy._forward_batch([observation])
+    return means_flat, values.sum()
+
+
+def reference_act(policy, observation, rng: np.random.Generator, deterministic: bool = False):
+    """Sample an action for one observation (no gradients).
+
+    Returns ``(action, log_prob, value)``.
+    """
+    with no_grad():
+        mean_t, value_t = _reference_mean_and_value(policy, observation)
+    mean = mean_t.numpy()
+    value = float(value_t.numpy())
+    if deterministic:
+        action = mean.copy()
+    else:
+        action = policy.distribution.sample(mean, rng)
+    log_prob = float(policy.distribution.log_prob_values([mean], [action])[0])
+    return action, log_prob, value

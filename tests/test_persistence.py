@@ -7,6 +7,7 @@ from repro.envs.observation import GraphObservation
 from repro.graphs import abilene, nsfnet
 from repro.policies import GNNPolicy, IterativeGNNPolicy, MLPPolicy
 from repro.tensor.nn import MLP
+from tests.helpers import reference_act
 
 RNG = np.random.default_rng(55)
 
@@ -42,12 +43,12 @@ class TestPolicyRoundtrips:
         path = tmp_path / "gnn.npz"
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=1)
         obs = observation_for(abilene())
-        action_before, _, value_before = policy.act(obs, RNG, deterministic=True)
+        action_before, _, value_before = reference_act(policy, obs, RNG, deterministic=True)
         policy.save(path)
 
         restored = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=77)
         restored.load(path)
-        action_after, _, value_after = restored.act(obs, RNG, deterministic=True)
+        action_after, _, value_after = reference_act(restored, obs, RNG, deterministic=True)
         np.testing.assert_array_equal(action_before, action_after)
         assert value_before == value_after
 
@@ -58,7 +59,7 @@ class TestPolicyRoundtrips:
         policy.save(path)
         restored = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=2)
         restored.load(path)
-        action, _, _ = restored.act(observation_for(nsfnet()), RNG)
+        action, _, _ = reference_act(restored, observation_for(nsfnet()), RNG)
         assert action.shape == (nsfnet().num_edges,)
 
     def test_mlp_policy_roundtrip(self, tmp_path):
@@ -66,22 +67,22 @@ class TestPolicyRoundtrips:
         net = abilene()
         policy = MLPPolicy(net.num_nodes, net.num_edges, memory_length=3, seed=1)
         obs = observation_for(net)
-        before, _, _ = policy.act(obs, RNG, deterministic=True)
+        before, _, _ = reference_act(policy, obs, RNG, deterministic=True)
         policy.save(path)
         restored = MLPPolicy(net.num_nodes, net.num_edges, memory_length=3, seed=9)
         restored.load(path)
-        after, _, _ = restored.act(obs, RNG, deterministic=True)
+        after, _, _ = reference_act(restored, obs, RNG, deterministic=True)
         np.testing.assert_array_equal(before, after)
 
     def test_iterative_policy_roundtrip(self, tmp_path):
         path = tmp_path / "iter.npz"
         policy = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, seed=1)
         obs = observation_for(abilene(), with_edge_state=True)
-        before, _, _ = policy.act(obs, RNG, deterministic=True)
+        before, _, _ = reference_act(policy, obs, RNG, deterministic=True)
         policy.save(path)
         restored = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, seed=4)
         restored.load(path)
-        after, _, _ = restored.act(obs, RNG, deterministic=True)
+        after, _, _ = reference_act(restored, obs, RNG, deterministic=True)
         np.testing.assert_array_equal(before, after)
 
     def test_log_std_included_in_roundtrip(self, tmp_path):

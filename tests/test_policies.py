@@ -6,7 +6,7 @@ import pytest
 from repro.envs.observation import GraphObservation
 from repro.graphs import abilene, nsfnet, random_modification
 from repro.policies import GNNPolicy, IterativeGNNPolicy, MLPPolicy
-from tests.helpers import square_network, triangle_network
+from tests.helpers import reference_act, square_network, triangle_network
 
 RNG = np.random.default_rng(33)
 
@@ -59,25 +59,26 @@ class TestMLPPolicy:
         net = abilene()
         policy = MLPPolicy(net.num_nodes, net.num_edges, memory_length=3, seed=0)
         obs = observation_for(net)
-        action, log_prob, value = policy.act(obs, RNG)
-        assert action.shape == (net.num_edges,)
-        assert isinstance(log_prob, float)
-        assert isinstance(value, float)
+        actions, log_probs, values = policy.act_batch([obs], RNG)
+        assert len(actions) == 1
+        assert actions[0].shape == (net.num_edges,)
+        assert log_probs.shape == (1,)
+        assert values.shape == (1,)
 
     def test_deterministic_act_is_mean(self):
         net = abilene()
         policy = MLPPolicy(net.num_nodes, net.num_edges, memory_length=3, seed=0)
         obs = observation_for(net)
-        a1, _, _ = policy.act(obs, RNG, deterministic=True)
-        a2, _, _ = policy.act(obs, RNG, deterministic=True)
-        np.testing.assert_array_equal(a1, a2)
+        a1, _, _ = policy.act_batch([obs], RNG, deterministic=True)
+        a2, _, _ = policy.act_batch([obs], RNG, deterministic=True)
+        np.testing.assert_array_equal(a1[0], a2[0])
 
     def test_rejects_wrong_topology(self):
         net = abilene()
         policy = MLPPolicy(net.num_nodes, net.num_edges, memory_length=3, seed=0)
         other = observation_for(nsfnet())
         with pytest.raises(ValueError, match="fixed-size"):
-            policy.act(other, RNG)
+            policy.act_batch([other], RNG)
 
     def test_evaluate_matches_per_sample(self):
         net = triangle_network()
@@ -87,10 +88,10 @@ class TestMLPPolicy:
         log_probs, values, entropies = policy.evaluate(observations, actions)
         assert log_probs.shape == (4,)
         for i in range(4):
-            mean, value = policy.action_mean_and_value(observations[i])
-            expected_lp = policy.distribution.log_prob_value(mean.numpy(), actions[i])
+            mean, _, value = reference_act(policy, observations[i], RNG, deterministic=True)
+            expected_lp = policy.distribution.log_prob_values([mean], [actions[i]])[0]
             assert log_probs.numpy()[i] == pytest.approx(expected_lp)
-            assert values.numpy()[i] == pytest.approx(float(value.numpy()))
+            assert values.numpy()[i] == pytest.approx(value)
 
     def test_evaluate_gradients_flow(self):
         net = triangle_network()
@@ -112,33 +113,33 @@ class TestMLPPolicy:
         net = triangle_network()
         policy = MLPPolicy(net.num_nodes, net.num_edges, memory_length=2, seed=0)
         flat = np.zeros(2 * 9)
-        action, _, _ = policy.act(flat, RNG)
-        assert action.shape == (net.num_edges,)
+        actions, _, _ = policy.act_batch([flat], RNG)
+        assert actions[0].shape == (net.num_edges,)
 
 
 class TestGNNPolicy:
     def test_action_size_follows_topology(self):
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=0)
         for net in (triangle_network(), abilene(), nsfnet()):
-            action, _, _ = policy.act(observation_for(net), RNG)
-            assert action.shape == (net.num_edges,)
+            actions, _, _ = policy.act_batch([observation_for(net)], RNG)
+            assert actions[0].shape == (net.num_edges,)
 
     def test_same_parameters_across_topologies(self):
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=0)
         count = policy.num_parameters()
-        policy.act(observation_for(abilene()), RNG)
-        policy.act(observation_for(nsfnet()), RNG)
+        policy.act_batch([observation_for(abilene())], RNG)
+        policy.act_batch([observation_for(nsfnet())], RNG)
         assert policy.num_parameters() == count
 
     def test_rejects_non_graph_observation(self):
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, seed=0)
         with pytest.raises(TypeError, match="GraphObservation"):
-            policy.act(np.zeros(10), RNG)
+            policy.act_batch([np.zeros(10)], RNG)
 
     def test_rejects_memory_mismatch(self):
         policy = GNNPolicy(memory_length=5, latent=8, hidden=8, seed=0)
         with pytest.raises(ValueError, match="memory"):
-            policy.act(observation_for(triangle_network(), memory=3), RNG)
+            policy.act_batch([observation_for(triangle_network(), memory=3)], RNG)
 
     def test_evaluate_mixed_topologies(self):
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=0)
@@ -158,16 +159,28 @@ class TestGNNPolicy:
         obs = observation_for(net, seed=5)
         action = RNG.normal(size=net.num_edges)
         log_probs, values, _ = policy.evaluate([obs], [action])
-        mean, value = policy.action_mean_and_value(obs)
-        expected = policy.distribution.log_prob_value(mean.numpy(), action)
+        mean, _, value = reference_act(policy, obs, RNG, deterministic=True)
+        expected = policy.distribution.log_prob_values([mean], [action])[0]
         assert log_probs.numpy()[0] == pytest.approx(expected)
-        assert values.numpy()[0] == pytest.approx(float(value.numpy()))
+        assert values.numpy()[0] == pytest.approx(value)
 
     def test_action_length_mismatch_rejected(self):
-        policy = GNNPolicy(memory_length=3, latent=8, hidden=8, seed=0)
+        # The shared evaluate checks the length for every policy, not only
+        # the GNN whose action length varies with the topology.
         net = triangle_network()
-        with pytest.raises(ValueError, match="edges"):
-            policy.evaluate([observation_for(net)], [np.zeros(net.num_edges + 1)])
+        obs = observation_for(net)
+        cases = [
+            (GNNPolicy(memory_length=3, latent=8, hidden=8, seed=0), obs, net.num_edges),
+            (MLPPolicy(net.num_nodes, net.num_edges, memory_length=3, seed=0), obs, net.num_edges),
+            (
+                IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, seed=0),
+                observation_for(net, with_edge_state=True),
+                2,
+            ),
+        ]
+        for policy, observation, length in cases:
+            with pytest.raises(ValueError, match="edges"):
+                policy.evaluate([observation], [np.zeros(length + 1)])
 
     def test_generalisation_after_modification(self):
         """Trained-shape-agnostic: the same policy instance must run on a
@@ -175,10 +188,10 @@ class TestGNNPolicy:
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=0)
         base = abilene()
         modified = random_modification(base, seed=1)
-        a1, _, _ = policy.act(observation_for(base), RNG)
-        a2, _, _ = policy.act(observation_for(modified), RNG)
-        assert a1.shape == (base.num_edges,)
-        assert a2.shape == (modified.num_edges,)
+        a1, _, _ = policy.act_batch([observation_for(base)], RNG)
+        a2, _, _ = policy.act_batch([observation_for(modified)], RNG)
+        assert a1[0].shape == (base.num_edges,)
+        assert a2[0].shape == (modified.num_edges,)
 
 
 class TestIterativeGNNPolicy:
@@ -186,29 +199,29 @@ class TestIterativeGNNPolicy:
         policy = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, seed=0)
         for net in (triangle_network(), abilene()):
             obs = observation_for(net, with_edge_state=True)
-            action, _, _ = policy.act(obs, RNG)
-            assert action.shape == (2,)
+            actions, _, _ = policy.act_batch([obs], RNG)
+            assert actions[0].shape == (2,)
 
     def test_requires_edge_state(self):
         policy = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, seed=0)
         with pytest.raises(ValueError, match="edge_state"):
-            policy.act(observation_for(triangle_network()), RNG)
+            policy.act_batch([observation_for(triangle_network())], RNG)
 
     def test_requires_graph_observation(self):
         policy = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, seed=0)
         with pytest.raises(TypeError):
-            policy.act(np.zeros(4), RNG)
+            policy.act_batch([np.zeros(4)], RNG)
 
     def test_target_edge_changes_output(self):
         policy = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, seed=0)
         net = square_network()
-        a0, _, _ = policy.act(
-            observation_for(net, with_edge_state=True, target_edge=0), RNG, deterministic=True
+        a0, _, _ = policy.act_batch(
+            [observation_for(net, with_edge_state=True, target_edge=0)], RNG, deterministic=True
         )
-        a1, _, _ = policy.act(
-            observation_for(net, with_edge_state=True, target_edge=3), RNG, deterministic=True
+        a1, _, _ = policy.act_batch(
+            [observation_for(net, with_edge_state=True, target_edge=3)], RNG, deterministic=True
         )
-        assert not np.allclose(a0, a1)
+        assert not np.allclose(a0[0], a1[0])
 
     def test_evaluate_batch(self):
         policy = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, seed=0)
@@ -231,3 +244,36 @@ class TestIterativeGNNPolicy:
         log_probs, values, _ = policy.evaluate([obs], [np.array([0.1, -0.2])])
         (log_probs.sum() + values.sum()).backward()
         assert all(p.grad is not None for p in policy.model.parameters())
+
+
+def _policy_and_observation(kind):
+    net = abilene()
+    if kind == "mlp":
+        policy = MLPPolicy(net.num_nodes, net.num_edges, memory_length=3, seed=2)
+        return policy, observation_for(net, seed=3)
+    if kind == "gnn":
+        policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=2)
+        return policy, observation_for(net, seed=3)
+    policy = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, seed=2)
+    return policy, observation_for(net, seed=3, with_edge_state=True, target_edge=4)
+
+
+class TestSharedForward:
+    """``act_batch`` on one observation reproduces the per-observation oracle."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "gnn", "iterative"])
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_batch_of_one_matches_reference_act(self, kind, deterministic):
+        # For the MLP the oracle multiplies a 1-D row, act_batch a stacked
+        # (1, d) matrix: the two products must agree bit for bit.
+        policy, obs = _policy_and_observation(kind)
+        for seed in range(5):
+            actions, log_probs, values = policy.act_batch(
+                [obs], np.random.default_rng(seed), deterministic=deterministic
+            )
+            action, log_prob, value = reference_act(
+                policy, obs, np.random.default_rng(seed), deterministic=deterministic
+            )
+            np.testing.assert_array_equal(actions[0], action)
+            assert log_probs[0] == log_prob
+            assert values[0] == value

@@ -78,19 +78,24 @@ class TestDiagonalGaussian:
             -0.5 * ((a - m) / 0.5) ** 2 - np.log(0.5) - 0.5 * LOG_2PI
             for a, m in zip(action, mean)
         )
-        assert dist.log_prob_value(mean, action) == pytest.approx(expected)
+        assert dist.log_prob_values([mean], [action])[0] == pytest.approx(expected)
+        tensor_lp = dist.log_prob_flat_batch(Tensor(mean), action, np.zeros(2, dtype=int), 1)
+        assert float(tensor_lp.numpy()[0]) == pytest.approx(expected)
 
     def test_tensor_log_prob_matches_numpy(self):
         dist = DiagonalGaussian(initial_log_std=-0.3)
         mean = np.array([0.2, 0.8, -0.1])
         action = np.array([0.0, 1.0, 0.0])
-        tensor_lp = dist.log_prob(Tensor(mean), action)
-        assert float(tensor_lp.numpy()) == pytest.approx(dist.log_prob_value(mean, action))
+        tensor_lp = dist.log_prob_flat_batch(Tensor(mean), action, np.zeros(3, dtype=int), 1)
+        numpy_lp = dist.log_prob_values([mean], [action])[0]
+        assert float(tensor_lp.numpy()[0]) == pytest.approx(numpy_lp)
 
     def test_log_prob_gradient_flows_to_log_std(self):
         dist = DiagonalGaussian()
-        lp = dist.log_prob(Tensor(np.zeros(2)), np.array([1.0, 1.0]))
-        lp.backward()
+        lp = dist.log_prob_flat_batch(
+            Tensor(np.zeros(2)), np.array([1.0, 1.0]), np.zeros(2, dtype=int), 1
+        )
+        lp.sum().backward()
         assert dist.log_std.grad is not None
 
     def test_sampling_statistics(self):
@@ -103,7 +108,7 @@ class TestDiagonalGaussian:
     def test_entropy_value(self):
         dist = DiagonalGaussian(initial_log_std=0.0)
         expected = 2 * 0.5 * (LOG_2PI + 1.0)
-        assert float(dist.entropy(2).numpy()) == pytest.approx(expected)
+        assert float(dist.entropy_batch(np.array([2])).numpy()[0]) == pytest.approx(expected)
 
     def test_log_std_clamped(self):
         dist = DiagonalGaussian(initial_log_std=100.0, max_log_std=2.0)
@@ -115,8 +120,7 @@ class TestDiagonalGaussian:
         actions = means + 0.3
         ids = np.array([0, 0, 1, 1, 1])
         batch = dist.log_prob_flat_batch(Tensor(means), actions, ids, 2).numpy()
-        lp0 = dist.log_prob_value(means[:2], actions[:2])
-        lp1 = dist.log_prob_value(means[2:], actions[2:])
+        lp0, lp1 = dist.log_prob_values([means[:2], means[2:]], [actions[:2], actions[2:]])
         np.testing.assert_allclose(batch, [lp0, lp1])
 
     def test_entropy_batch_varying_dims(self):
@@ -130,17 +134,18 @@ class TestDiagonalGaussian:
             DiagonalGaussian(min_log_std=2.0, max_log_std=1.0)
 
     def test_batched_log_prob_matches_scalar_path(self):
-        # The scalar path is a batch of one, so the two must agree to
-        # floating-point noise on ragged batches of varying dimension.
+        # Each sample scored as a batch of one (numpy and tensor side) must
+        # agree with the ragged batch to floating-point noise.
         dist = DiagonalGaussian(initial_log_std=-0.7)
         rng = np.random.default_rng(11)
         means = [rng.normal(size=d) for d in (1, 3, 7, 2)]
         actions = [m + rng.normal(size=m.size) for m in means]
         batched = dist.log_prob_values(means, actions)
         for lp, mean, action in zip(batched, means, actions):
-            scalar = dist.log_prob_value(mean, action)
+            scalar = dist.log_prob_values([mean], [action])[0]
             assert abs(lp - scalar) <= 1e-12
-            tensor_lp = float(dist.log_prob(Tensor(mean), action).numpy())
+            ids = np.zeros(mean.size, dtype=int)
+            tensor_lp = float(dist.log_prob_flat_batch(Tensor(mean), action, ids, 1).numpy()[0])
             assert abs(tensor_lp - scalar) <= 1e-12
 
 

@@ -12,6 +12,7 @@ from repro.rl.spaces import Box
 from repro.tensor import Tensor
 from repro.tensor.nn import MLP
 from repro.utils.logging import RunLogger
+from tests.helpers import reference_act
 
 
 class TargetEnv(Env):
@@ -43,13 +44,19 @@ class TinyPolicy(ActorCriticPolicy):
 
     def __init__(self, obs_dim=2, action_dim=1, seed=0):
         rng = np.random.default_rng(seed)
+        self.action_dim = action_dim
         self.pi = MLP([obs_dim, 16, action_dim], rng, activation="tanh")
         self.vf = MLP([obs_dim, 16, 1], rng, activation="tanh")
         self.distribution = DiagonalGaussian(initial_log_std=-0.5)
 
-    def action_mean_and_value(self, observation):
-        x = Tensor(np.asarray(observation, dtype=np.float64))
-        return self.pi(x), self.vf(x).sum()
+    def _flat(self, observation):
+        return np.asarray(observation, dtype=np.float64)
+
+    def _forward_batch(self, observations):
+        x = Tensor(np.stack([self._flat(obs) for obs in observations]))
+        means = self.pi(x).reshape((-1,))
+        values = self.vf(x).reshape((-1,))
+        return means, values, np.repeat(np.arange(len(observations)), self.action_dim)
 
 
 class TestPPOMechanics:
@@ -141,7 +148,9 @@ class TestPPOLearnability:
         )
         ppo = PPO(policy, env, cfg, seed=2)
         ppo.learn(2048)
-        mean_action, _, _ = policy.act(env.reset(), np.random.default_rng(0), deterministic=True)
+        mean_action, _, _ = reference_act(
+            policy, env.reset(), np.random.default_rng(0), deterministic=True
+        )
         assert mean_action[0] == pytest.approx(0.5, abs=0.15)
 
     def test_value_function_learns_return(self):
@@ -151,5 +160,7 @@ class TestPPOLearnability:
         ppo = PPO(policy, env, cfg, seed=3)
         ppo.learn(1024)
         # Near-converged policy: per-step reward ~0 so value should be small in magnitude.
-        _, _, value = policy.act(env.reset(), np.random.default_rng(0), deterministic=True)
+        _, _, value = reference_act(
+            policy, env.reset(), np.random.default_rng(0), deterministic=True
+        )
         assert abs(value) < 1.0

@@ -13,6 +13,7 @@ from repro.tensor import Tensor
 from repro.tensor.optim import Adam
 from repro.utils.logging import RunLogger
 from test_rl_ppo import TargetEnv, TinyPolicy
+from tests.helpers import reference_act
 
 
 class ScriptedEnv(Env):
@@ -81,7 +82,7 @@ class TestVecEnv:
 
 
 class SequentialReferencePPO(PPO):
-    """The pre-vectorisation collection loop: one ``act()`` call per step.
+    """The pre-vectorisation collection loop: one ``reference_act`` per step.
 
     This replicates the sequential implementation the VecEnv refactor
     replaced; :class:`TestVectorisedTraining` pins ``n_envs=1`` training to
@@ -94,7 +95,7 @@ class SequentialReferencePPO(PPO):
             self._last_observations = [self.env.reset()]
         observation = self._last_observations[0]
         while not buffer.full:
-            action, log_prob, value = self.policy.act(observation, self.rng)
+            action, log_prob, value = reference_act(self.policy, observation, self.rng)
             next_observation, reward, done, _ = self.env.step(action)
             if done:
                 next_observation = self.env.reset()
@@ -103,7 +104,7 @@ class SequentialReferencePPO(PPO):
             self.num_timesteps += 1
             observation = next_observation
         self._last_observations = [observation]
-        _, _, last_value = self.policy.act(observation, self.rng, deterministic=True)
+        _, _, last_value = reference_act(self.policy, observation, self.rng, deterministic=True)
         buffer.compute_returns_and_advantages(last_value, bool(buffer.dones[0, -1]))
 
 

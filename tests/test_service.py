@@ -288,3 +288,40 @@ class TestPolicyServing:
         # Both are valid answers for the same matrix; the observation
         # differed, so the policy was actually shown the history.
         assert with_history[0].optimal == pytest.approx(without[0].optimal, abs=1e-12)
+
+
+class TestServedPolicyMatchesOffline:
+    def test_replayed_test_demands_match_offline_ratios(self):
+        # Offline evaluation normalises observations by the test sequences;
+        # a served request carrying the same history must see the same
+        # observation, so its ratio equals the offline step's exactly.
+        scenario = ScenarioSpec(
+            name="policy-offline-test",
+            topology={"name": "abilene"},
+            traffic={
+                "model": "bimodal",
+                "length": 10,
+                "cycle_length": 5,
+                "num_train": 2,
+                "num_test": 2,
+            },
+            routing={"policies": ["gnn"]},
+            training={"preset": "quick", "overrides": {"total_timesteps": 128}},
+        )
+        engine = ServiceEngine(ServiceSpec(scenario=scenario))
+        run = engine._seed_run
+        policy, iterative = engine.entries["gnn"][1]
+        offline = run.evaluate_policies({"gnn": (policy, iterative, None)})["gnn"].ratios
+        memory = engine.memory_length
+        requests = [
+            RouteRequest(
+                demand=sequence.matrix(step),
+                history=sequence.history(step - 1, memory),
+                labels=("gnn",),
+            )
+            for sequence in run.test_seqs
+            for step in range(memory, len(sequence))
+        ]
+        served = [entries[0].ratio for entries in engine.evaluate_batch(requests)]
+        assert len(served) == len(offline) > 0
+        assert served == list(offline)
