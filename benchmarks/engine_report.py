@@ -36,7 +36,11 @@ for _path in (REPO_ROOT, REPO_ROOT / "src"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-from repro.engine.backend import FactorisationCache, select_backend  # noqa: E402
+from repro.engine.backend import (  # noqa: E402
+    FactorisationCache,
+    select_backend,
+    use_factorisation_cache,
+)
 from repro.engine.simulator_batch import destination_link_loads_sequence  # noqa: E402
 from repro.graphs.generators import random_connected_network  # noqa: E402
 from repro.routing.softmin import softmin_routing  # noqa: E402
@@ -229,9 +233,8 @@ def backend_comparison(
         return destination_link_loads_sequence(network, table, demands, backend="dense")
 
     def sparse():
-        return destination_link_loads_sequence(
-            network, table, demands, backend="sparse", cache=FactorisationCache()
-        )
+        with use_factorisation_cache(FactorisationCache()):
+            return destination_link_loads_sequence(network, table, demands, backend="sparse")
 
     np.testing.assert_allclose(sparse(), dense(), atol=1e-8)
     return BackendBenchmark(
@@ -321,6 +324,7 @@ def lp_phase_comparison(
         LinearProgramCache,
         direct_solver_available,
         solve_optimal_max_utilisation,
+        use_lp_cache,
     )
     from repro.graphs.zoo import topology
     from repro.traffic.matrices import sparse_matrix
@@ -335,11 +339,8 @@ def lp_phase_comparison(
         return [reference_lp_solve(network, dm).max_utilisation for dm in demands]
 
     def structured() -> list:
-        cache = LinearProgramCache()
-        return [
-            solve_optimal_max_utilisation(network, dm, lp_cache=cache).max_utilisation
-            for dm in demands
-        ]
+        with use_lp_cache(LinearProgramCache()):
+            return [solve_optimal_max_utilisation(network, dm).max_utilisation for dm in demands]
 
     np.testing.assert_allclose(structured(), legacy(), atol=1e-8)
     return LPBenchmark(

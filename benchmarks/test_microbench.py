@@ -197,15 +197,15 @@ def test_lp_assembly(benchmark):
 @pytest.mark.benchmark(group="lp")
 def test_lp_resolve(benchmark):
     """RHS-only re-solve against a prewarmed structure (same support)."""
-    from repro.flows.lp import LinearProgramCache, solve_optimal_max_utilisation
+    from repro.flows.lp import LinearProgramCache, solve_optimal_max_utilisation, use_lp_cache
 
     net, dm = _lp_workload()
-    cache = LinearProgramCache()
-    solve_optimal_max_utilisation(net, dm, lp_cache=cache)  # warm the structure
     rescaled = np.where(
         dm > 0.0, dm * np.random.default_rng(1).uniform(0.5, 2.0, dm.shape), 0.0
     )
-    result = benchmark(solve_optimal_max_utilisation, net, rescaled, lp_cache=cache)
+    with use_lp_cache(LinearProgramCache()):
+        solve_optimal_max_utilisation(net, dm)  # warm the structure
+        result = benchmark(solve_optimal_max_utilisation, net, rescaled)
     assert result.max_utilisation > 0.0
 
 
@@ -241,15 +241,18 @@ def test_dense_backend_large_topology(benchmark):
 @pytest.mark.benchmark(group="backend")
 def test_sparse_backend_large_topology(benchmark):
     """The sparse splu solve on the identical 224-node workload."""
-    from repro.engine import FactorisationCache, destination_link_loads_sequence
+    from repro.engine import (
+        FactorisationCache,
+        destination_link_loads_sequence,
+        use_factorisation_cache,
+    )
 
     net, table, demands = _backend_workload()
 
     def sparse():
         # A fresh cache per round: the measurement includes factorisation.
-        return destination_link_loads_sequence(
-            net, table, demands, "sparse", FactorisationCache()
-        )
+        with use_factorisation_cache(FactorisationCache()):
+            return destination_link_loads_sequence(net, table, demands, "sparse")
 
     loads = benchmark(sparse)
     assert np.all(np.isfinite(loads))

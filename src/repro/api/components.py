@@ -32,8 +32,6 @@ perturbations regardless of evaluation seed.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.api.registry import (
@@ -166,28 +164,17 @@ def link_failure_sweep(
     seed: int = 0,
     capacity: float = DEFAULT_CAPACITY,
 ) -> tuple[list[Network], list[Network]]:
-    """[deprecated] Train on the intact topology, test on single-link-failure variants.
-
-    Failure sweeps now live on the ``dynamics`` axis: the ``link_flap``
-    model fails links *mid-sequence* and recovers them, scoring every step
-    against the network in force (see the ``link-failure-flap`` preset).
-    This pool builder is kept as a bit-compatible shim — the variant
-    selection is the same draw loop (:func:`distinct_link_failures`), so
-    historical pools and stored results reproduce exactly.
+    """Train on the intact topology, test on single-link-failure variants.
 
     Each test variant removes one *distinct* random link whose loss keeps
     the graph connected (``repro.graphs.modifications.remove_random_edge``),
-    so the sweep measures how routing quality degrades under isolated
-    failures; duplicate draws are rejected until ``num_failures`` distinct
-    variants exist.
+    so the sweep measures how routing quality degrades under isolated,
+    static failures; duplicate draws are rejected until ``num_failures``
+    distinct variants exist (:func:`distinct_link_failures`).  This backs
+    the ``link-failure-sweep`` preset.  Mid-sequence outages that recover
+    are a different measurement: the ``link_flap`` dynamics model (see the
+    ``link-failure-flap`` preset).
     """
-    warnings.warn(
-        "topology 'link_failure_sweep' is deprecated: express failure sweeps "
-        "on the dynamics axis instead (dynamics model 'link_flap', e.g. the "
-        "'link-failure-flap' preset)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     if num_failures < 1:
         raise SpecValidationError(
             f"link_failure_sweep needs num_failures >= 1, got {num_failures}"

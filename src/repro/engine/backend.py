@@ -22,7 +22,8 @@ pieces that decide *which* solver runs:
   shared across repeated solves (evaluation passes over cyclical traffic,
   PPO minibatch evaluation steps revisiting the same deterministic
   routing), mirroring how ``warm_lp_cache`` shares LP optima.  The sparse
-  path uses the module-level shared cache unless handed a private one.
+  path uses the module-level shared cache unless the calling thread binds
+  a private one with :func:`use_factorisation_cache`.
 """
 
 from __future__ import annotations
@@ -190,9 +191,10 @@ class FactorisationCache(KeyedLRU):
         return self.lookup(key, lambda: factorise_balance_system(network, row, target))
 
 
-#: Factorisations shared by every sparse solve that is not handed a private
-#: cache — this is what lets separate ``batch_evaluate`` calls and PPO
-#: minibatch evaluation steps reuse each other's work.
+#: Factorisations shared by every sparse solve outside a
+#: :func:`use_factorisation_cache` block — this is what lets separate
+#: ``batch_evaluate`` calls and PPO minibatch evaluation steps reuse each
+#: other's work.
 SHARED_FACTORISATION_CACHE = FactorisationCache(max_entries=256)
 
 
@@ -209,12 +211,13 @@ def shared_factorisation_cache() -> FactorisationCache:
 
 @contextmanager
 def use_factorisation_cache(cache: FactorisationCache):
-    """Route this thread's default-cache solves through ``cache``.
+    """Route this thread's sparse solves through ``cache``.
 
-    The service binds each deployment's private cache this way, so solves
-    that would fall back to the module global hit the deployment's cache
-    instead — without threading a handle through the environment layer, and
-    without affecting other threads.
+    The one way to give solves a private factorisation cache.  The service
+    binds each deployment's private cache this way, so solves that would
+    use the module global hit the deployment's cache instead — without
+    threading a handle through the environment layer, and without
+    affecting other threads.
     """
     previous = getattr(_AMBIENT, "factorisation_cache", None)
     _AMBIENT.factorisation_cache = cache

@@ -126,18 +126,18 @@ def _warm_solve_chunk(network_payload: tuple, matrices: list) -> list:
 
     Takes the network as plain constructor arguments (cheap to pickle, no
     reliance on array-flag round-trips) and returns the optima in order.
-    A private structure cache keeps same-support matrices within the chunk
+    A fresh structure cache keeps same-support matrices within the chunk
     on the RHS-only re-solve path.
     """
-    from repro.flows.lp import LinearProgramCache, solve_optimal_max_utilisation
+    from repro.flows.lp import LinearProgramCache, solve_optimal_max_utilisation, use_lp_cache
 
     num_nodes, edges, capacities, name = network_payload
     network = Network(num_nodes, edges, capacities, name=name)
-    lp_cache = LinearProgramCache()
-    return [
-        solve_optimal_max_utilisation(network, matrix, lp_cache=lp_cache).max_utilisation
-        for matrix in matrices
-    ]
+    with use_lp_cache(LinearProgramCache()):
+        return [
+            solve_optimal_max_utilisation(network, matrix).max_utilisation
+            for matrix in matrices
+        ]
 
 
 def warm_lp_cache(

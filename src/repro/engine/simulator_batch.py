@@ -14,7 +14,8 @@ Every solve entry point takes ``backend="auto" | "dense" | "sparse"``
 (:mod:`repro.engine.backend`).  The sparse backend assembles each system as
 :class:`scipy.sparse.csc_matrix`, factorises it once with
 :func:`scipy.sparse.linalg.splu` — sharing factorisations across calls via
-the keyed :class:`~repro.engine.backend.FactorisationCache` — and
+the ambient :class:`~repro.engine.backend.FactorisationCache` (chosen
+with :func:`~repro.engine.backend.use_factorisation_cache`) — and
 back-substitutes every right-hand side, which beats the dense stack on
 large sparse topologies (``auto`` switches over by node count and edge
 density).  Both backends match to 1e-8; the equivalence tests pin them.
@@ -28,16 +29,10 @@ solution with significantly negative throughflow.
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 import numpy as np
 
-from repro.engine.backend import (
-    SPLU_BREAKER,
-    FactorisationCache,
-    select_backend,
-    shared_factorisation_cache,
-)
+from repro.engine.backend import SPLU_BREAKER, select_backend, shared_factorisation_cache
 from repro.graphs.network import Network
 
 _NEGATIVE_FLOW_TOLERANCE = 1e-8
@@ -99,21 +94,19 @@ def _solve_dense(
 
 
 def _solve_sparse(
-    network: Network,
-    table: np.ndarray,
-    rhs: np.ndarray,
-    targets: np.ndarray,
-    cache: Optional[FactorisationCache],
+    network: Network, table: np.ndarray, rhs: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """Per-system ``splu`` factorise-and-back-substitute, cache-shared.
+
+    Factorisations come from the ambient cache
+    (:func:`~repro.engine.backend.shared_factorisation_cache`).
 
     Members are visited in ascending destination order (stable, so flow
     batches with repeated targets keep their batch order) — a singular
     system therefore raises for the same first offending destination as
     the dense path's :func:`_raise_first_loop`.
     """
-    if cache is None:
-        cache = shared_factorisation_cache()
+    cache = shared_factorisation_cache()
     flows = np.empty_like(rhs)
     for i in np.argsort(targets, kind="stable"):
         factor = cache.factorisation(network, table[i], int(targets[i]))
@@ -138,7 +131,6 @@ def _solve_batch(
     injections: np.ndarray,
     targets: np.ndarray,
     backend: str = "auto",
-    cache: Optional[FactorisationCache] = None,
 ) -> np.ndarray:
     """Solve every ``(I - Pᵀ) x = b``, dense-stacked or sparse-factorised.
 
@@ -146,9 +138,9 @@ def _solve_batch(
     ``(k, n, r)`` (``r`` shared right-hand sides per system, the
     fixed-routing sequence path).  ``backend`` resolves through
     :func:`repro.engine.backend.select_backend`; the sparse path shares
-    ``splu`` factorisations through ``cache`` (the module-level shared
-    cache when ``None``).  Returns throughflows clipped at zero after the
-    scalar simulator's negative-flow consistency check.
+    ``splu`` factorisations through the ambient cache.  Returns
+    throughflows clipped at zero after the scalar simulator's negative-flow
+    consistency check.
     """
     rhs = injections if injections.ndim == 3 else injections[:, :, np.newaxis]
     if select_backend(network, backend) == "sparse" and SPLU_BREAKER.allows():
@@ -158,7 +150,7 @@ def _solve_batch(
         # batch to dense until a cooldown probe succeeds.  RoutingLoopError
         # is the documented singular-system outcome, not a solver fault.
         try:
-            flows = _solve_sparse(network, table, rhs, targets, cache)
+            flows = _solve_sparse(network, table, rhs, targets)
         except RoutingLoopError:
             SPLU_BREAKER.record_success()
             raise
@@ -199,7 +191,6 @@ def destination_link_loads(
     table: np.ndarray,
     demand_matrix: np.ndarray,
     backend: str = "auto",
-    cache: Optional[FactorisationCache] = None,
 ) -> np.ndarray:
     """Per-edge loads for a destination-based ratio table, batched.
 
@@ -220,8 +211,6 @@ def destination_link_loads(
     backend:
         Solver selection (``"auto"``/``"dense"``/``"sparse"``); see
         :mod:`repro.engine.backend`.
-    cache:
-        Sparse-path factorisation cache (shared module cache when ``None``).
     """
     demand = np.asarray(demand_matrix, dtype=np.float64)
     injections = demand.T.copy()  # injections[t, v] = demand[v, t]
@@ -229,9 +218,7 @@ def destination_link_loads(
     active = np.flatnonzero(injections.sum(axis=1) > 0.0)
     if active.size == 0:
         return np.zeros(network.num_edges)
-    flows = _solve_batch(
-        network, table[active], injections[active], active, backend, cache
-    )
+    flows = _solve_batch(network, table[active], injections[active], active, backend)
     return np.einsum("ke,ke->e", flows[:, network.senders], table[active])
 
 
@@ -240,7 +227,6 @@ def destination_link_loads_sequence(
     table: np.ndarray,
     demands: np.ndarray,
     backend: str = "auto",
-    cache: Optional[FactorisationCache] = None,
 ) -> np.ndarray:
     """Loads for one fixed destination-based routing over many demands.
 
@@ -257,9 +243,7 @@ def destination_link_loads_sequence(
     active = np.flatnonzero(injections.sum(axis=(1, 2)) > 0.0)
     if active.size == 0:
         return np.zeros((num_steps, network.num_edges))
-    flows = _solve_batch(
-        network, table[active], injections[active], active, backend, cache
-    )
+    flows = _solve_batch(network, table[active], injections[active], active, backend)
     return np.einsum("kes,ke->se", flows[:, network.senders, :], table[active])
 
 
@@ -267,7 +251,6 @@ def flow_link_loads(
     network: Network,
     flows: list[tuple[int, int, float, np.ndarray]],
     backend: str = "auto",
-    cache: Optional[FactorisationCache] = None,
 ) -> np.ndarray:
     """Per-edge loads for per-flow routings, one stacked solve for all flows.
 
@@ -282,5 +265,5 @@ def flow_link_loads(
     injections = np.zeros((len(flows), network.num_nodes))
     for i, (s, _, d, _) in enumerate(flows):
         injections[i, s] = d
-    solved = _solve_batch(network, table, injections, targets, backend, cache)
+    solved = _solve_batch(network, table, injections, targets, backend)
     return np.einsum("ke,ke->e", solved[:, network.senders], table)

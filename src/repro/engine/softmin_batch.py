@@ -24,6 +24,7 @@ from repro.graphs.kernels import (
     normalise_segments,
 )
 from repro.graphs.network import Network
+from repro.utils.validation import check_gamma
 
 
 def batch_prune_by_distance(network: Network, weights: np.ndarray) -> np.ndarray:
@@ -79,8 +80,7 @@ def batch_softmin_ratios(
     gamma:
         Non-negative softmin spread.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    gamma = check_gamma(gamma)
     weights = np.asarray(weights, dtype=np.float64)
     distances = batch_distances_to_targets(network, weights)
     keep = decreasing_distance_mask(network, distances)

@@ -20,7 +20,12 @@ all go through it.
 """
 
 from repro.envs.observation import GraphObservation
-from repro.envs.reward import RewardComputer, weights_from_action, gamma_from_action
+from repro.envs.reward import (
+    NonFiniteActionError,
+    RewardComputer,
+    gamma_from_action,
+    weights_from_action,
+)
 from repro.envs.routing_env import RoutingEnv
 from repro.envs.iterative_env import IterativeRoutingEnv
 from repro.envs.factory import make_routing_env
@@ -28,6 +33,7 @@ from repro.envs.multigraph import MultiGraphRoutingEnv
 
 __all__ = [
     "GraphObservation",
+    "NonFiniteActionError",
     "RewardComputer",
     "weights_from_action",
     "gamma_from_action",

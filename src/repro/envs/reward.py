@@ -28,15 +28,16 @@ weights and a positive γ:
 * :func:`gamma_from_action` — an affine-sigmoid squash into
   ``[gamma_min, gamma_max]`` (used by the iterative environment, where the
   agent chooses γ; the one-shot environments fix γ as a hyperparameter).
+
+Both raise :class:`NonFiniteActionError` on NaN or infinite outputs — the
+signature of a diverged policy — instead of letting them reach softmin.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.flows.lp import LinearProgramCache, OptimalUtilisationCache
+from repro.flows.lp import OptimalUtilisationCache
 from repro.flows.simulator import max_link_utilisation
 from repro.graphs.network import Network
 from repro.routing.softmin import softmin_routing
@@ -46,10 +47,24 @@ DEFAULT_WEIGHT_SCALE = 3.0
 DEFAULT_GAMMA_RANGE = (0.5, 10.0)
 
 
+class NonFiniteActionError(ValueError):
+    """A policy emitted NaN or infinite action entries."""
+
+
+def _check_finite(action: np.ndarray) -> np.ndarray:
+    bad = int(np.count_nonzero(~np.isfinite(action)))
+    if bad:
+        raise NonFiniteActionError(
+            f"action has {bad} non-finite of {action.size} entries; the policy "
+            "has diverged"
+        )
+    return action
+
+
 def weights_from_action(action: np.ndarray, scale: float = DEFAULT_WEIGHT_SCALE) -> np.ndarray:
     """Map raw agent outputs to positive softmin edge weights."""
-    action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-    return np.exp(scale * action)
+    action = _check_finite(np.asarray(action, dtype=np.float64))
+    return np.exp(scale * np.clip(action, -1.0, 1.0))
 
 
 def gamma_from_action(
@@ -59,41 +74,25 @@ def gamma_from_action(
     low, high = gamma_range
     if not 0.0 < low < high:
         raise ValueError(f"need 0 < low < high, got {gamma_range}")
-    return low + (high - low) / (1.0 + float(np.exp(-float(value))))
+    value = float(_check_finite(np.asarray(value, dtype=np.float64)))
+    return low + (high - low) / (1.0 + float(np.exp(-value)))
 
 
 class RewardComputer:
-    """Computes Equation 2 rewards with a shared LP cache.
+    """Computes Equation 2 rewards, memoising LP optima per demand matrix.
 
-    Parameters
-    ----------
-    cache:
-        Optional shared :class:`OptimalUtilisationCache`; environments used
-        in the same experiment should share one so train and eval reuse
-        solves.
-    pruner:
-        DAG conversion rule passed to softmin routing.
-    lp_cache:
-        Optional private :class:`LinearProgramCache` handed to a
-        newly-created optimum cache, so one experiment's constraint
-        structures (and their persistent solver models) can be isolated
-        from the process-shared pool.  Ignored when ``cache`` is given.
+    The optimum cache's constraint structures come from the ambient
+    :func:`~repro.flows.lp.use_lp_cache` binding.
     """
 
-    def __init__(
-        self,
-        cache: Optional[OptimalUtilisationCache] = None,
-        pruner: str = "distance",
-        lp_cache: Optional[LinearProgramCache] = None,
-    ):
-        self.cache = cache or OptimalUtilisationCache(lp_cache=lp_cache)
-        self.pruner = pruner
+    def __init__(self):
+        self.cache = OptimalUtilisationCache()
 
     def routing_from_weights(
         self, network: Network, weights: np.ndarray, gamma: float
     ) -> RoutingStrategy:
         """Softmin-translate positive edge weights into a routing."""
-        return softmin_routing(network, weights, gamma=gamma, pruner=self.pruner)
+        return softmin_routing(network, weights, gamma=gamma)
 
     def utilisation_ratio(
         self, network: Network, routing: RoutingStrategy, demand_matrix: np.ndarray

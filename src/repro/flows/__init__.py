@@ -6,6 +6,8 @@ Figure 1:
 * :mod:`~repro.flows.lp` — the linear-programming oracle that computes the
   *optimal* maximum link utilisation for a demand matrix (the paper solved
   this with Google OR-Tools; we use scipy's HiGHS).  The reward denominator.
+  Solves pick a private constraint-structure cache only through
+  :func:`~repro.flows.lp.use_lp_cache`.
 * :mod:`~repro.flows.simulator` — propagates a concrete routing strategy's
   splitting ratios to per-link loads and the achieved maximum utilisation.
   The reward numerator.
@@ -21,13 +23,10 @@ from repro.flows.lp import (
     direct_solver_available,
     network_fingerprint,
     shared_lp_cache,
-    solve_mcf_per_pair,
-    solve_optimal_average_utilisation,
     solve_optimal_max_utilisation,
     use_lp_cache,
 )
 from repro.flows.simulator import (
-    average_link_utilisation,
     link_loads,
     max_link_utilisation,
     utilisation_ratio,
@@ -44,11 +43,8 @@ __all__ = [
     "network_fingerprint",
     "shared_lp_cache",
     "solve_optimal_max_utilisation",
-    "solve_optimal_average_utilisation",
-    "solve_mcf_per_pair",
     "use_lp_cache",
     "link_loads",
     "max_link_utilisation",
-    "average_link_utilisation",
     "utilisation_ratio",
 ]

@@ -5,18 +5,12 @@ splittable multicommodity-flow (MCF) problem that minimises the maximum link
 utilisation ``U_max`` (paper §II-A, Equation 1), using Google OR-Tools.  We
 solve the identical LP with HiGHS.
 
-Two formulations are provided:
-
-* :func:`solve_optimal_max_utilisation` — **destination-aggregated**: one
-  commodity per destination node, variables ``f_t(e)`` (flow destined to
-  ``t`` on edge ``e``).  O(|V|·|E|) variables.  For splittable flow this has
-  the same optimum as the per-pair formulation (flows to the same
-  destination can always be merged without increasing any link load).
-* :func:`solve_mcf_per_pair` — the textbook per-(source, destination)
-  commodity formulation from paper §II-A, kept as a cross-check oracle for
-  tests and ablations.  O(|V|²·|E|) variables.  Deliberately left on the
-  original loop-assembled :func:`scipy.optimize.linprog` pipeline so the
-  oracle stays independent of the fast path it checks.
+Variables are destination-aggregated: one commodity per destination node,
+``f_t(e)`` being the flow destined to ``t`` on edge ``e``, so the LP has
+O(|V|·|E|) variables.  For splittable flow this has the same optimum as the
+paper's per-(source, destination) formulation, since flows to the same
+destination can always be merged without increasing any link load.  The
+per-pair formulation lives on in the test suite as an independent oracle.
 
 Structure reuse
 ---------------
@@ -31,7 +25,9 @@ equality right-hand side changes.  The fast path exploits that three ways:
 * **constraint-structure cache** — assembled structures live in a keyed LRU
   :class:`LinearProgramCache` (mirroring the engine's
   ``FactorisationCache``), so repeated solves over the same support are
-  RHS-only re-solves against a persistent solver model;
+  RHS-only re-solves against a persistent solver model.  A caller picks
+  the cache only through the thread-local :func:`use_lp_cache` binding;
+  every solve outside one uses the process-wide :data:`SHARED_LP_CACHE`;
 * **warm-started solves** — when scipy's vendored HiGHS bindings are
   available, every solve is primed with a primal-feasible shortest-path
   routing via ``setSolution`` (HiGHS crossovers it to a basis), cutting the
@@ -107,10 +103,6 @@ def direct_solver_available() -> bool:
 #: ``linprog`` fallback — same optimum to 1e-8, no persistent model — and a
 #: single probe is retried after the cooldown (half-open).
 DIRECT_SOLVER_BREAKER = CircuitBreaker("lp.direct", failure_threshold=3, cooldown_s=30.0)
-
-
-#: Objectives :class:`LinearProgramStructure` can assemble.
-LP_OBJECTIVES = ("max", "average")
 
 
 @dataclass(frozen=True)
@@ -206,21 +198,17 @@ class LinearProgramStructure:
     call — no per-commodity Python loop, no ``sparse.hstack``.
     """
 
-    def __init__(self, network: Network, destinations, objective: str = "max"):
-        if objective not in LP_OBJECTIVES:
-            raise ValueError(f"objective must be one of {LP_OBJECTIVES}, got {objective!r}")
+    def __init__(self, network: Network, destinations):
         self.network = network
         self.destinations = np.asarray([int(t) for t in destinations], dtype=np.int64)
-        self.objective = objective
         if len(self.destinations) == 0:
             raise ValueError("a structure needs at least one destination")
 
         n, m = network.num_nodes, network.num_edges
         k = len(self.destinations)
         self.num_commodities = k
-        self.has_u = objective == "max"
-        self.num_vars = k * m + (1 if self.has_u else 0)
-        self.u_index = k * m if self.has_u else None
+        self.num_vars = k * m + 1
+        self.u_index = k * m
 
         # Incidence entries (row=node, col=edge): +1 where the edge leaves
         # the node, -1 where it enters.  Each commodity keeps every entry
@@ -240,19 +228,15 @@ class LinearProgramStructure:
             (eq_data, (eq_rows, eq_cols)), shape=(k * (n - 1), self.num_vars)
         ).tocsr()
 
-        if self.has_u:
-            # Capacity rows: sum_t f_t(e) - c(e) * U <= 0.
-            ub_rows = np.concatenate([np.tile(np.arange(m), k), np.arange(m)])
-            ub_cols = np.concatenate([np.arange(k * m), np.full(m, self.u_index)])
-            ub_data = np.concatenate([np.ones(k * m), -np.asarray(network.capacities)])
-            self.a_ub = sparse.coo_matrix(
-                (ub_data, (ub_rows, ub_cols)), shape=(m, self.num_vars)
-            ).tocsr()
-            self.cost = np.zeros(self.num_vars)
-            self.cost[self.u_index] = 1.0
-        else:
-            self.a_ub = None
-            self.cost = np.tile(1.0 / (m * network.capacities), k)
+        # Capacity rows: sum_t f_t(e) - c(e) * U <= 0.
+        ub_rows = np.concatenate([np.tile(np.arange(m), k), np.arange(m)])
+        ub_cols = np.concatenate([np.arange(k * m), np.full(m, self.u_index)])
+        ub_data = np.concatenate([np.ones(k * m), -np.asarray(network.capacities)])
+        self.a_ub = sparse.coo_matrix(
+            (ub_data, (ub_rows, ub_cols)), shape=(m, self.num_vars)
+        ).tocsr()
+        self.cost = np.zeros(self.num_vars)
+        self.cost[self.u_index] = 1.0
 
         # b_eq gather mask: commodity ci's RHS is demand[:, t] with row t
         # dropped, laid out commodity-major.
@@ -322,27 +306,24 @@ class LinearProgramStructure:
                 edge = succ[ci, u]
                 flows[ci, edge] += carried
                 acc[net.receivers[edge]] += carried
-        if not self.has_u:
-            return flows.ravel()
         peak = float((flows.sum(axis=0) / net.capacities).max())
         return np.concatenate([flows.ravel(), [peak]])
 
     # -- solving --------------------------------------------------------
 
     def _failure(self, detail: str) -> InfeasibleRoutingError:
-        label = "optimal-routing" if self.objective == "max" else "average-utilisation"
         return InfeasibleRoutingError(
-            f"{label} LP failed on {self.network!r}: {detail}"
+            f"optimal-routing LP failed on {self.network!r}: {detail}"
         )
 
-    def _result(self, x: np.ndarray, objective_value: float) -> OptimalRouting:
+    def _result(self, x: np.ndarray) -> OptimalRouting:
         k, m = self.num_commodities, self.network.num_edges
         commodity_flows = x[: k * m].reshape(k, m)
         return OptimalRouting(
-            float(objective_value), commodity_flows.sum(axis=0), commodity_flows
+            float(x[self.u_index]), commodity_flows.sum(axis=0), commodity_flows
         )
 
-    def solve(self, demand: np.ndarray, warm_start: bool = True) -> OptimalRouting:
+    def solve(self, demand: np.ndarray) -> OptimalRouting:
         """Solve for one demand matrix on this support (RHS-only re-solve).
 
         The direct-HiGHS path sits behind :data:`DIRECT_SOLVER_BREAKER`:
@@ -358,7 +339,7 @@ class LinearProgramStructure:
             return self._solve_linprog(b_eq)
         try:
             fault_point("lp.solve")
-            result = self._solve_direct(demand, b_eq, warm_start)
+            result = self._solve_direct(demand, b_eq)
         except InfeasibleRoutingError:
             DIRECT_SOLVER_BREAKER.record_success()
             raise
@@ -381,7 +362,7 @@ class LinearProgramStructure:
         result = linprog(
             self.cost,
             A_ub=self.a_ub,
-            b_ub=None if self.a_ub is None else np.zeros(self.a_ub.shape[0]),
+            b_ub=np.zeros(self.a_ub.shape[0]),
             A_eq=self.a_eq,
             b_eq=b_eq,
             bounds=(0, None),
@@ -389,12 +370,10 @@ class LinearProgramStructure:
         )
         if not result.success:
             raise self._failure(result.message)
-        objective = result.x[self.u_index] if self.has_u else result.fun
-        return self._result(result.x, objective)
+        return self._result(result.x)
 
     def _build_model(self):
-        a_all = self.a_eq if self.a_ub is None else sparse.vstack([self.a_eq, self.a_ub])
-        a_all = a_all.tocsc()
+        a_all = sparse.vstack([self.a_eq, self.a_ub]).tocsc()
         lp = _highs.HighsLp()
         lp.num_col_ = self.num_vars
         lp.num_row_ = a_all.shape[0]
@@ -409,61 +388,48 @@ class LinearProgramStructure:
         model.setOptionValue("output_flag", False)
         return model, lp
 
-    def _solve_direct(
-        self, demand: np.ndarray, b_eq: np.ndarray, warm_start: bool
-    ) -> OptimalRouting:
+    def _solve_direct(self, demand: np.ndarray, b_eq: np.ndarray) -> OptimalRouting:
         if self._model is None:
             self._model, self._model_lp = self._build_model()
         lp = self._model_lp
-        num_ub = 0 if self.a_ub is None else self.a_ub.shape[0]
+        num_ub = self.a_ub.shape[0]
         lp.row_lower_ = np.concatenate([b_eq, np.full(num_ub, -_highs.kHighsInf)])
         lp.row_upper_ = np.concatenate([b_eq, np.zeros(num_ub)])
         self._model.passModel(lp)
-        if warm_start:
-            start = self._shortest_path_start(demand)
-            if start is not None:
-                solution = _highs.HighsSolution()
-                solution.col_value = start
-                solution.value_valid = True
-                self._model.setSolution(solution)
+        start = self._shortest_path_start(demand)
+        if start is not None:
+            solution = _highs.HighsSolution()
+            solution.col_value = start
+            solution.value_valid = True
+            self._model.setSolution(solution)
         self._model.run()
         status = self._model.getModelStatus()
         if status != _highs.HighsModelStatus.kOptimal:
             raise self._failure(self._model.modelStatusToString(status))
-        x = np.asarray(self._model.getSolution().col_value)
-        objective = x[self.u_index] if self.has_u else self._model.getInfo().objective_function_value
-        return self._result(x, objective)
+        return self._result(np.asarray(self._model.getSolution().col_value))
 
 
 class LinearProgramCache(KeyedLRU):
     """Keyed LRU of :class:`LinearProgramStructure` instances.
 
-    Keys are exact: ``(network fingerprint, objective, destination
-    support)``.  A hit returns the shared structure — and with it the
-    persistent solver model — so demand matrices over the same support pay
-    only an RHS update plus a warm-started re-solve, mirroring how the
-    engine's ``FactorisationCache`` shares ``splu`` factorisations.
+    Keys are exact: ``(network fingerprint, destination support)``.  A hit
+    returns the shared structure — and with it the persistent solver model —
+    so demand matrices over the same support pay only an RHS update plus a
+    warm-started re-solve, mirroring how the engine's
+    ``FactorisationCache`` shares ``splu`` factorisations.
     """
 
     def __init__(self, max_entries: int = 32):
         super().__init__(max_entries)
 
-    def structure(
-        self, network: Network, destinations, objective: str = "max"
-    ) -> LinearProgramStructure:
-        key = (
-            network_fingerprint(network),
-            objective,
-            tuple(int(t) for t in destinations),
-        )
-        return self.lookup(
-            key, lambda: LinearProgramStructure(network, destinations, objective)
-        )
+    def structure(self, network: Network, destinations) -> LinearProgramStructure:
+        key = (network_fingerprint(network), tuple(int(t) for t in destinations))
+        return self.lookup(key, lambda: LinearProgramStructure(network, destinations))
 
 
-#: Structures shared by every solve not handed a private cache — separate
-#: ``RewardComputer`` instances and repeated scenario runs in one process
-#: reuse each other's assembled systems and solver models.
+#: Structures shared by every solve outside a :func:`use_lp_cache` block —
+#: separate ``RewardComputer`` instances and repeated scenario runs in one
+#: process reuse each other's assembled systems and solver models.
 SHARED_LP_CACHE = LinearProgramCache(max_entries=32)
 
 # Per-thread cache override installed by :func:`use_lp_cache` — the same
@@ -485,11 +451,12 @@ def shared_lp_cache() -> LinearProgramCache:
 
 @contextmanager
 def use_lp_cache(cache: LinearProgramCache):
-    """Route this thread's default-cache LP solves through ``cache``.
+    """Route this thread's LP solves through ``cache``.
 
-    Lets a long-lived deployment (the routing service) keep private warm
-    structures without threading ``lp_cache=`` through every layer, and
-    without other threads observing the override.
+    The one way to give a solve a private structure cache: a long-lived
+    deployment (the routing service) keeps its warm structures this way
+    without threading a handle through every layer, and without other
+    threads observing the override.
     """
     previous = getattr(_AMBIENT, "lp_cache", None)
     _AMBIENT.lp_cache = cache
@@ -505,10 +472,7 @@ def use_lp_cache(cache: LinearProgramCache):
 
 
 def solve_optimal_max_utilisation(
-    network: Network,
-    demand_matrix: np.ndarray,
-    *,
-    lp_cache: Optional[LinearProgramCache] = None,
+    network: Network, demand_matrix: np.ndarray
 ) -> OptimalRouting:
     """Minimise the maximum link utilisation for ``demand_matrix``.
 
@@ -521,9 +485,9 @@ def solve_optimal_max_utilisation(
       ``sum_out f_t - sum_in f_t = D[v, t]``
     * capacity: for every edge, ``sum_t f_t(e) <= U * c(e)``.
 
-    The constraint structure is fetched from ``lp_cache`` (default: the
-    ambient cache from :func:`shared_lp_cache`), so repeated solves over
-    the same destination support are RHS-only re-solves.
+    The constraint structure is fetched from the ambient cache
+    (:func:`shared_lp_cache`), so repeated solves over the same
+    destination support are RHS-only re-solves.
 
     Raises
     ------
@@ -534,117 +498,7 @@ def solve_optimal_max_utilisation(
     destinations = demand_destinations(demand)
     if len(destinations) == 0:
         return OptimalRouting(0.0, np.zeros(network.num_edges), np.zeros((0, network.num_edges)))
-    cache = lp_cache if lp_cache is not None else shared_lp_cache()
-    return cache.structure(network, destinations, "max").solve(demand)
-
-
-def solve_optimal_average_utilisation(
-    network: Network,
-    demand_matrix: np.ndarray,
-    *,
-    lp_cache: Optional[LinearProgramCache] = None,
-) -> OptimalRouting:
-    """Minimise the *average* link utilisation (paper §IX-A further work).
-
-    Same constraint structure as :func:`solve_optimal_max_utilisation` but
-    the objective is ``(1/|E|) Σ_e flow_e / c_e`` — total capacity-weighted
-    traffic volume — instead of the bottleneck.  The optimum concentrates
-    flow on short paths (it is achieved by weighted shortest paths), which
-    makes it a useful contrast objective for the routing ablations.
-
-    The returned :attr:`OptimalRouting.max_utilisation` field carries the
-    optimal *average* utilisation for this solver.
-    """
-    demand = _validate_inputs(network, demand_matrix)
-    destinations = demand_destinations(demand)
-    if len(destinations) == 0:
-        return OptimalRouting(0.0, np.zeros(network.num_edges), np.zeros((0, network.num_edges)))
-    cache = lp_cache if lp_cache is not None else shared_lp_cache()
-    return cache.structure(network, destinations, "average").solve(demand)
-
-
-def solve_mcf_per_pair(
-    network: Network, demand_matrix: np.ndarray
-) -> OptimalRouting:
-    """Textbook per-(s, t) commodity MCF (paper §II-A) — the test oracle.
-
-    One commodity per non-zero demand entry; variables are the *fractions*
-    ``f_i(e)`` of commodity ``i`` on edge ``e``, exactly as in the paper's
-    constraint list, so capacity rows read
-    ``sum_i f_i(e) * d_i <= U * c(e)``.
-
-    Intentionally stays on the original loop-assembled ``linprog`` pipeline
-    so it remains an implementation-independent cross-check for the
-    structure-cached fast path.
-    """
-    demand = _validate_inputs(network, demand_matrix)
-    n, m = network.num_nodes, network.num_edges
-
-    commodities = [
-        (s, t, demand[s, t]) for s in range(n) for t in range(n) if demand[s, t] > 0.0
-    ]
-    if not commodities:
-        return OptimalRouting(0.0, np.zeros(m), np.zeros((0, m)))
-
-    k = len(commodities)
-    num_vars = k * m + 1
-    u_index = k * m
-
-    incidence = sparse.lil_matrix((n, m))
-    for e, (u, v) in enumerate(network.edges):
-        incidence[u, e] = 1.0
-        incidence[v, e] = -1.0
-    incidence = incidence.tocsr()
-
-    eq_rows, eq_rhs = [], []
-    for ci, (s, t, _) in enumerate(commodities):
-        keep = np.array([v for v in range(n) if v != t])
-        block = incidence[keep]
-        padded = sparse.hstack(
-            [
-                sparse.csr_matrix((n - 1, ci * m)),
-                block,
-                sparse.csr_matrix((n - 1, (k - ci - 1) * m + 1)),
-            ]
-        )
-        eq_rows.append(padded)
-        # Net outflow (in fraction units) is 1 at the source, 0 elsewhere.
-        rhs = np.array([1.0 if v == s else 0.0 for v in keep])
-        eq_rhs.append(rhs)
-    a_eq = sparse.vstack(eq_rows).tocsr()
-    b_eq = np.concatenate(eq_rhs)
-
-    ub = sparse.lil_matrix((m, num_vars))
-    for e in range(m):
-        for ci, (_, _, d) in enumerate(commodities):
-            ub[e, ci * m + e] = d
-        ub[e, u_index] = -float(network.capacities[e])
-    a_ub = ub.tocsr()
-    b_ub = np.zeros(m)
-
-    cost = np.zeros(num_vars)
-    cost[u_index] = 1.0
-
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise InfeasibleRoutingError(
-            f"per-pair MCF LP failed on {network!r}: {result.message}"
-        )
-
-    solution = result.x
-    fractions = solution[: k * m].reshape(k, m)
-    demands = np.array([d for _, _, d in commodities])
-    commodity_flows = fractions * demands[:, None]
-    edge_flows = commodity_flows.sum(axis=0)
-    return OptimalRouting(float(solution[u_index]), edge_flows, commodity_flows)
+    return shared_lp_cache().structure(network, destinations).solve(demand)
 
 
 # ---------------------------------------------------------------------------
@@ -759,9 +613,6 @@ class OptimalUtilisationCache(KeyedLRU):
     ----------
     max_entries:
         In-memory LRU capacity.
-    lp_cache:
-        Optional private :class:`LinearProgramCache` for the constraint
-        structures; ``None`` uses the process-shared cache.
     store:
         Optional :class:`LPOptimumStore` (or a directory path for one) for
         cross-process persistence.  ``None`` falls back to the
@@ -772,11 +623,9 @@ class OptimalUtilisationCache(KeyedLRU):
     def __init__(
         self,
         max_entries: int = 4096,
-        lp_cache: Optional[LinearProgramCache] = None,
         store: Union[LPOptimumStore, str, Path, None] = None,
     ):
         super().__init__(max_entries)
-        self.lp_cache = lp_cache
         if store is None:
             store = default_lp_store()
         elif not isinstance(store, LPOptimumStore):
@@ -825,16 +674,13 @@ class OptimalUtilisationCache(KeyedLRU):
         if cached is not None:
             return cached
         self.misses += 1
-        optimum = solve_optimal_max_utilisation(
-            network, demand_matrix, lp_cache=self.lp_cache
-        ).max_utilisation
+        optimum = solve_optimal_max_utilisation(network, demand_matrix).max_utilisation
         self.put(network, demand_matrix, optimum)
         return optimum
 
 
 __all__ = [
     "DIRECT_SOLVER_BREAKER",
-    "LP_OBJECTIVES",
     "LP_STORE_ENV",
     "LP_STORE_FORMAT",
     "InfeasibleRoutingError",
@@ -849,8 +695,6 @@ __all__ = [
     "direct_solver_available",
     "network_fingerprint",
     "shared_lp_cache",
-    "solve_mcf_per_pair",
-    "solve_optimal_average_utilisation",
     "solve_optimal_max_utilisation",
     "use_lp_cache",
 ]

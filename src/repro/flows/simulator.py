@@ -37,7 +37,6 @@ from repro.utils.validation import check_square_matrix
 __all__ = [
     "RoutingLoopError",
     "link_loads",
-    "average_link_utilisation",
     "max_link_utilisation",
     "utilisation_ratio",
 ]
@@ -74,16 +73,6 @@ def link_loads(
         if s != t and demand[s, t] > 0.0
     ]
     return flow_link_loads(network, flows, backend=backend)
-
-
-def average_link_utilisation(
-    network: Network,
-    routing: RoutingStrategy,
-    demand_matrix: np.ndarray,
-) -> float:
-    """Mean over links of load / capacity (the §IX-A contrast objective)."""
-    loads = link_loads(network, routing, demand_matrix)
-    return float((loads / network.capacities).mean())
 
 
 def max_link_utilisation(

@@ -31,6 +31,7 @@ from repro.graphs.kernels import batch_distances_to_targets
 from repro.graphs.network import Network
 from repro.routing.dag import prune_graph_frontier
 from repro.routing.strategy import DestinationRouting, FlowRouting, RoutingStrategy
+from repro.utils.validation import check_gamma
 
 DEFAULT_GAMMA = 2.0
 
@@ -44,8 +45,7 @@ def softmin(values: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("softmin of an empty vector")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    gamma = check_gamma(gamma)
     shifted = -gamma * (values - values.min())
     exps = np.exp(shifted)
     return exps / exps.sum()
@@ -94,8 +94,7 @@ def softmin_routing(
     (``frontier``) obeying the §IV-A constraints for every flow.
     """
     weights = _validate_weights(network, weights)
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    gamma = check_gamma(gamma)
     if pruner == "distance":
         return DestinationRouting(network, batch_softmin_ratios(network, weights, gamma))
     if pruner == "frontier":

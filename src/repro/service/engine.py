@@ -22,9 +22,11 @@ same spec (bit-identical on the common path; 1e-8 where solver model reuse
 differs).
 
 Cache injection is ambient and thread-local (:func:`use_lp_cache`,
-:func:`use_factorisation_cache`): the engine binds its private caches
-around each tick instead of threading handles through the environment
-layer, and two engines (old and new, during a reload) never share state.
+:func:`use_factorisation_cache`) — the only way any caller picks a solver
+cache.  The engine binds its private caches around construction, each tick
+and :meth:`run_result`, so every LP structure and ``splu`` factorisation it
+uses is engine-owned, and two engines (old and new, during a reload) never
+share state.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.engine.backend import (
 from repro.engine.evaluate import warm_lp_cache
 from repro.engine.simulator_batch import destination_link_loads_sequence
 from repro.envs.observation import GraphObservation
-from repro.envs.reward import RewardComputer, weights_from_action
+from repro.envs.reward import weights_from_action
 from repro.envs.routing_env import demand_normaliser
 from repro.flows.lp import LinearProgramCache, use_lp_cache
 from repro.flows.simulator import max_link_utilisation
@@ -94,10 +96,6 @@ class ServiceEngine:
                     "the routing service cannot serve a dynamic scenario; "
                     "evaluate it offline with run()/sweep()"
                 )
-            # Swap in a rewarder wired to the private structure cache before
-            # anything trains or warms, so every LP this deployment solves
-            # lands in engine-owned state.
-            run.rewarder = RewardComputer(lp_cache=self.lp_cache)
             self._seed_run = run
             self.rewarder = run.rewarder
             self.network = run.test_graphs[0]

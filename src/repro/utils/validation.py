@@ -17,6 +17,18 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def check_gamma(gamma: float) -> float:
+    """Require a finite softmin spread ``gamma >= 0``; return it as float.
+
+    NaN and infinity are rejected: either turns every softmin score into
+    NaN, leaving an all-zero splitting table that carries no traffic.
+    """
+    gamma = float(gamma)
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+    return gamma
+
+
 def check_probability(name: str, value: float) -> float:
     """Require ``0 <= value <= 1``; return it as float."""
     value = float(value)

@@ -11,7 +11,6 @@ from scipy.optimize import linprog
 
 from repro.engine.simulator_batch import _NEGATIVE_FLOW_TOLERANCE, RoutingLoopError
 from repro.flows.lp import (
-    LP_OBJECTIVES,
     InfeasibleRoutingError,
     OptimalRouting,
     _validate_inputs,
@@ -379,25 +378,23 @@ def reference_link_loads(
 
 # ---------------------------------------------------------------------------
 # LP oracles: the per-commodity loop assembly and fresh-``linprog`` pipeline
-# that ``repro.flows.lp.LinearProgramStructure`` replaced.
+# that ``repro.flows.lp.LinearProgramStructure`` replaced, and the paper's
+# per-(source, destination) formulation.
 # ---------------------------------------------------------------------------
 
 
-def reference_lp_assemble(network: Network, destinations, objective: str = "max"):
+def reference_lp_assemble(network: Network, destinations):
     """Reference loop assembly (the pre-structure-cache implementation).
 
     Returns ``(a_eq, a_ub, cost)`` exactly as the original per-commodity
-    ``lil_matrix`` + ``sparse.hstack`` code built them (``a_ub`` is ``None``
-    for the average objective).  The vectorized assembly is property-tested
-    against it, and it is the legacy side of the LP-phase benchmark.
+    ``lil_matrix`` + ``sparse.hstack`` code built them.  The vectorized
+    assembly is property-tested against it, and it is the legacy side of
+    the LP-phase benchmark.
     """
-    if objective not in LP_OBJECTIVES:
-        raise ValueError(f"objective must be one of {LP_OBJECTIVES}, got {objective!r}")
     n, m = network.num_nodes, network.num_edges
     destinations = [int(t) for t in destinations]
     k = len(destinations)
-    has_u = objective == "max"
-    num_vars = k * m + (1 if has_u else 0)
+    num_vars = k * m + 1
     u_index = k * m
 
     incidence = sparse.lil_matrix((n, m))
@@ -414,25 +411,20 @@ def reference_lp_assemble(network: Network, destinations, objective: str = "max"
             [
                 sparse.csr_matrix((n - 1, ci * m)),
                 block,
-                sparse.csr_matrix((n - 1, (k - ci - 1) * m + (1 if has_u else 0))),
+                sparse.csr_matrix((n - 1, (k - ci - 1) * m + 1)),
             ]
         )
         eq_rows.append(padded)
     a_eq = sparse.vstack(eq_rows).tocsr()
 
-    if has_u:
-        ub = sparse.lil_matrix((m, num_vars))
-        for e in range(m):
-            for ci in range(k):
-                ub[e, ci * m + e] = 1.0
-            ub[e, u_index] = -float(network.capacities[e])
-        a_ub = ub.tocsr()
-        cost = np.zeros(num_vars)
-        cost[u_index] = 1.0
-    else:
-        a_ub = None
-        cost = np.tile(1.0 / (m * network.capacities), k)
-    return a_eq, a_ub, cost
+    ub = sparse.lil_matrix((m, num_vars))
+    for e in range(m):
+        for ci in range(k):
+            ub[e, ci * m + e] = 1.0
+        ub[e, u_index] = -float(network.capacities[e])
+    cost = np.zeros(num_vars)
+    cost[u_index] = 1.0
+    return a_eq, ub.tocsr(), cost
 
 
 def reference_lp_solve(network: Network, demand_matrix: np.ndarray) -> OptimalRouting:
@@ -449,7 +441,7 @@ def reference_lp_solve(network: Network, demand_matrix: np.ndarray) -> OptimalRo
         return OptimalRouting(0.0, np.zeros(m), np.zeros((0, m)))
     k = len(destinations)
     u_index = k * m
-    a_eq, a_ub, cost = reference_lp_assemble(network, destinations, "max")
+    a_eq, a_ub, cost = reference_lp_assemble(network, destinations)
     keep = [np.array([v for v in range(network.num_nodes) if v != t]) for t in destinations]
     b_eq = np.concatenate([demand[rows, t] for rows, t in zip(keep, destinations)])
     result = linprog(
@@ -470,6 +462,79 @@ def reference_lp_solve(network: Network, demand_matrix: np.ndarray) -> OptimalRo
     return OptimalRouting(
         float(solution[u_index]), commodity_flows.sum(axis=0), commodity_flows
     )
+
+
+def reference_mcf_per_pair(network: Network, demand_matrix: np.ndarray) -> OptimalRouting:
+    """Textbook per-(s, t) commodity MCF (paper §II-A).
+
+    One commodity per non-zero demand entry; variables are the *fractions*
+    ``f_i(e)`` of commodity ``i`` on edge ``e``, exactly as in the paper's
+    constraint list, so capacity rows read
+    ``sum_i f_i(e) * d_i <= U * c(e)``.  O(|V|²·|E|) variables, assembled
+    with loops and solved by a fresh ``linprog``, so it checks the
+    destination-aggregated fast path independently.
+    """
+    demand = _validate_inputs(network, demand_matrix)
+    n, m = network.num_nodes, network.num_edges
+
+    commodities = [
+        (s, t, demand[s, t]) for s in range(n) for t in range(n) if demand[s, t] > 0.0
+    ]
+    if not commodities:
+        return OptimalRouting(0.0, np.zeros(m), np.zeros((0, m)))
+
+    k = len(commodities)
+    num_vars = k * m + 1
+    u_index = k * m
+
+    incidence = sparse.lil_matrix((n, m))
+    for e, (u, v) in enumerate(network.edges):
+        incidence[u, e] = 1.0
+        incidence[v, e] = -1.0
+    incidence = incidence.tocsr()
+
+    eq_rows, eq_rhs = [], []
+    for ci, (s, t, _) in enumerate(commodities):
+        keep = np.array([v for v in range(n) if v != t])
+        block = incidence[keep]
+        padded = sparse.hstack(
+            [
+                sparse.csr_matrix((n - 1, ci * m)),
+                block,
+                sparse.csr_matrix((n - 1, (k - ci - 1) * m + 1)),
+            ]
+        )
+        eq_rows.append(padded)
+        # Net outflow (in fraction units) is 1 at the source, 0 elsewhere.
+        eq_rhs.append(np.array([1.0 if v == s else 0.0 for v in keep]))
+    a_eq = sparse.vstack(eq_rows).tocsr()
+    b_eq = np.concatenate(eq_rhs)
+
+    ub = sparse.lil_matrix((m, num_vars))
+    for e in range(m):
+        for ci, (_, _, d) in enumerate(commodities):
+            ub[e, ci * m + e] = d
+        ub[e, u_index] = -float(network.capacities[e])
+
+    cost = np.zeros(num_vars)
+    cost[u_index] = 1.0
+
+    result = linprog(
+        cost,
+        A_ub=ub.tocsr(),
+        b_ub=np.zeros(m),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    if not result.success:
+        raise InfeasibleRoutingError(f"per-pair MCF LP failed on {network!r}: {result.message}")
+
+    fractions = result.x[: k * m].reshape(k, m)
+    demands = np.array([d for _, _, d in commodities])
+    commodity_flows = fractions * demands[:, None]
+    return OptimalRouting(float(result.x[u_index]), commodity_flows.sum(axis=0), commodity_flows)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ Covers the delta/timeline data layer (fingerprint keying, variant
 memoisation, demand overlays), the hand-computed failure/recovery oracle
 through the batch engine and the environment, spec-level validation and
 hash stability (pre-dynamics spec hashes must stay byte-identical), the
-``link_failure_sweep`` deprecation shim's bit-compatibility, null-dynamics
+``link_failure_sweep`` pool builder's bit-compatibility, null-dynamics
 bit-identity across ``run``/``sweep``, service rejection, and the CLI
 introspection surface (``list --json`` / ``describe``).
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -404,14 +405,16 @@ class TestDynamicsSpec:
 
 
 # ---------------------------------------------------------------------------
-# link_failure_sweep: deprecation shim over the dynamics idea, bit-compat
+# link_failure_sweep: static per-variant pools, bit-compat, no warning
 # ---------------------------------------------------------------------------
 
 
 class TestLinkFailureSweepShim:
     def test_builder_warns_and_reproduces_the_historical_pools(self):
+        # The builder backs a registered preset, so it must not warn.
         builder = TOPOLOGIES.get("link_failure_sweep")
-        with pytest.warns(DeprecationWarning, match="dynamics"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             train, test = builder(base="abilene", num_failures=3, seed=0)
         # Bit-compat pin: the historical draw loop, replayed inline.
         base = TOPOLOGIES.get("abilene")()

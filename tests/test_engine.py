@@ -25,6 +25,7 @@ from repro.engine import (
     flow_link_loads,
     select_backend,
     shared_factorisation_cache,
+    use_factorisation_cache,
 )
 from repro.engine.evaluate import (
     BatchEvaluationResult,
@@ -345,11 +346,7 @@ class TestBackendSelection:
     def test_shared_caches_are_thread_locally_overridable(self):
         import threading
 
-        from repro.engine.backend import (
-            SHARED_FACTORISATION_CACHE,
-            shared_factorisation_cache,
-            use_factorisation_cache,
-        )
+        from repro.engine.backend import SHARED_FACTORISATION_CACHE
 
         private = FactorisationCache(max_entries=4)
         inside = threading.Event()
@@ -379,17 +376,17 @@ class TestFactorisationCache:
 
     def test_repeated_solves_hit_the_cache(self):
         net, table, demand = self._workload()
-        cache = FactorisationCache()
-        destination_link_loads(net, table, demand, backend="sparse", cache=cache)
-        assert cache.misses == net.num_nodes and cache.hits == 0
-        destination_link_loads(net, table, demand, backend="sparse", cache=cache)
+        with use_factorisation_cache(FactorisationCache()) as cache:
+            destination_link_loads(net, table, demand, backend="sparse")
+            assert cache.misses == net.num_nodes and cache.hits == 0
+            destination_link_loads(net, table, demand, backend="sparse")
         assert cache.hits == net.num_nodes  # the fixed routing re-solves free
 
     def test_cached_results_stay_correct(self):
         net, table, demand = self._workload(3)
-        cache = FactorisationCache()
-        first = destination_link_loads(net, table, demand, backend="sparse", cache=cache)
-        again = destination_link_loads(net, table, demand, backend="sparse", cache=cache)
+        with use_factorisation_cache(FactorisationCache()):
+            first = destination_link_loads(net, table, demand, backend="sparse")
+            again = destination_link_loads(net, table, demand, backend="sparse")
         np.testing.assert_allclose(again, first, atol=0.0)
         np.testing.assert_allclose(
             again, destination_link_loads(net, table, demand, backend="dense"), atol=1e-8
@@ -401,18 +398,32 @@ class TestFactorisationCache:
         demand = bimodal_matrix(net.num_nodes, seed=1)
         for gamma in (1.0, 4.0):
             table = softmin_routing(net, weights, gamma=gamma).destination_table()
-            np.testing.assert_allclose(
-                destination_link_loads(net, table, demand, backend="sparse", cache=cache),
-                destination_link_loads(net, table, demand, backend="dense"),
-                atol=1e-8,
-            )
+            dense = destination_link_loads(net, table, demand, backend="dense")
+            with use_factorisation_cache(cache):
+                sparse = destination_link_loads(net, table, demand, backend="sparse")
+            np.testing.assert_allclose(sparse, dense, atol=1e-8)
         assert cache.hits == 0 and cache.misses == 2 * net.num_nodes
 
     def test_eviction_respects_max_entries(self):
         net, table, demand = self._workload()
-        cache = FactorisationCache(max_entries=4)
-        destination_link_loads(net, table, demand, backend="sparse", cache=cache)
+        with use_factorisation_cache(FactorisationCache(max_entries=4)) as cache:
+            destination_link_loads(net, table, demand, backend="sparse")
         assert len(cache) == 4
+
+    def test_sequence_and_flow_solves_use_the_bound_cache(self):
+        net, weights = random_case(2)
+        demand = bimodal_matrix(net.num_nodes, seed=2)
+        table = softmin_routing(net, weights, gamma=2.0).destination_table()
+        flows = softmin_routing(net, weights, gamma=2.0, pruner="frontier")
+        shared = shared_factorisation_cache()
+        before = shared.hits + shared.misses
+        with use_factorisation_cache(FactorisationCache()) as cache:
+            destination_link_loads_sequence(net, table, demand[np.newaxis], backend="sparse")
+            assert cache.misses == net.num_nodes
+            link_loads(net, flows, demand, backend="sparse")
+        positive = int(np.count_nonzero(demand))
+        assert cache.hits + cache.misses == net.num_nodes + positive  # one lookup per flow
+        assert shared.hits + shared.misses == before
 
     def test_shared_cache_is_the_default(self):
         net, table, demand = self._workload(7)
@@ -422,9 +433,9 @@ class TestFactorisationCache:
         assert shared.hits + shared.misses > before
 
     def test_clear(self):
-        cache = FactorisationCache()
         net, table, demand = self._workload()
-        destination_link_loads(net, table, demand, backend="sparse", cache=cache)
+        with use_factorisation_cache(FactorisationCache()) as cache:
+            destination_link_loads(net, table, demand, backend="sparse")
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
@@ -596,6 +607,24 @@ class TestBatchEvaluate:
                     )
         # already-warm caches skip the pool entirely but report the same count
         assert warm_lp_cache(net, seqs, parallel, memory_length=3, workers=2) == count
+
+    def test_worker_chunk_solves_in_a_fresh_structure_cache(self):
+        from repro.engine.evaluate import _warm_solve_chunk
+        from repro.flows.lp import (
+            SHARED_LP_CACHE,
+            LinearProgramCache,
+            solve_optimal_max_utilisation,
+            use_lp_cache,
+        )
+
+        net, seqs = self._setup()
+        matrices = [seqs[0].matrix(step) for step in range(3, len(seqs[0]))]
+        with use_lp_cache(LinearProgramCache()):
+            expected = [solve_optimal_max_utilisation(net, dm).max_utilisation for dm in matrices]
+        before = SHARED_LP_CACHE.hits + SHARED_LP_CACHE.misses
+        payload = (net.num_nodes, net.edges, np.asarray(net.capacities).copy(), net.name)
+        assert _warm_solve_chunk(payload, matrices) == expected
+        assert SHARED_LP_CACHE.hits + SHARED_LP_CACHE.misses == before
 
     def test_warm_lp_cache_rejects_bad_workers(self):
         net, seqs = self._setup()

@@ -7,6 +7,7 @@ from repro.envs import (
     GraphObservation,
     IterativeRoutingEnv,
     MultiGraphRoutingEnv,
+    NonFiniteActionError,
     RewardComputer,
     RoutingEnv,
     gamma_from_action,
@@ -45,6 +46,14 @@ class TestActionMappings:
     def test_gamma_range_validation(self):
         with pytest.raises(ValueError):
             gamma_from_action(0.0, gamma_range=(2.0, 1.0))
+
+    def test_non_finite_actions_raise_typed_error(self):
+        assert issubclass(NonFiniteActionError, ValueError)
+        with pytest.raises(NonFiniteActionError, match="2 non-finite of 3 entries"):
+            weights_from_action(np.array([0.0, np.nan, np.inf]))
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteActionError, match="1 non-finite of 1 entries"):
+                gamma_from_action(value)
 
     def test_demand_normaliser_positive(self):
         net = triangle_network()
@@ -99,6 +108,14 @@ class TestRoutingEnv:
         env.reset()
         with pytest.raises(ValueError, match="shape"):
             env.step(np.zeros(3))
+
+    def test_nan_action_raises_typed_error(self):
+        env = self._env()
+        env.reset()
+        action = np.zeros(env.network.num_edges)
+        action[[0, 5]] = np.nan
+        with pytest.raises(NonFiniteActionError, match="2 non-finite"):
+            env.step(action)
 
     def test_round_robin_sequence_selection(self):
         env = self._env(sample_sequences=False)
@@ -189,6 +206,24 @@ class TestIterativeRoutingEnv:
         env.reset()
         with pytest.raises(ValueError, match="shape"):
             env.step(np.zeros(3))
+
+    def test_nan_action_raises_typed_error(self):
+        m = self._env().network.num_edges
+        # A NaN edge weight surfaces when the last edge completes the action...
+        env = self._env()
+        env.reset()
+        env.step(np.array([np.nan, 0.0]))
+        for _ in range(m - 2):
+            env.step(np.zeros(2))
+        with pytest.raises(NonFiniteActionError, match="1 non-finite"):
+            env.step(np.zeros(2))
+        # ...and so does a NaN gamma output on that last sub-step.
+        env = self._env()
+        env.reset()
+        for _ in range(m - 1):
+            env.step(np.zeros(2))
+        with pytest.raises(NonFiniteActionError, match="1 non-finite"):
+            env.step(np.array([0.0, np.nan]))
 
     def test_marker_state_resets_between_matrices(self):
         env = self._env()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.flows.lp import (
+    SHARED_LP_CACHE,
     InfeasibleRoutingError,
     LinearProgramCache,
     LinearProgramStructure,
@@ -16,9 +17,9 @@ from repro.flows.lp import (
     OptimalUtilisationCache,
     demand_destinations,
     network_fingerprint,
-    solve_mcf_per_pair,
-    solve_optimal_average_utilisation,
+    shared_lp_cache,
     solve_optimal_max_utilisation,
+    use_lp_cache,
 )
 from repro.graphs import Network, abilene, random_connected_network
 from repro.traffic import bimodal_matrix, gravity_matrix, sparse_matrix
@@ -26,6 +27,7 @@ from tests.helpers import (
     line_network,
     reference_lp_assemble,
     reference_lp_solve,
+    reference_mcf_per_pair,
     square_network,
     triangle_network,
 )
@@ -105,18 +107,18 @@ class TestFormulationEquivalence:
         net = random_connected_network(6, 4, seed=seed, capacity=100.0)
         dm = bimodal_matrix(6, seed=seed, low_mean=10.0, high_mean=30.0, std=3.0)
         agg = solve_optimal_max_utilisation(net, dm).max_utilisation
-        pair = solve_mcf_per_pair(net, dm).max_utilisation
+        pair = reference_mcf_per_pair(net, dm).max_utilisation
         assert agg == pytest.approx(pair, rel=1e-6)
 
     def test_abilene_bimodal(self):
         net = abilene()
         dm = bimodal_matrix(net.num_nodes, seed=42)
         agg = solve_optimal_max_utilisation(net, dm).max_utilisation
-        pair = solve_mcf_per_pair(net, dm).max_utilisation
+        pair = reference_mcf_per_pair(net, dm).max_utilisation
         assert agg == pytest.approx(pair, rel=1e-6)
 
     def test_per_pair_zero_demand(self):
-        assert solve_mcf_per_pair(triangle_network(), np.zeros((3, 3))).is_zero
+        assert reference_mcf_per_pair(triangle_network(), np.zeros((3, 3))).is_zero
 
 
 class TestValidation:
@@ -151,18 +153,14 @@ class TestVectorizedAssembly:
     """The COO index-array assembly matches the loop reference exactly."""
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("objective", ["max", "average"])
-    def test_random_graphs_identical_matrices(self, seed, objective):
+    def test_random_graphs_identical_matrices(self, seed):
         net = random_connected_network(6 + seed, 4 + seed, seed=seed, capacity=50.0)
         dm = bimodal_matrix(net.num_nodes, seed=seed)
         destinations = demand_destinations(dm)
-        structure = LinearProgramStructure(net, destinations, objective)
-        a_eq, a_ub, cost = reference_lp_assemble(net, destinations, objective)
+        structure = LinearProgramStructure(net, destinations)
+        a_eq, a_ub, cost = reference_lp_assemble(net, destinations)
         np.testing.assert_array_equal(structure.a_eq.toarray(), a_eq.toarray())
-        if objective == "max":
-            np.testing.assert_array_equal(structure.a_ub.toarray(), a_ub.toarray())
-        else:
-            assert structure.a_ub is None and a_ub is None
+        np.testing.assert_array_equal(structure.a_ub.toarray(), a_ub.toarray())
         np.testing.assert_array_equal(structure.cost, cost)
 
     def test_sparse_demand_subset_support(self):
@@ -191,13 +189,6 @@ class TestVectorizedAssembly:
         )
         np.testing.assert_array_equal(structure.equality_rhs(dm), expected)
 
-    def test_rejects_unknown_objective(self):
-        net = triangle_network()
-        with pytest.raises(ValueError, match="objective"):
-            LinearProgramStructure(net, [0], "median")
-        with pytest.raises(ValueError, match="objective"):
-            reference_lp_assemble(net, [0], "median")
-
 
 class TestStructureCache:
     """RHS-only re-solves through a shared structure stay exact."""
@@ -207,8 +198,9 @@ class TestStructureCache:
         net = abilene()
         dm1 = bimodal_matrix(net.num_nodes, seed=0)
         dm2 = bimodal_matrix(net.num_nodes, seed=1)
-        solve_optimal_max_utilisation(net, dm1, lp_cache=cache)
-        solve_optimal_max_utilisation(net, dm2, lp_cache=cache)
+        with use_lp_cache(cache):
+            solve_optimal_max_utilisation(net, dm1)
+            solve_optimal_max_utilisation(net, dm2)
         assert cache.misses == 1 and cache.hits == 1
         assert len(cache) == 1
 
@@ -220,50 +212,71 @@ class TestStructureCache:
         base = sparse_matrix(7, seed=seed, density=0.3, mean=20.0, std=4.0)
         if not np.any(base > 0.0):
             base[0, 1] = 10.0
-        cache = LinearProgramCache()
-        solve_optimal_max_utilisation(net, base, lp_cache=cache)  # warm the structure
         rescaled = np.where(base > 0.0, base * rng.uniform(0.5, 2.0, base.shape), 0.0)
-        resolved = solve_optimal_max_utilisation(net, rescaled, lp_cache=cache)
+        with use_lp_cache(LinearProgramCache()) as cache:
+            solve_optimal_max_utilisation(net, base)  # warm the structure
+            resolved = solve_optimal_max_utilisation(net, rescaled)
         assert cache.hits >= 1  # the second solve reused the structure
         fresh = reference_lp_solve(net, rescaled).max_utilisation
-        oracle = solve_mcf_per_pair(net, rescaled).max_utilisation
+        oracle = reference_mcf_per_pair(net, rescaled).max_utilisation
         assert resolved.max_utilisation == pytest.approx(fresh, abs=1e-8)
         assert resolved.max_utilisation == pytest.approx(oracle, abs=1e-8)
-
-    def test_average_objective_through_cache(self):
-        cache = LinearProgramCache()
-        net = square_network(capacity=10.0)
-        dm = gravity_matrix(4, seed=0, total_demand=20.0)
-        first = solve_optimal_average_utilisation(net, dm, lp_cache=cache)
-        again = solve_optimal_average_utilisation(net, 2.0 * dm, lp_cache=cache)
-        assert cache.misses == 1 and cache.hits == 1
-        assert again.max_utilisation == pytest.approx(2.0 * first.max_utilisation, rel=1e-6)
 
     def test_infeasible_on_fresh_and_reused_structure(self):
         # Node 3 has no outgoing edge, so demand from 3 is unroutable; the
         # destination support {2} stays identical across both solves, so
         # the second one exercises the RHS-only re-solve error path.
         net = Network(4, [(0, 1), (1, 2), (2, 1), (1, 0), (2, 3)])
-        cache = LinearProgramCache()
         feasible = np.zeros((4, 4))
         feasible[0, 2] = 1.0
-        solve_optimal_max_utilisation(net, feasible, lp_cache=cache)
         infeasible = np.zeros((4, 4))
         infeasible[3, 2] = 1.0
-        with pytest.raises(InfeasibleRoutingError):
-            solve_optimal_max_utilisation(net, infeasible, lp_cache=cache)
-        assert cache.hits == 1  # the failing solve went through the cached structure
-        # the structure stays usable after a failed solve
-        result = solve_optimal_max_utilisation(net, feasible, lp_cache=cache)
+        with use_lp_cache(LinearProgramCache()) as cache:
+            solve_optimal_max_utilisation(net, feasible)
+            with pytest.raises(InfeasibleRoutingError):
+                solve_optimal_max_utilisation(net, infeasible)
+            assert cache.hits == 1  # the failing solve went through the cached structure
+            # the structure stays usable after a failed solve
+            result = solve_optimal_max_utilisation(net, feasible)
         assert result.max_utilisation > 0.0
 
-    def test_lru_eviction_of_structures(self):
-        cache = LinearProgramCache(max_entries=2)
+    def test_shared_cache_is_the_default(self):
         net = abilene()
-        for t in (1, 2, 3):
-            dm = np.zeros((net.num_nodes,) * 2)
-            dm[0, t] = 1.0
-            solve_optimal_max_utilisation(net, dm, lp_cache=cache)
+        dm = bimodal_matrix(net.num_nodes, seed=5)
+        before = SHARED_LP_CACHE.hits + SHARED_LP_CACHE.misses
+        solve_optimal_max_utilisation(net, dm)
+        assert SHARED_LP_CACHE.hits + SHARED_LP_CACHE.misses == before + 1
+
+    def test_binding_is_thread_local_and_nests(self):
+        import threading
+
+        outer, inner = LinearProgramCache(), LinearProgramCache()
+        inside = threading.Event()
+        seen = {}
+
+        def worker():
+            inside.wait(5.0)
+            seen["worker"] = shared_lp_cache()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        with use_lp_cache(outer):
+            with use_lp_cache(inner):
+                inside.set()
+                seen["inner"] = shared_lp_cache()
+                thread.join(timeout=5.0)
+            seen["outer"] = shared_lp_cache()
+        assert not thread.is_alive()
+        assert seen == {"worker": SHARED_LP_CACHE, "inner": inner, "outer": outer}
+        assert shared_lp_cache() is SHARED_LP_CACHE
+
+    def test_lru_eviction_of_structures(self):
+        net = abilene()
+        with use_lp_cache(LinearProgramCache(max_entries=2)) as cache:
+            for t in (1, 2, 3):
+                dm = np.zeros((net.num_nodes,) * 2)
+                dm[0, t] = 1.0
+                solve_optimal_max_utilisation(net, dm)
         assert len(cache) == 2
         with pytest.raises(ValueError):
             LinearProgramCache(max_entries=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.softmin_batch import batch_softmin_ratios
 from repro.flows.simulator import link_loads, max_link_utilisation
 from repro.graphs import Network, abilene, random_connected_network
 from repro.routing.dag import prune_by_distance, prune_graph_frontier
@@ -56,6 +57,20 @@ class TestSoftminFunction:
             softmin(np.array([]))
         with pytest.raises(ValueError, match="gamma"):
             softmin(np.array([1.0]), gamma=-1.0)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gamma_rejected_on_every_path(self, gamma):
+        # A NaN/inf spread would build an all-zero table that carries no
+        # traffic, scoring a ratio of 0.0 instead of failing.
+        net = abilene()
+        weights = np.ones(net.num_edges)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            softmin(np.array([1.0, 2.0]), gamma=gamma)
+        for pruner in ("distance", "frontier"):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                softmin_routing(net, weights, gamma=gamma, pruner=pruner)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            batch_softmin_ratios(net, weights, gamma)
 
 
 class TestPruneByDistance:

@@ -325,3 +325,40 @@ class TestServedPolicyMatchesOffline:
         served = [entries[0].ratio for entries in engine.evaluate_batch(requests)]
         assert len(served) == len(offline) > 0
         assert served == list(offline)
+
+
+class TestPrivateSolverCaches:
+    def test_fresh_demand_solves_only_in_engine_caches(self):
+        # The engine's ambient bindings are the only route to its private
+        # caches: training, warm-up and a never-seen request must leave the
+        # process-wide LP and splu caches untouched.
+        from repro.engine.backend import SHARED_FACTORISATION_CACHE
+        from repro.flows.lp import SHARED_LP_CACHE
+
+        def counters(*caches):
+            return [(cache.hits, cache.misses) for cache in caches]
+
+        shared = (SHARED_LP_CACHE, SHARED_FACTORISATION_CACHE)
+        scenario = _scenario(name="private-caches", strategies=("shortest_path",))
+        scenario = scenario.with_updates(
+            {
+                "routing.policies": ["gnn"],
+                "training.overrides": {"total_timesteps": 64},
+                "evaluation.backend": "sparse",
+            }
+        )
+        before = counters(*shared)
+        engine = ServiceEngine(ServiceSpec(scenario=scenario))
+        private = (engine.lp_cache, engine.fact_cache, engine.rewarder.cache)
+        warmed = counters(*private)
+
+        demand = np.abs(np.random.default_rng(4321).normal(size=(11, 11))) + 0.5
+        np.fill_diagonal(demand, 0.0)
+        [entries] = engine.evaluate_batch([RouteRequest(demand=demand)])
+        assert [entry.label for entry in entries] == ["gnn", "shortest_path"]
+        assert all(entry.ratio >= 1.0 - 1e-9 for entry in entries)
+
+        for (hits, misses), (hits_after, misses_after) in zip(warmed, counters(*private)):
+            assert hits_after + misses_after > hits + misses
+        assert engine.rewarder.cache.misses == warmed[2][1] + 1  # one fresh optimum
+        assert counters(*shared) == before
