@@ -5,9 +5,10 @@ This is the engine's user-facing entry point.  The per-step hot path
 :mod:`repro.engine.softmin_batch` and :mod:`repro.engine.simulator_batch`;
 this module amortises it across whole evaluation workloads:
 
-* :func:`batch_evaluate` — roll a policy deterministically over every
-  (network, demand-sequence) pair in one call, LP-prewarming each network's
-  distinct demand matrices before the rollout;
+* :func:`batch_evaluate` — score a policy deterministically on every
+  (network, demand-sequence) pair in one call, from batched forwards (one
+  per slice of test steps, one per edge and slice for the iterative
+  policy), LP-prewarming each network's distinct demand matrices first;
 * :func:`batch_evaluate_routing` — evaluate a *fixed* routing (shortest
   path, ECMP, oblivious, ...) over entire demand sequences with one
   factorised multi-right-hand-side solve per destination;
@@ -32,6 +33,8 @@ import numpy as np
 from repro.engine.backend import check_backend, default_backend
 from repro.engine.simulator_batch import destination_link_loads_sequence
 from repro.envs.factory import make_routing_env
+from repro.envs.iterative_env import set_edge_weight
+from repro.envs.observation import GraphObservation, demand_history, edge_markers
 from repro.envs.reward import RewardComputer
 from repro.graphs.dynamics import NetworkTimeline
 from repro.graphs.network import Network
@@ -217,6 +220,12 @@ def warm_lp_cache(
     return len(distinct)
 
 
+#: Test steps per forward in :func:`_rollout_policy`.  It bounds the
+#: demand histories held at once (``memory_length × n²`` floats per step);
+#: forwards are batch-invariant, so it never changes a result.
+EVALUATION_BATCH = 256
+
+
 def _rollout_policy(
     policy,
     network: Network,
@@ -230,12 +239,17 @@ def _rollout_policy(
     seed: SeedLike,
     timeline: Optional[NetworkTimeline] = None,
 ) -> EvaluationResult:
-    """Deterministically roll the policy over every sequence once.
+    """Deterministically score the policy on every post-warm-up step.
 
-    Uses the real environments (round-robin sequence order, mean actions),
-    so results are identical to stepping them by hand — only the reward
-    path underneath is vectorized.  ``timeline`` scores each step against
-    the network in force at that step (one-shot policies only).
+    No environment is stepped.  A one-shot observation is the demand
+    history alone, so the test steps' observations (round-robin sequence
+    order, each carrying the network in force at its step) go through one
+    ``act_batch`` per :data:`EVALUATION_BATCH` steps.  An iterative DM
+    depends only on its own sub-steps, so each slice of DMs walks the
+    ``num_edges`` sub-steps in lockstep: one forward per sub-step.  The
+    environment is still built — it validates the workload, owns the
+    normaliser, and scores each routing — and forwards are batch-invariant,
+    so results equal stepping it by hand bit for bit.
     """
     env = make_routing_env(
         network,
@@ -250,15 +264,44 @@ def _rollout_policy(
         dynamics=timeline,
     )
     rng = rng_from_seed(seed)
-    ratios: list[float] = []
-    for _ in range(len(sequences)):
-        observation = env.reset()
-        done = False
-        while not done:
-            actions, _, _ = policy.act_batch([observation], rng, deterministic=True)
-            observation, _, done, info = env.step(actions[0])
-            if "utilisation_ratio" in info:
-                ratios.append(info["utilisation_ratio"])
+    steps = [
+        (sequence, step) for sequence in sequences for step in range(memory_length, len(sequence))
+    ]
+    ratios = []
+    for start in range(0, len(steps), EVALUATION_BATCH):
+        chunk = steps[start : start + EVALUATION_BATCH]
+        histories = [
+            demand_history(sequence, step, memory_length, env.demand_scale)
+            for sequence, step in chunk
+        ]
+        if not iterative:
+            observations = [
+                GraphObservation(env.network_at(step), history)
+                for (_, step), history in zip(chunk, histories)
+            ]
+            actions, _, _ = policy.act_batch(observations, rng, deterministic=True)
+            scored = [
+                env.score((observation.network, sequence.matrix(step)), action)
+                for observation, (sequence, step), action in zip(observations, chunk, actions)
+            ]
+        else:
+            raw_weights = np.zeros((len(chunk), network.num_edges))
+            set_flags = np.zeros(network.num_edges)
+            for edge in range(network.num_edges):
+                observations = [
+                    GraphObservation(
+                        network, history, edge_state=edge_markers(raw, set_flags, edge)
+                    )
+                    for raw, history in zip(raw_weights, histories)
+                ]
+                actions, _, _ = policy.act_batch(observations, rng, deterministic=True)
+                set_edge_weight(raw_weights, set_flags, edge, [action[0] for action in actions])
+            # The last sub-step's outputs carry each DM's γ.
+            scored = [
+                env.routing_reward(sequence.matrix(step), raw, action[1])
+                for (sequence, step), raw, action in zip(chunk, raw_weights, actions)
+            ]
+        ratios.extend(info["utilisation_ratio"] for _, info in scored)
     return EvaluationResult(tuple(ratios))
 
 
@@ -305,8 +348,11 @@ def batch_evaluate(
     ----------
     policy:
         Any :class:`~repro.policies.base.ActorCriticPolicy` (MLP, one-shot
-        GNN, or — with ``iterative=True`` — the iterative GNN); each step
-        is one ``act_batch([observation], deterministic=True)`` call.
+        GNN, or — with ``iterative=True`` — the iterative GNN).  Per
+        network, a one-shot policy makes one ``act_batch(deterministic=True)``
+        call per 256 test steps (``EVALUATION_BATCH``, which bounds the
+        histories held in memory); the iterative policy makes one per edge
+        over each such slice of test DMs.
     networks:
         A single :class:`Network` or a sequence of them.
     traffic_sequences:
@@ -322,8 +368,8 @@ def batch_evaluate(
         Rollout seed (only used for tie-breaking; actions are deterministic).
     backend:
         Balance-system solver for the rollouts' flow simulation
-        (``"auto"``/``"dense"``/``"sparse"``).  The rollout goes through
-        the real environments, so the choice is installed as the ambient
+        (``"auto"``/``"dense"``/``"sparse"``).  Routings are scored by the
+        real environments, so the choice is installed as the ambient
         default (:func:`repro.engine.backend.default_backend`) rather than
         threaded through every layer.
     lp_workers:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.envs.observation import GraphObservation
+from repro.envs.observation import GraphObservation, demand_history, edge_markers
 from repro.envs.reward import (
     DEFAULT_GAMMA_RANGE,
     DEFAULT_WEIGHT_SCALE,
@@ -38,6 +38,21 @@ from repro.rl.env import Env
 from repro.rl.spaces import Box
 from repro.traffic.sequences import DemandSequence
 from repro.utils.seeding import SeedLike, rng_from_seed
+from repro.utils.validation import check_gamma
+
+
+def set_edge_weight(
+    raw_weights: np.ndarray, set_flags: np.ndarray, edge: int, weight_output
+) -> None:
+    """One sub-step's transition, in place: clip the weight output(s) to
+    ``[-1, 1]`` into column ``edge`` of ``raw_weights`` and flag the edge set.
+
+    ``raw_weights`` is one DM's ``(num_edges,)`` row (the environment) or
+    ``(T, num_edges)`` for ``T`` DMs stepped in lockstep (the evaluator),
+    with ``weight_output`` a scalar or ``(T,)`` to match.
+    """
+    raw_weights[..., edge] = np.clip(weight_output, -1.0, 1.0)
+    set_flags[edge] = 1.0
 
 
 class IterativeRoutingEnv(Env):
@@ -70,11 +85,14 @@ class IterativeRoutingEnv(Env):
                 raise ValueError(
                     f"sequence length {len(seq)} too short for memory {memory_length}"
                 )
+        low, high = (check_gamma(bound) for bound in gamma_range)
+        if not 0.0 < low < high:
+            raise ValueError(f"gamma_range needs 0 < low < high, got {gamma_range}")
         self.network = network
         self.sequences = list(sequences)
         self.memory_length = int(memory_length)
         self.weight_scale = float(weight_scale)
-        self.gamma_range = gamma_range
+        self.gamma_range = (low, high)
         self.rewarder = reward_computer or RewardComputer()
         self.sample_sequences = bool(sample_sequences)
         self._rng = rng_from_seed(seed)
@@ -100,27 +118,33 @@ class IterativeRoutingEnv(Env):
         self._round_robin += 1
         return sequence
 
-    def _edge_state(self, target_edge: Optional[int]) -> np.ndarray:
-        state = np.zeros((self.network.num_edges, 3))
-        state[:, 0] = self._raw_weights
-        state[:, 1] = self._set_flags
-        if target_edge is not None and target_edge < self.network.num_edges:
-            state[target_edge, 2] = 1.0
-        return state
-
     def _observation(self, target_edge: Optional[int]) -> GraphObservation:
         step = min(self._step_index, len(self._sequence))
         if self._history_step != step:
             # One DM spans num_edges sub-steps; normalise its history once.
-            self._history = (
-                self._sequence.history(step - 1, self.memory_length) / self.demand_scale
+            self._history = demand_history(
+                self._sequence, step, self.memory_length, self.demand_scale
             )
             self._history_step = step
         return GraphObservation(
             self.network,
             self._history,
-            edge_state=self._edge_state(target_edge),
+            edge_state=edge_markers(self._raw_weights, self._set_flags, target_edge),
         )
+
+    def routing_reward(
+        self, demand: np.ndarray, raw_weights: np.ndarray, gamma_output: float
+    ) -> tuple[float, dict]:
+        """Equation 2 once every edge of a DM is set.
+
+        ``raw_weights`` are the clipped per-edge weight outputs and
+        ``gamma_output`` the final sub-step's raw γ output.
+        """
+        gamma = gamma_from_action(gamma_output, self.gamma_range)
+        weights = weights_from_action(raw_weights, self.weight_scale)
+        reward, info = self.rewarder.reward(self.network, weights, gamma, demand)
+        info["softmin_gamma"] = gamma
+        return reward, info
 
     # ------------------------------------------------------------------
     def reset(self) -> GraphObservation:
@@ -141,19 +165,16 @@ class IterativeRoutingEnv(Env):
             raise ValueError(f"action has shape {action.shape}, expected (2,)")
 
         edge = self._edge_pointer
-        self._raw_weights[edge] = float(np.clip(action[0], -1.0, 1.0))
-        self._set_flags[edge] = 1.0
+        set_edge_weight(self._raw_weights, self._set_flags, edge, action[0])
         self._edge_pointer += 1
 
         if self._edge_pointer < self.network.num_edges:
             return self._observation(target_edge=self._edge_pointer), 0.0, False, {}
 
         # Final sub-step: translate, evaluate, advance to the next DM.
-        gamma = gamma_from_action(action[1], self.gamma_range)
-        weights = weights_from_action(self._raw_weights, self.weight_scale)
-        demand = self._sequence.matrix(self._step_index)
-        reward, info = self.rewarder.reward(self.network, weights, gamma, demand)
-        info["softmin_gamma"] = gamma
+        reward, info = self.routing_reward(
+            self._sequence.matrix(self._step_index), self._raw_weights, action[1]
+        )
 
         self._step_index += 1
         done = self._step_index >= len(self._sequence)

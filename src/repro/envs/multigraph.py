@@ -4,7 +4,9 @@ Wraps a pool of per-topology environments and draws one per episode.  Both
 one-shot and iterative inner environments are supported; for the one-shot
 case the action length follows the *current* topology's edge count, which
 only GNN policies can provide — exactly the paper's point about MLPs not
-being applicable in this setting.
+being applicable in this setting.  A pool of one-shot environments is a
+contextual bandit like each of its members: :meth:`MultiGraphRoutingEnv.plan`
+tags each planned context with the member that scores it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class MultiGraphRoutingEnv(Env):
                 )
             )
         self._current: Optional[InnerEnv] = None
+        # A mixture of one-shot envs is a contextual bandit like each of them.
+        self.contextual_bandit = not self.iterative
         # Spaces vary per topology in the one-shot case; expose the
         # iterative fixed space when available.
         self.action_space = self.inner_envs[0].action_space if iterative else None
@@ -94,7 +98,20 @@ class MultiGraphRoutingEnv(Env):
         self._current = self.inner_envs[index]
         return self._current.reset()
 
-    def step(self, action):
+    def _episode_env(self) -> InnerEnv:
         if self._current is None:
             raise RuntimeError("call reset() before step()")
-        return self._current.step(action)
+        return self._current
+
+    def step(self, action):
+        return self._episode_env().step(action)
+
+    def plan(self):
+        """The current inner env's plan; its context names that env."""
+        env = self._episode_env()
+        context, observation, done = env.plan()
+        return (env, context), observation, done
+
+    def score(self, context, action):
+        env, inner_context = context
+        return env.score(inner_context, action)

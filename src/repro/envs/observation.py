@@ -15,6 +15,11 @@ is the MLP view (flattened history), and
 total outgoing and incoming demand (paper Equation 4), per history step,
 which keeps the per-node feature width constant as graphs grow (the O(|V|)
 observation the paper's §V-B derives).
+
+The environments, the evaluator and PPO's planned rollouts all build
+observations with the same pure functions, :func:`demand_history` and
+:func:`edge_markers`, so no consumer re-derives what an environment would
+have shown the agent.
 """
 
 from __future__ import annotations
@@ -25,6 +30,34 @@ from typing import Optional
 import numpy as np
 
 from repro.graphs.network import Network
+from repro.traffic.sequences import DemandSequence
+
+
+def demand_history(
+    sequence: DemandSequence, step: int, memory_length: int, demand_scale: float
+) -> np.ndarray:
+    """What the agent sees before acting on ``step`` (paper §V-B).
+
+    The ``memory_length`` demand matrices preceding ``step``, divided by
+    the normaliser (zero matrices before the sequence starts).
+    """
+    return sequence.history(step - 1, memory_length) / demand_scale
+
+
+def edge_markers(
+    raw_weights: np.ndarray, set_flags: np.ndarray, target_edge: Optional[int]
+) -> np.ndarray:
+    """The iterative marker state (paper Eq. 6), shape ``(num_edges, 3)``.
+
+    Columns ``(current_weight, already_set, is_target)``; a ``target_edge``
+    of ``None`` or past the last edge flags no target.
+    """
+    state = np.zeros((len(raw_weights), 3))
+    state[:, 0] = raw_weights
+    state[:, 1] = set_flags
+    if target_edge is not None and target_edge < len(raw_weights):
+        state[target_edge, 2] = 1.0
+    return state
 
 
 @dataclass(frozen=True)

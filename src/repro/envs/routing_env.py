@@ -9,9 +9,14 @@ to do better than any static routing.
 
 The per-step translate + simulate work runs on the vectorized batch engine
 (all destinations stacked into one tensor program) via
-:class:`~repro.envs.reward.RewardComputer`; for evaluating a trained policy
-over many sequences or topologies in one call, see
-:func:`repro.engine.batch_evaluate`.
+:class:`~repro.envs.reward.RewardComputer`.
+
+Since an observation is the demand history alone, the agent's action
+decides the reward but never the next state: the environment is a
+contextual bandit, and splits ``step`` into :meth:`RoutingEnv.plan` and
+:meth:`RoutingEnv.score`.  PPO plans a whole rollout before one batched
+forward, and :func:`repro.engine.batch_evaluate` scores every test step of
+a trained policy from one forward.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.envs.observation import GraphObservation
+from repro.envs.observation import GraphObservation, demand_history
 from repro.envs.reward import (
     DEFAULT_WEIGHT_SCALE,
     RewardComputer,
@@ -32,6 +37,7 @@ from repro.rl.env import Env
 from repro.rl.spaces import Box
 from repro.traffic.sequences import DemandSequence
 from repro.utils.seeding import SeedLike, rng_from_seed
+from repro.utils.validation import check_gamma
 
 
 def demand_normaliser(sequences: Sequence[DemandSequence]) -> float:
@@ -73,6 +79,9 @@ class RoutingEnv(Env):
         is the static environment, bit for bit.
     """
 
+    #: The observation is the demand history alone: actions never move it.
+    contextual_bandit = True
+
     def __init__(
         self,
         network: Network,
@@ -97,7 +106,7 @@ class RoutingEnv(Env):
                 raise ValueError(
                     f"sequence length {len(seq)} too short for memory {memory_length}"
                 )
-        if softmin_gamma <= 0.0:
+        if check_gamma(softmin_gamma) <= 0.0:
             raise ValueError("softmin_gamma must be positive")
         if dynamics is not None:
             if dynamics.base is not network:
@@ -138,14 +147,26 @@ class RoutingEnv(Env):
         self._round_robin += 1
         return sequence
 
-    def _network_at(self, step: int) -> Network:
+    def network_at(self, step: int) -> Network:
+        """The network in force at ``step`` (the base network when static)."""
         if self.dynamics is None:
             return self.network
         return self.dynamics.network_at(step)
 
     def _observation(self) -> GraphObservation:
-        history = self._sequence.history(self._step_index - 1, self.memory_length)
-        return GraphObservation(self._network_at(self._step_index), history / self.demand_scale)
+        step = self._step_index
+        # The observation emitted alongside ``done`` is never acted on and no
+        # timeline step is in force past the sequence, so it shows the base.
+        network = self.network if step >= len(self._sequence) else self.network_at(step)
+        return GraphObservation(
+            network,
+            demand_history(self._sequence, step, self.memory_length, self.demand_scale),
+        )
+
+    def _context(self) -> tuple[Network, np.ndarray]:
+        if self._sequence is None:
+            raise RuntimeError("call reset() first")
+        return self.network_at(self._step_index), self._sequence.matrix(self._step_index)
 
     # ------------------------------------------------------------------
     def reset(self) -> GraphObservation:
@@ -153,29 +174,32 @@ class RoutingEnv(Env):
         self._step_index = self.memory_length
         return self._observation()
 
-    def step(self, action: np.ndarray) -> tuple[GraphObservation, float, bool, dict]:
-        if self._sequence is None:
-            raise RuntimeError("call reset() before step()")
+    def plan(self) -> tuple[tuple[Network, np.ndarray], GraphObservation, bool]:
+        """Advance one step without an action.
+
+        The context is ``(network, demand_matrix)`` of the step being left,
+        the one the action chosen for the current observation is scored on.
+        """
+        context = self._context()
+        self._step_index += 1
+        done = self._step_index >= len(self._sequence)
+        return context, self._observation(), done
+
+    def score(self, context: tuple[Network, np.ndarray], action: np.ndarray) -> tuple[float, dict]:
+        """Equation 2 for ``action`` on a planned ``(network, demand)``."""
+        network, demand = context
         action = np.asarray(action, dtype=np.float64)
-        network = self._network_at(self._step_index)
         if action.shape != (network.num_edges,):
             raise ValueError(
                 f"action has shape {action.shape}, expected ({network.num_edges},)"
             )
         weights = weights_from_action(action, self.weight_scale)
-        demand = self._sequence.matrix(self._step_index)
-        reward, info = self.rewarder.reward(
-            network, weights, self.softmin_gamma, demand
-        )
-        self._step_index += 1
-        done = self._step_index >= len(self._sequence)
-        observation = self._observation() if not done else self._terminal_observation()
-        return observation, reward, done, info
+        return self.rewarder.reward(network, weights, self.softmin_gamma, demand)
 
-    def _terminal_observation(self) -> GraphObservation:
-        """Observation emitted alongside ``done`` (content is irrelevant)."""
-        history = self._sequence.history(len(self._sequence) - 1, self.memory_length)
-        return GraphObservation(self.network, history / self.demand_scale)
+    def step(self, action: np.ndarray) -> tuple[GraphObservation, float, bool, dict]:
+        reward, info = self.score(self._context(), action)
+        _, observation, done = self.plan()
+        return observation, reward, done, info
 
     @property
     def episode_length(self) -> int:

@@ -6,8 +6,13 @@ observations.  Two consumers share it:
 
 * :meth:`ActorCriticPolicy.act_batch` — numpy-only inference under
   ``no_grad``: samples (or, deterministically, copies) one action per
-  observation.  Rollout collection, evaluation and the service all call
-  it; evaluation and the service pass a batch of one;
+  observation.  Rollout collection and evaluation call it with as many
+  observations as they know at once (a whole one-shot rollout, a slice
+  of test steps, or every test DM's current iterative sub-step); the
+  service passes one request's observation at a time.  The forward is
+  batch-invariant (see :func:`repro.tensor.ops._affine`): an
+  observation's action, log-prob and value are bit-identical alone or in
+  any batch, so served answers equal offline evaluation;
 * :meth:`ActorCriticPolicy.evaluate` — differentiable log-probs, values
   and entropies of a minibatch, used inside the PPO update.
 

@@ -8,6 +8,19 @@ does the same for the in-repo PPO):
 * :meth:`Env.step` → ``(observation, reward, done, info)``
 * :attr:`Env.action_space` / :attr:`Env.observation_space`
 
+A *contextual bandit* (:attr:`Env.contextual_bandit`) is an environment
+whose actions decide the reward but never the next observation.  It splits
+``step`` in two, so callers can draw many observations before choosing any
+action:
+
+* :meth:`Env.plan` → ``(context, observation, done)``: advance one
+  timestep without an action; ``context`` is what scoring needs;
+* :meth:`Env.score` → ``(reward, info)``: the reward of ``action`` in a
+  planned ``context``.
+
+``step(action)`` then equals ``score`` on the current context followed by
+``plan``.
+
 Observations and actions are *objects* — fixed-topology environments emit
 numpy arrays exactly like Gym, while multi-topology environments emit
 :class:`~repro.envs.observation.GraphObservation` records whose size follows
@@ -40,6 +53,23 @@ class Env:
         Returns ``(observation, reward, done, info)``; after ``done`` is
         True the caller must ``reset`` before stepping again.
         """
+        raise NotImplementedError
+
+    #: True when actions never influence the next observation; such
+    #: environments implement :meth:`plan` and :meth:`score`.
+    contextual_bandit: bool = False
+
+    def plan(self) -> tuple[Any, Any, bool]:
+        """Advance one timestep without an action (contextual bandits only).
+
+        Returns ``(context, observation, done)``: the context to
+        :meth:`score` this timestep's action in, then exactly what ``step``
+        would have returned as observation and done flag.
+        """
+        raise NotImplementedError
+
+    def score(self, context: Any, action: Any) -> tuple[float, dict]:
+        """``(reward, info)`` of ``action`` in a context from :meth:`plan`."""
         raise NotImplementedError
 
     def seed(self, seed: SeedLike = None) -> None:

@@ -86,9 +86,11 @@ class PPO:
     env:
         Environment following :class:`repro.rl.env.Env`, or a
         :class:`~repro.rl.vec_env.VecEnv` of lockstep environments.  A bare
-        environment is wrapped into a one-member ``VecEnv``; rollouts then
-        run one batched ``policy.act_batch`` per timestep across all
-        members.
+        environment is wrapped into a one-member ``VecEnv``.  Rollouts run
+        one batched ``policy.act_batch`` per timestep across all members,
+        or — when every member is a contextual bandit, like the one-shot
+        routing envs — one per rollout over all ``n_steps × n_envs``
+        planned observations.
     config:
         Hyperparameters; defaults are sensible for the GDDR experiments.
     seed:
@@ -125,24 +127,42 @@ class PPO:
     def collect_rollout(self, buffer: RolloutBuffer) -> None:
         """Fill ``buffer`` with ``n_steps`` lockstep transitions per env.
 
-        Every timestep runs one batched forward over all environments'
-        current observations (the policies stack them into a single batch),
-        samples per-env actions from the shared action RNG in slot order,
-        and advances the :class:`VecEnv` once.
+        Each pass plans as many timesteps as the environment allows before
+        one batched forward: the rest of the rollout for contextual bandits
+        (every observation is known before any action is chosen), else one.
+        A pass samples its actions from the shared action RNG in timestep,
+        then slot, order — the order per-step forwards would draw them in —
+        and then scores the planned timesteps, or steps the :class:`VecEnv`.
         """
         buffer.reset()
         if self._last_observations is None:
             self._last_observations = self.vec_env.reset()
         num_envs = self.vec_env.num_envs
+        planned = self.vec_env.contextual_bandit
         while not buffer.full:
-            observations = self._last_observations
-            actions, log_probs, values = self.policy.act_batch(observations, self.rng)
-            next_observations, rewards, dones, _ = self.vec_env.step(actions)
-            buffer.add_batch(observations, actions, rewards, dones, values, log_probs)
-            for i in range(num_envs):
-                self.stats.record(float(rewards[i]), bool(dones[i]), i)
-            self.num_timesteps += num_envs
-            self._last_observations = next_observations
+            horizon = buffer.n_steps - buffer.position if planned else 1
+            columns, plans = [], []
+            for _ in range(horizon):
+                columns.append(self._last_observations)
+                if planned:
+                    contexts, self._last_observations, dones = self.vec_env.plan()
+                    plans.append((contexts, dones))
+            actions, log_probs, values = self.policy.act_batch(
+                [observation for column in columns for observation in column], self.rng
+            )
+            for t, observations in enumerate(columns):
+                span = slice(t * num_envs, (t + 1) * num_envs)
+                if planned:
+                    contexts, dones = plans[t]
+                    rewards = self.vec_env.score(contexts, actions[span])
+                else:
+                    self._last_observations, rewards, dones, _ = self.vec_env.step(actions[span])
+                buffer.add_batch(
+                    observations, actions[span], rewards, dones, values[span], log_probs[span]
+                )
+                for i in range(num_envs):
+                    self.stats.record(float(rewards[i]), bool(dones[i]), i)
+                self.num_timesteps += num_envs
         # Bootstrap values for the states after the last stored transitions.
         _, _, last_values = self.policy.act_batch(
             self._last_observations, self.rng, deterministic=True

@@ -20,6 +20,13 @@ Auto-reset consumes each member's RNG in exactly the order the sequential
 PPO loop did (step, then reset-on-done, env by env), so a ``VecEnv`` of one
 environment reproduces the unbatched rollout stream bit-for-bit.
 
+When every member is a contextual bandit
+(:attr:`~repro.rl.env.Env.contextual_bandit`), :meth:`VecEnv.plan` and
+:meth:`VecEnv.score` split that step in two.  ``plan`` advances and
+auto-resets every member exactly as ``step`` would — same RNG draws, same
+order — without needing the actions, so PPO can plan a whole rollout before
+choosing any of them.
+
 Environments are stepped sequentially in slot order — the wins come from
 batching the *policy* forward and sharing reward caches, not from
 parallelising the (already cache-hot) environment dynamics.
@@ -51,6 +58,8 @@ class VecEnv:
             raise ValueError("VecEnv needs at least one environment")
         self.envs = envs
         self.num_envs = len(envs)
+        #: Whether :meth:`plan` / :meth:`score` are available.
+        self.contextual_bandit = all(env.contextual_bandit for env in envs)
 
     # ------------------------------------------------------------------
     def reset(self) -> list[Any]:
@@ -90,6 +99,43 @@ class VecEnv:
             dones[i] = done
             infos.append(info)
         return observations, rewards, dones, infos
+
+    def plan(self) -> tuple[list[Any], list[Any], np.ndarray]:
+        """Advance every member one timestep without actions.
+
+        Contextual-bandit members only.  Returns ``(contexts, observations,
+        dones)``: one context per slot for :meth:`score`, then the
+        observations and done flags :meth:`step` would have returned
+        (auto-reset included).
+        """
+        if not self.contextual_bandit:
+            raise TypeError("plan() needs every member to be a contextual bandit")
+        contexts: list[Any] = []
+        observations: list[Any] = []
+        dones = np.zeros(self.num_envs, dtype=bool)
+        for i, env in enumerate(self.envs):
+            context, observation, done = env.plan()
+            if done:
+                observation = env.reset()
+            contexts.append(context)
+            observations.append(observation)
+            dones[i] = done
+        return contexts, observations, dones
+
+    def score(self, contexts: Sequence[Any], actions: Sequence[Any]) -> np.ndarray:
+        """Rewards of one planned timestep: slot ``i``'s action in its context."""
+        if len(contexts) != self.num_envs or len(actions) != self.num_envs:
+            raise ValueError(
+                f"expected {self.num_envs} contexts and actions, "
+                f"got {len(contexts)} and {len(actions)}"
+            )
+        return np.array(
+            [
+                env.score(context, action)[0]
+                for env, context, action in zip(self.envs, contexts, actions)
+            ],
+            dtype=np.float64,
+        )
 
     # ------------------------------------------------------------------
     def seed(self, seeds: Sequence[Any]) -> None:

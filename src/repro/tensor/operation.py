@@ -252,9 +252,10 @@ class Linear(Operation):
     Dense layers dominate every policy forward, so halving their node count
     measurably shrinks both tape construction and the backward walk.  The
     gradient formulas are exactly the MatMul and Add rules composed (the
-    upstream gradient passes through the bias add unchanged), so results are
-    bit-identical to the unfused pair.  ``w`` is always the 2-D layer
-    weight; ``x`` is a single sample (1-D) or a batch (2-D).
+    upstream gradient passes through the bias add unchanged), so gradients
+    are bit-identical to the unfused pair's; the forward multiplies each
+    row on its own (:func:`repro.tensor.ops._affine`).  ``w`` is always the
+    2-D layer weight; ``x`` is a single sample (1-D) or a batch (2-D).
     """
 
     __slots__ = ()

@@ -165,9 +165,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._constant(out)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` with every row independent of the others in ``x``.
+
+    BLAS chooses its kernel by matrix shape, so one row of a plain product
+    rounds differently as the number of rows around it changes: a policy's
+    action for an observation would then depend on its batch-mates.  Each
+    row is instead its own ``(1, d) @ w`` product (one stacked ``matmul``),
+    so a batch of one and a member of any batch get bit-identical results.
+    """
+    return np.matmul(x[..., None, :], w)[..., 0, :] + b
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused affine map ``x @ w + b`` (see :class:`operation.Linear`)."""
-    out = x.data @ w.data + b.data
+    out = _affine(x.data, w.data, b.data)
     if _core._GRAD_ENABLED and (x.requires_grad or w.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.Linear((x, w, b)))
     return Tensor._constant(out)
@@ -175,7 +187,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused ``relu(x @ w + b)`` (see :class:`operation.LinearReLU`)."""
-    pre = x.data @ w.data + b.data
+    pre = _affine(x.data, w.data, b.data)
     out = np.maximum(pre, 0.0)
     if _core._GRAD_ENABLED and (x.requires_grad or w.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.LinearReLU((x, w, b), pre > 0.0))
@@ -184,7 +196,7 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def linear_tanh(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused ``tanh(x @ w + b)`` (see :class:`operation.LinearTanh`)."""
-    out = np.tanh(x.data @ w.data + b.data)
+    out = np.tanh(_affine(x.data, w.data, b.data))
     if _core._GRAD_ENABLED and (x.requires_grad or w.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.LinearTanh((x, w, b), out))
     return Tensor._constant(out)

@@ -9,7 +9,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from repro.engine.evaluate import EvaluationResult
 from repro.engine.simulator_batch import _NEGATIVE_FLOW_TOLERANCE, RoutingLoopError
+from repro.envs.factory import make_routing_env
 from repro.flows.lp import (
     InfeasibleRoutingError,
     OptimalRouting,
@@ -23,6 +25,7 @@ from repro.routing.shortest_path import ecmp_routing
 from repro.routing.softmin import DEFAULT_GAMMA, _validate_weights, softmin
 from repro.routing.strategy import DestinationRouting, RoutingStrategy
 from repro.tensor import Tensor, no_grad
+from repro.utils.seeding import rng_from_seed
 from repro.utils.validation import check_square_matrix
 
 
@@ -572,3 +575,52 @@ def reference_act(policy, observation, rng: np.random.Generator, deterministic: 
         action = policy.distribution.sample(mean, rng)
     log_prob = float(policy.distribution.log_prob_values([mean], [action])[0])
     return action, log_prob, value
+
+
+# ---------------------------------------------------------------------------
+# Evaluation oracle: the env-stepping rollout ``batch_evaluate`` ran before it
+# scored every test step from batched forwards.
+# ---------------------------------------------------------------------------
+
+
+def reference_rollout_policy(
+    policy,
+    network: Network,
+    sequences: list,
+    *,
+    iterative: bool,
+    memory_length: int,
+    softmin_gamma: float,
+    weight_scale: float,
+    rewarder,
+    seed,
+    timeline=None,
+) -> EvaluationResult:
+    """Deterministically roll the policy over every sequence once.
+
+    Steps the real environment (round-robin sequence order, mean actions)
+    with one ``act_batch([observation])`` per step.
+    """
+    env = make_routing_env(
+        network,
+        sequences,
+        iterative=iterative,
+        memory_length=memory_length,
+        softmin_gamma=softmin_gamma,
+        weight_scale=weight_scale,
+        reward_computer=rewarder,
+        seed=seed,
+        sample_sequences=False,
+        dynamics=timeline,
+    )
+    rng = rng_from_seed(seed)
+    ratios: list[float] = []
+    for _ in range(len(sequences)):
+        observation = env.reset()
+        done = False
+        while not done:
+            actions, _, _ = policy.act_batch([observation], rng, deterministic=True)
+            observation, _, done, info = env.step(actions[0])
+            if "utilisation_ratio" in info:
+                ratios.append(info["utilisation_ratio"])
+    return EvaluationResult(tuple(ratios))

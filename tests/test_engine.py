@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     SPARSE_MAX_DENSITY,
@@ -33,11 +34,13 @@ from repro.engine.evaluate import (
     batch_evaluate,
     batch_evaluate_routing,
     warm_lp_cache,
+    _group_timeline,
 )
 from repro.envs.reward import RewardComputer
 from repro.flows.simulator import RoutingLoopError, link_loads, utilisation_ratio
 from repro.graphs import Network, abilene, random_connected_network
-from repro.policies import GNNPolicy, IterativeGNNPolicy
+from repro.api.registry import DYNAMICS
+from repro.policies import GNNPolicy, IterativeGNNPolicy, MLPPolicy
 from repro.routing.shortest_path import shortest_path_routing
 from repro.routing.softmin import softmin_routing
 from repro.traffic import bimodal_matrix, cyclical_sequence, sparse_matrix
@@ -46,6 +49,7 @@ from tests.helpers import (
     reference_distances_to,
     reference_link_loads,
     reference_prune_by_distance,
+    reference_rollout_policy,
     reference_softmin_routing,
     triangle_network,
 )
@@ -631,3 +635,139 @@ class TestBatchEvaluate:
         for bad in (0, -1, True, 1.5):
             with pytest.raises(ValueError, match="workers"):
                 warm_lp_cache(net, seqs, RewardComputer(), memory_length=3, workers=bad)
+
+
+def _evaluation_policy(kind, network, memory, seed):
+    if kind == "mlp":
+        return MLPPolicy(network.num_nodes, network.num_edges, memory, hidden=(16,), seed=seed)
+    cls = IterativeGNNPolicy if kind == "iterative" else GNNPolicy
+    return cls(memory_length=memory, latent=8, hidden=8, num_processing_steps=2, seed=seed)
+
+
+def _assert_matches_stepping_oracle(policy, groups, *, iterative, dynamics=None):
+    """``batch_evaluate`` equals the env-stepping oracle per group, bit for bit."""
+    options = dict(memory_length=3, softmin_gamma=2.0, weight_scale=3.0, seed=0)
+    rewarder = RewardComputer()
+    networks = [network for network, _ in groups]
+    batched = batch_evaluate(
+        policy,
+        networks,
+        [sequences for _, sequences in groups],
+        iterative=iterative,
+        reward_computer=rewarder,
+        dynamics=dynamics,
+        **options,
+    )
+    assert len(batched.per_network) == len(groups)
+    for (network, sequences), result in zip(groups, batched.per_network):
+        timeline, sequences = _group_timeline(dynamics, network, sequences)
+        expected = reference_rollout_policy(
+            policy,
+            network,
+            sequences,
+            iterative=iterative,
+            rewarder=rewarder,
+            timeline=timeline,
+            **options,
+        ).ratios
+        assert result.count == len(expected) == sum(len(s) - 3 for s in sequences)
+        assert result.ratios == expected
+
+
+class TestBatchedPolicyEvaluation:
+    """One forward per batch of observations scores exactly like stepping the envs.
+
+    Policy forwards are batch-invariant, so each observation's action is the
+    one a batch of one would have produced.
+    """
+
+    @pytest.mark.parametrize("kind", ["mlp", "gnn", "iterative"])
+    @settings(max_examples=3, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        num_sequences=st.integers(1, 3),
+        num_groups=st.integers(1, 2),
+    )
+    def test_matches_stepping_oracle(self, kind, seed, num_sequences, num_groups):
+        # The MLP is fixed-size, so its groups share one topology.
+        networks = [
+            random_connected_network(6 + (0 if kind == "mlp" else g), 4, seed=seed + g)
+            for g in range(num_groups)
+        ]
+        groups = [
+            (
+                network,
+                [
+                    cyclical_sequence(network.num_nodes, 6, 3, seed=seed + 7 * g + i)
+                    for i in range(num_sequences)
+                ],
+            )
+            for g, network in enumerate(networks)
+        ]
+        policy = _evaluation_policy(kind, networks[0], 3, seed)
+        _assert_matches_stepping_oracle(policy, groups, iterative=kind == "iterative")
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**16), num_failures=st.integers(1, 2))
+    def test_gnn_under_link_flap_mixes_variants_in_one_forward(self, seed, num_failures):
+        network = abilene()
+        sequences = [cyclical_sequence(network.num_nodes, 9, 3, seed=seed + i) for i in range(2)]
+
+        def flap(net, length):
+            return DYNAMICS.get("link_flap")(net, length, num_failures=num_failures, seed=seed)
+
+        timeline, _ = _group_timeline(flap, network, sequences)
+        edge_counts = {timeline.network_at(step).num_edges for step in range(3, 9)}
+        assert len(edge_counts) == 2  # one batch_graphs call sees both variants
+        policy = _evaluation_policy("gnn", network, 3, seed)
+        _assert_matches_stepping_oracle(
+            policy, [(network, sequences)], iterative=False, dynamics=flap
+        )
+
+    def test_one_forward_per_network_and_one_per_edge_when_iterative(self, monkeypatch):
+        from repro.policies.base import ActorCriticPolicy
+
+        batch_sizes = []
+        original = ActorCriticPolicy.act_batch
+
+        def counting(policy, observations, *args, **kwargs):
+            batch_sizes.append(len(observations))
+            return original(policy, observations, *args, **kwargs)
+
+        monkeypatch.setattr(ActorCriticPolicy, "act_batch", counting)
+        monkeypatch.setattr(GNNPolicy, "act_batch", counting)
+        net = abilene()
+        seqs = [cyclical_sequence(net.num_nodes, 8, 4, seed=i) for i in range(2)]
+        batch_evaluate(_evaluation_policy("gnn", net, 3, 0), net, seqs, memory_length=3)
+        assert batch_sizes == [2 * (8 - 3)]
+        batch_sizes.clear()
+        batch_evaluate(
+            _evaluation_policy("iterative", net, 3, 0), net, seqs, memory_length=3, iterative=True
+        )
+        assert batch_sizes == [2 * (8 - 3)] * net.num_edges
+
+    @pytest.mark.parametrize("kind", ["gnn", "iterative"])
+    def test_slicing_the_test_steps_changes_only_batch_sizes(self, kind, monkeypatch):
+        from repro.engine import evaluate as evaluate_module
+        from repro.policies.base import ActorCriticPolicy
+
+        net = abilene()
+        seqs = [cyclical_sequence(net.num_nodes, 8, 4, seed=i) for i in range(2)]
+        iterative = kind == "iterative"
+        policy = _evaluation_policy(kind, net, 3, 0)
+        whole = batch_evaluate(policy, net, seqs, memory_length=3, iterative=iterative)
+
+        batch_sizes = []
+        original = ActorCriticPolicy.act_batch
+
+        def counting(policy, observations, *args, **kwargs):
+            batch_sizes.append(len(observations))
+            return original(policy, observations, *args, **kwargs)
+
+        monkeypatch.setattr(ActorCriticPolicy, "act_batch", counting)
+        monkeypatch.setattr(GNNPolicy, "act_batch", counting)
+        monkeypatch.setattr(evaluate_module, "EVALUATION_BATCH", 4)
+        sliced = batch_evaluate(policy, net, seqs, memory_length=3, iterative=iterative)
+        assert sliced.ratios == whole.ratios
+        forwards_per_slice = net.num_edges if iterative else 1
+        assert batch_sizes == [size for size in (4, 4, 2) for _ in range(forwards_per_slice)]

@@ -152,6 +152,38 @@ class TestRoutingEnv:
         with pytest.raises(ValueError, match="softmin_gamma"):
             RoutingEnv(net, sequences_for(net), softmin_gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_gamma_rejected_at_construction(self, gamma):
+        net = abilene()
+        with pytest.raises(ValueError, match="gamma"):
+            RoutingEnv(net, sequences_for(net), softmin_gamma=gamma)
+
+    def test_plan_then_score_equals_step(self):
+        stepped, planned = self._env(seed=4), self._env(seed=4)
+        assert planned.contextual_bandit
+        rng = np.random.default_rng(0)
+        obs_a, obs_b = stepped.reset(), planned.reset()
+        for _ in range(2 * stepped.episode_length):
+            action = rng.uniform(-1, 1, stepped.network.num_edges)
+            obs_a, reward_a, done_a, info_a = stepped.step(action)
+            context, obs_b, done_b = planned.plan()
+            reward_b, info_b = planned.score(context, action)
+            assert (reward_a, done_a, info_a) == (reward_b, done_b, info_b)
+            np.testing.assert_array_equal(obs_a.history, obs_b.history)
+            if done_a:
+                obs_a, obs_b = stepped.reset(), planned.reset()
+
+    def test_score_checks_action_shape(self):
+        env = self._env()
+        env.reset()
+        context, _, _ = env.plan()
+        with pytest.raises(ValueError, match="shape"):
+            env.score(context, np.zeros(3))
+
+    def test_plan_before_reset_raises(self):
+        with pytest.raises(RuntimeError, match="reset"):
+            self._env().plan()
+
 
 class TestIterativeRoutingEnv:
     def _env(self, **kwargs):
@@ -225,6 +257,17 @@ class TestIterativeRoutingEnv:
         with pytest.raises(NonFiniteActionError, match="1 non-finite"):
             env.step(np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize(
+        "gamma_range",
+        [(5.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (0.5, np.inf)],
+    )
+    def test_gamma_range_validated_at_construction(self, gamma_range):
+        with pytest.raises(ValueError, match="gamma"):
+            self._env(gamma_range=gamma_range)
+
+    def test_is_not_a_contextual_bandit(self):
+        assert not self._env().contextual_bandit
+
     def test_marker_state_resets_between_matrices(self):
         env = self._env()
         env.reset()
@@ -270,6 +313,17 @@ class TestMultiGraphRoutingEnv:
     def test_networks_property(self):
         env = MultiGraphRoutingEnv(self._pairs(), memory_length=3, seed=0)
         assert len(env.networks) == 2
+
+    def test_one_shot_pool_plans_and_scores_on_the_episode_env(self):
+        env = MultiGraphRoutingEnv(self._pairs(), memory_length=3, seed=0)
+        assert env.contextual_bandit
+        assert not MultiGraphRoutingEnv(self._pairs(), iterative=True, seed=0).contextual_bandit
+        env.reset()
+        inner = env._current
+        context, observation, _ = env.plan()
+        assert context[0] is inner and observation.network is inner.network
+        reward, info = env.score(context, np.zeros(inner.network.num_edges))
+        assert reward == -info["utilisation_ratio"]
 
     def test_requires_pairs(self):
         with pytest.raises(ValueError):

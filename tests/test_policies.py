@@ -258,6 +258,30 @@ def _policy_and_observation(kind):
     return policy, observation_for(net, seed=3, with_edge_state=True, target_edge=4)
 
 
+class TestBatchInvariance:
+    """An observation's action never depends on the rest of its batch."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "gnn", "iterative"])
+    def test_act_batch_rows_equal_batches_of_one(self, kind):
+        policy, _ = _policy_and_observation(kind)
+        iterative = kind == "iterative"
+        networks = [abilene()] if kind == "mlp" else [abilene(), nsfnet(), square_network()]
+        observations = [
+            observation_for(networks[i % len(networks)], seed=i, with_edge_state=iterative)
+            for i in range(40)
+        ]
+        alone = [policy.act_batch([o], RNG, deterministic=True) for o in observations]
+        for start, stop in ((0, 2), (3, 20), (0, 40), (17, 18)):
+            actions, log_probs, values = policy.act_batch(
+                observations[start:stop], RNG, deterministic=True
+            )
+            for k, (action, log_prob, value) in enumerate(zip(actions, log_probs, values)):
+                single_actions, single_log_probs, single_values = alone[start + k]
+                np.testing.assert_array_equal(action, single_actions[0])
+                assert log_prob == single_log_probs[0]
+                assert value == single_values[0]
+
+
 class TestSharedForward:
     """``act_batch`` on one observation reproduces the per-observation oracle."""
 

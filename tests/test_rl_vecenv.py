@@ -1,16 +1,21 @@
 """Tests for the vectorized training stack: VecEnv semantics, the
-``n_envs=1`` bit-identity pin against a sequential reference collector, and
-seeded determinism of multi-env training."""
+``n_envs=1`` bit-identity pin against a sequential reference collector,
+seeded determinism of multi-env training, and the RNG stream of planned
+one-shot rollouts."""
 
 import numpy as np
 import pytest
 
+from repro.envs import MultiGraphRoutingEnv, RoutingEnv
+from repro.graphs import abilene, random_connected_network
+from repro.policies import GNNPolicy
 from repro.rl.env import Env
 from repro.rl.ppo import PPO, PPOConfig
 from repro.rl.spaces import Box
 from repro.rl.vec_env import VecEnv, as_vec_env
 from repro.tensor import Tensor
 from repro.tensor.optim import Adam
+from repro.traffic import cyclical_sequence
 from repro.utils.logging import RunLogger
 from test_rl_ppo import TargetEnv, TinyPolicy
 from tests.helpers import reference_act
@@ -85,27 +90,48 @@ class SequentialReferencePPO(PPO):
     """The pre-vectorisation collection loop: one ``reference_act`` per step.
 
     This replicates the sequential implementation the VecEnv refactor
-    replaced; :class:`TestVectorisedTraining` pins ``n_envs=1`` training to
-    it bit for bit.
+    replaced, slot by slot over lockstep members: act on every slot's
+    observation, then step each member and reset it when its episode ends.
+    :class:`TestVectorisedTraining` pins ``n_envs=1`` training on generic
+    envs to it bit for bit, and :class:`TestPlannedRollouts` PPO's planned
+    one-shot rollouts.
     """
 
     def collect_rollout(self, buffer):
         buffer.reset()
+        envs = self.vec_env.envs
         if self._last_observations is None:
-            self._last_observations = [self.env.reset()]
-        observation = self._last_observations[0]
+            self._last_observations = [env.reset() for env in envs]
+        observations = self._last_observations
         while not buffer.full:
-            action, log_prob, value = reference_act(self.policy, observation, self.rng)
-            next_observation, reward, done, _ = self.env.step(action)
-            if done:
-                next_observation = self.env.reset()
-            buffer.add(observation, action, reward, done, value, log_prob)
-            self.stats.record(reward, done)
-            self.num_timesteps += 1
-            observation = next_observation
-        self._last_observations = [observation]
-        _, _, last_value = reference_act(self.policy, observation, self.rng, deterministic=True)
-        buffer.compute_returns_and_advantages(last_value, bool(buffer.dones[0, -1]))
+            actions, log_probs, values = zip(
+                *(reference_act(self.policy, o, self.rng) for o in observations)
+            )
+            next_observations, rewards, dones = [], [], []
+            for env, action in zip(envs, actions):
+                next_observation, reward, done, _ = env.step(action)
+                if done:
+                    next_observation = env.reset()
+                next_observations.append(next_observation)
+                rewards.append(reward)
+                dones.append(done)
+            buffer.add_batch(
+                observations,
+                actions,
+                np.array(rewards),
+                np.array(dones, dtype=bool),
+                np.array(values),
+                np.array(log_probs),
+            )
+            for i, (reward, done) in enumerate(zip(rewards, dones)):
+                self.stats.record(reward, done, i)
+            self.num_timesteps += len(envs)
+            observations = next_observations
+        self._last_observations = observations
+        last_values = [
+            reference_act(self.policy, o, self.rng, deterministic=True)[2] for o in observations
+        ]
+        buffer.compute_returns_and_advantages(np.array(last_values), buffer.dones[:, -1])
 
 
 def _train(ppo_cls, n_envs, policy_seed, train_seed, total_timesteps=48):
@@ -169,3 +195,98 @@ class TestInPlaceOptimizer:
         identities = [id(p.data) for p in policy.parameters()]
         PPO(policy, TargetEnv(), PPOConfig(n_steps=16, batch_size=8, n_epochs=2)).learn(32)
         assert [id(p.data) for p in policy.parameters()] == identities
+
+
+class _RecordingRollouts:
+    """Keeps every collected rollout's observations, dones and rewards."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rollouts = []
+
+    def collect_rollout(self, buffer):
+        super().collect_rollout(buffer)
+        observations = [list(column) for column in buffer.observations]
+        self.rollouts.append((observations, buffer.dones.copy(), buffer.rewards.copy()))
+
+
+class RecordingPPO(_RecordingRollouts, PPO):
+    pass
+
+
+class RecordingReferencePPO(_RecordingRollouts, SequentialReferencePPO):
+    pass
+
+
+def _one_shot_env(kind, slot):
+    net = abilene()
+    sequences = [cyclical_sequence(net.num_nodes, 6, 3, seed=i) for i in range(3)]
+    if kind == "routing":
+        return RoutingEnv(net, sequences, memory_length=3, seed=11 + slot)
+    other = random_connected_network(9, 5, seed=2)
+    pairs = [
+        (net, sequences),
+        (other, [cyclical_sequence(other.num_nodes, 6, 3, seed=4 + i) for i in range(2)]),
+    ]
+    return MultiGraphRoutingEnv(pairs, memory_length=3, seed=11 + slot)
+
+
+def _env_rngs(env):
+    members = env.inner_envs if isinstance(env, MultiGraphRoutingEnv) else []
+    return [e._rng.bit_generator.state for e in [env, *members]]
+
+
+def _planned_training(ppo_cls, kind, n_envs):
+    vec = VecEnv([_one_shot_env(kind, slot) for slot in range(n_envs)])
+    policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=3)
+    ppo = ppo_cls(policy, vec, PPOConfig(n_steps=8, batch_size=8, n_epochs=2), seed=5)
+    ppo.learn(3 * 8 * n_envs)
+    return ppo
+
+
+class TestPlannedRollouts:
+    """One-shot envs plan a rollout before one forward: same RNG streams, and
+    (policy forwards being batch-invariant) the same training, bit for bit."""
+
+    @pytest.mark.parametrize("kind,n_envs", [("routing", 1), ("routing", 3), ("multigraph", 2)])
+    def test_matches_stepping_reference(self, kind, n_envs):
+        planned = _planned_training(RecordingPPO, kind, n_envs)
+        stepped = _planned_training(RecordingReferencePPO, kind, n_envs)
+        assert planned.vec_env.contextual_bandit
+        assert len(planned.rollouts) == len(stepped.rollouts) == 3
+        for (obs_a, dones_a, rewards_a), (obs_b, dones_b, rewards_b) in zip(
+            planned.rollouts, stepped.rollouts
+        ):
+            np.testing.assert_array_equal(dones_a, dones_b)
+            np.testing.assert_array_equal(rewards_a, rewards_b)
+            for column_a, column_b in zip(obs_a, obs_b):
+                for a, b in zip(column_a, column_b):
+                    assert a.network.edges == b.network.edges
+                    np.testing.assert_array_equal(a.history, b.history)
+        assert planned.stats.episode_lengths == stepped.stats.episode_lengths
+        assert planned.stats.episode_rewards == stepped.stats.episode_rewards
+        assert planned.stats.num_episodes > n_envs  # auto-resets drew sequences
+        for env_a, env_b in zip(planned.vec_env.envs, stepped.vec_env.envs):
+            assert _env_rngs(env_a) == _env_rngs(env_b)
+        assert planned.rng.bit_generator.state == stepped.rng.bit_generator.state
+        for a, b in zip(planned.policy.parameters(), stepped.policy.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_one_forward_per_rollout(self, monkeypatch):
+        batch_sizes = []
+        original = GNNPolicy.act_batch
+
+        def counting(policy, observations, *args, **kwargs):
+            batch_sizes.append(len(observations))
+            return original(policy, observations, *args, **kwargs)
+
+        monkeypatch.setattr(GNNPolicy, "act_batch", counting)
+        _planned_training(RecordingPPO, "routing", 3)
+        # Per rollout: 8 steps x 3 envs in one forward, then the bootstrap.
+        assert batch_sizes == [24, 3] * 3
+
+    def test_generic_envs_are_not_planned(self):
+        vec = VecEnv([TargetEnv(), ScriptedEnv()])
+        assert not vec.contextual_bandit
+        with pytest.raises(TypeError, match="contextual bandit"):
+            vec.plan()

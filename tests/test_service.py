@@ -289,6 +289,60 @@ class TestPolicyServing:
         # differed, so the policy was actually shown the history.
         assert with_history[0].optimal == pytest.approx(without[0].optimal, abs=1e-12)
 
+    def test_tick_answers_each_request_like_a_tick_of_one(self, policy_server):
+        engine = policy_server.engine
+        memory = engine.memory_length
+        rng = np.random.default_rng(21)
+        requests = []
+        for k in range(5):
+            demand = np.abs(rng.normal(size=(11, 11)))
+            np.fill_diagonal(demand, 0.0)
+            history = np.abs(rng.normal(size=(memory, 11, 11))) if k % 2 else None
+            requests.append(RouteRequest(demand=demand, history=history))
+        # A wrong-length history fails only its own request.
+        requests.insert(2, RouteRequest(demand=requests[0].demand, history=np.zeros((1, 11, 11))))
+        tick = engine.evaluate_batch(requests)
+        alone = [engine.evaluate_batch([request])[0] for request in requests]
+        assert isinstance(tick[2], SpecValidationError)
+        assert isinstance(alone[2], SpecValidationError)
+        for together, single in zip(tick[:2] + tick[3:], alone[:2] + alone[3:]):
+            assert [entry.label for entry in together] == ["mlp", "shortest_path"]
+            # Batch-invariant forwards: tick-mates never change an answer.
+            assert together == single
+
+    def test_non_finite_action_fails_only_its_request(self, policy_server):
+        from repro.envs.reward import NonFiniteActionError
+
+        engine = policy_server.engine
+        policy, iterative = engine.entries["mlp"][1]
+
+        class PoisonedPolicy:
+            """Emits a NaN weight for observations with a nonzero history."""
+
+            def act_batch(self, observations, rng, deterministic=False):
+                actions, log_probs, values = policy.act_batch(observations, rng, deterministic)
+                for action, observation in zip(actions, observations):
+                    if observation.history.any():
+                        action[0] = np.nan
+                return actions, log_probs, values
+
+        demand = np.ones((11, 11))
+        np.fill_diagonal(demand, 0.0)
+        poisoned = np.ones((engine.memory_length, 11, 11))
+        requests = [
+            RouteRequest(demand=demand, labels=("mlp",)),
+            RouteRequest(demand=demand, history=poisoned, labels=("mlp",)),
+            RouteRequest(demand=demand, labels=("mlp",)),
+        ]
+        expected = engine.evaluate_batch(requests[:1])[0]
+        engine.entries["mlp"] = ("policy", (PoisonedPolicy(), iterative))
+        try:
+            answers = engine.evaluate_batch(requests)
+        finally:
+            engine.entries["mlp"] = ("policy", (policy, iterative))
+        assert isinstance(answers[1], NonFiniteActionError)
+        assert answers[0] == answers[2] == expected
+
 
 class TestServedPolicyMatchesOffline:
     def test_replayed_test_demands_match_offline_ratios(self):

@@ -54,6 +54,21 @@ class TestLinear:
         expected = x @ layer.weight.numpy() + layer.bias.numpy()
         np.testing.assert_allclose(layer(Tensor(x)).numpy(), expected)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_each_row_is_independent_of_the_batch(self, activation):
+        # A row's result must not depend on how many rows share the call
+        # (batch-invariant policy forwards rest on this), for any row count
+        # and for a single 1-D sample.
+        model = MLP([300, 37, 24, 5], np.random.default_rng(1), activation=activation)
+        layer = Linear(37, 5, np.random.default_rng(2))
+        data = np.random.default_rng(3).normal(size=(70, 300))
+        for forward, x in ((model, data), (layer, data[:, :37])):
+            alone = [forward(Tensor(row)).numpy() for row in x]
+            for count in (1, 2, 7, 8, 9, 17, 33, 70):
+                rows = forward(Tensor(x[:count])).numpy()
+                for row, expected in zip(rows, alone):
+                    np.testing.assert_array_equal(row, expected)
+
     def test_gain_scales_weights(self):
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
