@@ -7,11 +7,13 @@ forward pass, and a full PPO update — plus the graph kernels behind the
 classical baselines and the link-failure operators.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.envs.observation import GraphObservation
-from repro.flows.lp import solve_optimal_max_utilisation
+from repro.flows.lp import BASE_MEMO_ENTRIES, solve_optimal_max_utilisation
 from repro.flows.simulator import link_loads
 from repro.gnn import batch_graphs
 from repro.graphs import abilene, nsfnet
@@ -29,18 +31,30 @@ def setup():
     return net, dm, weights
 
 
+def _unmemoised(dm):
+    """``dm`` at ``BASE_MEMO_ENTRIES + 1`` scales, in a cycle.
+
+    A structure memoises its last ``BASE_MEMO_ENTRIES`` base solves, so
+    cycling one more matrix than that misses the memo on every round:
+    each round pays a real LP solve, as a never-seen DM does.
+    """
+    scaled = itertools.cycle([dm * (1.0 + 0.25 * i) for i in range(BASE_MEMO_ENTRIES + 1)])
+    return lambda: next(scaled)
+
+
 @pytest.mark.benchmark(group="micro")
 def test_lp_solve_abilene(benchmark, setup):
     net, dm, _ = setup
-    result = benchmark(solve_optimal_max_utilisation, net, dm)
+    next_dm = _unmemoised(dm)
+    result = benchmark(lambda: solve_optimal_max_utilisation(net, next_dm()))
     assert result.max_utilisation > 0.0
 
 
 @pytest.mark.benchmark(group="micro")
 def test_lp_solve_nsfnet(benchmark):
     net = nsfnet()
-    dm = bimodal_matrix(net.num_nodes, seed=1)
-    result = benchmark(solve_optimal_max_utilisation, net, dm)
+    next_dm = _unmemoised(bimodal_matrix(net.num_nodes, seed=1))
+    result = benchmark(lambda: solve_optimal_max_utilisation(net, next_dm()))
     assert result.max_utilisation > 0.0
 
 
@@ -185,7 +199,7 @@ def _lp_workload(seed=0):
 
 @pytest.mark.benchmark(group="lp")
 def test_lp_assembly(benchmark):
-    """Vectorized COO assembly of the 197-node constraint structure."""
+    """Index-arithmetic column-wise assembly of the 197-node constraint structure."""
     from repro.flows.lp import LinearProgramStructure, demand_destinations
 
     net, dm = _lp_workload()
@@ -203,9 +217,10 @@ def test_lp_resolve(benchmark):
     rescaled = np.where(
         dm > 0.0, dm * np.random.default_rng(1).uniform(0.5, 2.0, dm.shape), 0.0
     )
+    next_dm = _unmemoised(rescaled)
     with use_lp_cache(LinearProgramCache()):
         solve_optimal_max_utilisation(net, dm)  # warm the structure
-        result = benchmark(solve_optimal_max_utilisation, net, rescaled)
+        result = benchmark(lambda: solve_optimal_max_utilisation(net, next_dm()))
     assert result.max_utilisation > 0.0
 
 
@@ -450,6 +465,26 @@ def test_dynamics_variant_materialisation(benchmark):
 
     variant = benchmark(delta.apply, net)
     assert variant.num_edges == net.num_edges - 4
+
+
+@pytest.mark.benchmark(group="dynamics")
+def test_lp_variant_resolve(benchmark):
+    """The linkflap outage variant's LP on its base's prewarmed structure.
+
+    Each round solves the variant as bound edits of the 197-node base
+    structure, hot-started from the base's memoised optimal basis for the
+    same demand matrix: what every link-flap step pays after the base.
+    """
+    from repro.flows.lp import LinearProgramCache, solve_optimal_max_utilisation, use_lp_cache
+    from repro.graphs.dynamics import NetworkDelta
+
+    net, dm = _lp_workload()
+    variant = NetworkDelta(removed_links=((131, 155), (159, 184))).apply(net)
+    with use_lp_cache(LinearProgramCache()) as cache:
+        base = solve_optimal_max_utilisation(net, dm)  # structure + base basis
+        result = benchmark(solve_optimal_max_utilisation, variant, dm)
+    assert len(cache) == 1
+    assert result.max_utilisation >= base.max_utilisation - 1e-9
 
 
 @pytest.mark.benchmark(group="dynamics")

@@ -32,7 +32,7 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.sparse import csc_matrix, identity
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from repro.faults import fault_point
@@ -132,25 +132,63 @@ def select_backend(network: Network, backend: str = "auto") -> str:
     return "dense"
 
 
+class _BalancePattern:
+    """Every slot an ``I - Pᵀ`` system of one topology can fill, in CSC order.
+
+    Column ``u`` holds the diagonal ``(u, u)`` and one ``(v, u)`` slot per
+    edge ``u → v``, rows ascending; ``edge_slot``/``diagonal_slot`` place
+    edge ratios and the unit diagonal into that layout.
+    """
+
+    __slots__ = ("rows", "column_starts", "edge_slot", "diagonal_slot")
+
+    def __init__(self, network: Network):
+        n, m = network.num_nodes, network.num_edges
+        columns = np.concatenate([network.senders, np.arange(n)])
+        rows = np.concatenate([network.receivers, np.arange(n)])
+        order = np.lexsort((rows, columns))
+        slot = np.empty(m + n, dtype=np.int64)
+        slot[order] = np.arange(m + n)
+        self.rows = rows[order].astype(np.int32)
+        self.column_starts = np.r_[0, np.cumsum(np.bincount(columns, minlength=n))]
+        self.edge_slot = slot[:m]
+        self.diagonal_slot = slot[m:]
+
+
+def _balance_pattern(network: Network) -> _BalancePattern:
+    # Networks are immutable, so the pattern is memoised on the instance.
+    pattern = getattr(network, "_balance_pattern", None)
+    if pattern is None:
+        pattern = network._balance_pattern = _BalancePattern(network)
+    return pattern
+
+
 def sparse_balance_system(
     network: Network, row: np.ndarray, target: int
 ) -> csc_matrix:
-    """Assemble one ``I - Pᵀ`` balance system as CSC.
+    """Assemble one ``I - Pᵀ`` balance system as canonical CSC.
 
     Identical entries to the dense ``_stacked_systems`` member: transposed
     splitting ratios negated, the destination's forwarding row zeroed (it
-    absorbs), unit diagonal added.
+    absorbs), unit diagonal added.  The arrays are written in one pass
+    over the topology's cached slot pattern: zero entries dropped, row
+    indices sorted, ``int32`` indices — byte for byte what
+    ``csc_matrix(coo) + identity`` gives, so ``splu`` sees the same input.
     """
     # The dense member is ``M[v, u] = -ratio(u→v)`` with the destination's
     # *outgoing* entries (sender == target) zeroed: the destination absorbs,
     # so its forwarding ratios — column ``target`` after the transpose —
     # never re-inject flow.
-    keep = network.senders != target
-    system = csc_matrix(
-        (-row[keep], (network.receivers[keep], network.senders[keep])),
-        shape=(network.num_nodes, network.num_nodes),
-    )
-    return system + identity(network.num_nodes, format="csc")
+    pattern = _balance_pattern(network)
+    n = network.num_nodes
+    data = np.empty(len(pattern.rows))
+    data[pattern.edge_slot] = -row
+    data[pattern.column_starts[target] : pattern.column_starts[target + 1]] = 0.0
+    data[pattern.diagonal_slot] = 1.0
+    kept = data != 0.0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.add.reduceat(kept, pattern.column_starts[:-1], dtype=np.int32), out=indptr[1:])
+    return csc_matrix((data[kept], pattern.rows[kept], indptr), shape=(n, n))
 
 
 def factorise_balance_system(network: Network, row: np.ndarray, target: int):

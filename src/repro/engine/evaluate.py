@@ -36,7 +36,7 @@ from repro.envs.factory import make_routing_env
 from repro.envs.iterative_env import set_edge_weight
 from repro.envs.observation import GraphObservation, demand_history, edge_markers
 from repro.envs.reward import RewardComputer
-from repro.graphs.dynamics import NetworkTimeline
+from repro.graphs.dynamics import NetworkDelta, NetworkTimeline
 from repro.graphs.network import Network
 from repro.routing.strategy import DestinationRouting, RoutingStrategy
 from repro.traffic.sequences import DemandSequence
@@ -124,18 +124,24 @@ def _as_groups(
     return list(zip(networks, groups))
 
 
-def _warm_solve_chunk(network_payload: tuple, matrices: list) -> list:
+def _warm_solve_chunk(
+    network_payload: tuple, matrices: list, delta: Optional[NetworkDelta] = None
+) -> list:
     """Worker entry point: solve one chunk of demand matrices.
 
     Takes the network as plain constructor arguments (cheap to pickle, no
     reliance on array-flag round-trips) and returns the optima in order.
-    A fresh structure cache keeps same-support matrices within the chunk
-    on the RHS-only re-solve path.
+    A dynamics variant arrives as its base's arguments plus ``delta`` and
+    is re-applied here, so the worker solves it on the base structure from
+    the same start as a serial solve.  A fresh structure cache keeps
+    same-support matrices within the chunk on one assembled structure.
     """
     from repro.flows.lp import LinearProgramCache, solve_optimal_max_utilisation, use_lp_cache
 
     num_nodes, edges, capacities, name = network_payload
     network = Network(num_nodes, edges, capacities, name=name)
+    if delta is not None:
+        network = delta.apply(network)
     with use_lp_cache(LinearProgramCache()):
         return [
             solve_optimal_max_utilisation(network, matrix).max_utilisation
@@ -203,16 +209,17 @@ def warm_lp_cache(
             waves.setdefault(id(net), (net, []))[1].append(matrix)
         with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
             for net, matrices in waves.values():
+                base, delta = getattr(net, "_dynamics_delta", (net, None))
                 payload = (
-                    net.num_nodes,
-                    net.edges,
-                    np.asarray(net.capacities).copy(),
-                    net.name,
+                    base.num_nodes,
+                    base.edges,
+                    np.asarray(base.capacities).copy(),
+                    base.name,
                 )
                 worker_count = min(workers, len(matrices))
                 chunks = [matrices[i::worker_count] for i in range(worker_count)]
                 futures = [
-                    pool.submit(_warm_solve_chunk, payload, chunk) for chunk in chunks
+                    pool.submit(_warm_solve_chunk, payload, chunk, delta) for chunk in chunks
                 ]
                 for chunk, future in zip(chunks, futures):
                     for matrix, optimum in zip(chunk, future.result()):

@@ -16,23 +16,35 @@ Structure reuse
 ---------------
 The constraint system depends only on the *(network, destination-support)*
 pair — across demand matrices with the same active destinations only the
-equality right-hand side changes.  The fast path exploits that three ways:
+equality right-hand side changes.  The fast path exploits that four ways:
 
-* **vectorized assembly** — the block-diagonal replicated incidence matrix
-  is built from COO index arrays (``np.repeat``/``np.tile`` + one
-  ``coo_matrix`` call) instead of per-commodity ``lil_matrix`` +
-  ``sparse.hstack`` loops (:class:`LinearProgramStructure`);
+* **index-arithmetic assembly** — the column-wise matrix HiGHS reads is
+  built straight from the edge list (each commodity column holds its
+  edge's tail, head and capacity rows), with no sparse-format conversion
+  (:class:`LinearProgramStructure`);
 * **constraint-structure cache** — assembled structures live in a keyed LRU
   :class:`LinearProgramCache` (mirroring the engine's
-  ``FactorisationCache``), so repeated solves over the same support are
-  RHS-only re-solves against a persistent solver model.  A caller picks
-  the cache only through the thread-local :func:`use_lp_cache` binding;
-  every solve outside one uses the process-wide :data:`SHARED_LP_CACHE`;
-* **warm-started solves** — when scipy's vendored HiGHS bindings are
-  available, every solve is primed with a primal-feasible shortest-path
-  routing via ``setSolution`` (HiGHS crossovers it to a basis), cutting the
-  simplex iteration count by an order of magnitude on sparse demands.
-  Without the bindings the same structures solve through
+  ``FactorisationCache``).  A caller picks the cache only through the
+  thread-local :func:`use_lp_cache` binding; every solve outside one uses
+  the process-wide :data:`SHARED_LP_CACHE`;
+* **variants as edits of their base** — a link-flap or capacity-drift
+  variant (``NetworkDelta.apply``) is solved on its *base* topology's
+  structure: removed links become zero upper bounds on every commodity's
+  copy of their edges, scaled capacities become the ``U`` column's
+  coefficients, and flows are mapped back to the variant's edge order;
+* **deterministic starts** — when scipy's vendored HiGHS bindings are
+  available, a base solve is primed with a primal-feasible shortest-path
+  routing via ``setSolution`` (HiGHS crossovers it to a basis), and a
+  variant solve starts (``setBasis``) from the base's optimal basis for
+  the *same* demand matrix.  The structure memoises each direct base
+  solve (basis and result) in a small LRU keyed by a digest of the
+  demand's right-hand side: on a miss the variant's base is solved first,
+  and a repeated base solve returns the memoised result.  Dual simplex
+  then re-optimises the edits in a few pivots.  Every start is a function of
+  ``(base, delta, demand)`` only, never of the last basis a structure
+  happened to hold, so results do not depend on solve order and
+  ``run``, ``sweep`` and the service stay bit-identical.  Without the
+  bindings the same structures solve through
   :func:`scipy.optimize.linprog` unchanged.
 
 LP *optima* are additionally memoised per ``(network fingerprint, demand
@@ -51,6 +63,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -79,15 +92,21 @@ try:  # pragma: no cover - exercised indirectly via direct_solver_available
 
     for _symbol in (
         "_Highs",
-        "HighsLp",
         "HighsModelStatus",
         "HighsSolution",
+        "HighsStatus",
         "MatrixFormat",
+        "ObjSense",
         "kHighsInf",
     ):
         if not hasattr(_highs, _symbol):
             _highs = None
             break
+    else:
+        for _method in ("passModel", "setSolution", "setBasis", "getBasis"):
+            if not hasattr(_highs._Highs, _method):
+                _highs = None
+                break
 except ImportError:  # pragma: no cover
     _highs = None
 
@@ -183,19 +202,50 @@ def demand_destinations(demand: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: Direct base solves a structure remembers (optimal basis and result),
+#: keyed by a digest of the equality right-hand side: a variant solve of
+#: the same demand matrix starts from that basis, and a repeated base
+#: solve returns the result.  Sized from measured reuse: the
+#: ``link-failure-flap`` preset reads a base solve back after at most
+#: three others on its structure, ``zoo-large-sparse-linkflap`` right
+#: after it.
+BASE_MEMO_ENTRIES = 4
+
+
+@dataclass(frozen=True)
+class _VariantBounds:
+    """A perturbed network expressed on its base structure's columns."""
+
+    network: Network
+    keep: np.ndarray  # base edge id of each variant edge, in variant order
+    upper: np.ndarray  # column upper bounds: 0 on every copy of a removed edge
+    capacities: np.ndarray  # base edge order; the variant's on kept edges
+
+
 class LinearProgramStructure:
-    """Assembled constraints for one (network, destination-support) pair.
+    """Assembled constraints for one (base network, destination-support) pair.
 
     For a fixed support only the equality right-hand side depends on the
     demand matrix, so one structure serves every demand matrix with the
-    same active destinations: :meth:`solve` computes ``b_eq`` and re-solves
-    against the cached matrices (and, on the direct-HiGHS path, against a
-    persistent solver model primed with a shortest-path warm start).
+    same active destinations: :meth:`solve` computes ``b_eq`` and solves
+    against the cached column-wise matrix.  It also serves every link-flap
+    or capacity-drift *variant* of its network (see :meth:`solve`), so a
+    timeline's variants never assemble structures of their own.
 
-    Assembly is fully vectorized: the block-diagonal replication of the
-    node-edge incidence matrix is expressed as COO index arrays built with
-    ``np.repeat``/``np.tile`` and materialised in a single ``coo_matrix``
-    call — no per-commodity Python loop, no ``sparse.hstack``.
+    Assembly is index arithmetic: each commodity column of the
+    column-wise matrix holds its edge's tail and head rows (minus the
+    destination's deleted row) and its capacity row, so ``indptr``,
+    ``indices`` and ``values`` come straight from ``np.where`` over the
+    edge list, with no sparse-format conversion.  :meth:`_values` patches
+    a variant's capacities into the ``U`` column for HiGHS and for the
+    ``linprog`` fallback alike.
+
+    Every direct solve starts from a point that is a function of
+    ``(base, delta, demand)`` alone: a base solve from the shortest-path
+    routing, a variant solve from the base's optimal basis for the same
+    demand matrix.  No start carries over from an earlier solve, so
+    results never depend on solve history, and a memoised base result is
+    the one a fresh solve would return.
     """
 
     def __init__(self, network: Network, destinations):
@@ -208,35 +258,11 @@ class LinearProgramStructure:
         k = len(self.destinations)
         self.num_commodities = k
         self.num_vars = k * m + 1
+        self.num_rows = k * (n - 1) + m
         self.u_index = k * m
-
-        # Incidence entries (row=node, col=edge): +1 where the edge leaves
-        # the node, -1 where it enters.  Each commodity keeps every entry
-        # except its destination's row, which is deleted (rows above shift
-        # down by one) and the block lands at column offset ci * m.
-        ent_rows = np.concatenate([network.senders, network.receivers])
-        ent_cols = np.concatenate([np.arange(m), np.arange(m)])
-        ent_data = np.concatenate([np.ones(m), -np.ones(m)])
-        dest = self.destinations[:, None]
-        rows = np.broadcast_to(ent_rows, (k, 2 * m))
-        keep = rows != dest
-        offsets = np.arange(k, dtype=np.int64)[:, None]
-        eq_rows = (offsets * (n - 1) + rows - (rows > dest))[keep]
-        eq_cols = (offsets * m + ent_cols)[keep]
-        eq_data = np.broadcast_to(ent_data, (k, 2 * m))[keep]
-        self.a_eq = sparse.coo_matrix(
-            (eq_data, (eq_rows, eq_cols)), shape=(k * (n - 1), self.num_vars)
-        ).tocsr()
-
-        # Capacity rows: sum_t f_t(e) - c(e) * U <= 0.
-        ub_rows = np.concatenate([np.tile(np.arange(m), k), np.arange(m)])
-        ub_cols = np.concatenate([np.arange(k * m), np.full(m, self.u_index)])
-        ub_data = np.concatenate([np.ones(k * m), -np.asarray(network.capacities)])
-        self.a_ub = sparse.coo_matrix(
-            (ub_data, (ub_rows, ub_cols)), shape=(m, self.num_vars)
-        ).tocsr()
         self.cost = np.zeros(self.num_vars)
         self.cost[self.u_index] = 1.0
+        self.indptr, self.indices, self.values = self._column_wise()
 
         # b_eq gather mask: commodity ci's RHS is demand[:, t] with row t
         # dropped, laid out commodity-major.
@@ -244,9 +270,87 @@ class LinearProgramStructure:
         self._rhs_mask[np.arange(k), self.destinations] = False
 
         self._model = None  # persistent HiGHS model (direct path only)
-        self._model_lp = None
         self._warm = None  # lazily-built shortest-path warm-start data
+        self._memo = KeyedLRU(BASE_MEMO_ENTRIES)  # b_eq digest -> (basis, OptimalRouting)
         self.solves = 0
+
+    # -- assembly -------------------------------------------------------
+
+    def _column_wise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSC arrays of ``[a_eq; a_ub]``: rows sorted, ``U`` column last.
+
+        Commodity ``ci``'s copy of edge ``u -> v`` has ``+1`` in node
+        ``u``'s conservation row, ``-1`` in ``v``'s (either absent when it
+        is the destination ``t``, whose row is deleted so rows above it
+        shift down by one), and ``+1`` in the edge's capacity row; the
+        ``U`` column holds ``-c(e)`` in every capacity row.
+        """
+        net = self.network
+        n, m, k = net.num_nodes, net.num_edges, self.num_commodities
+        t = self.destinations[:, None]
+        block = np.arange(k, dtype=np.int64)[:, None] * (n - 1)
+        tail, head = net.senders, net.receivers
+        tail_row = block + tail - (tail > t)
+        head_row = block + head - (head > t)
+        capacity_row = k * (n - 1) + np.arange(m)
+        # Node order survives the row deletion, so the lower endpoint's
+        # conservation row comes first in every column.
+        tail_first = tail < head
+        rows = np.stack(
+            [
+                np.where(tail_first, tail_row, head_row),
+                np.where(tail_first, head_row, tail_row),
+                np.broadcast_to(capacity_row, (k, m)),
+            ],
+            axis=2,
+        )
+        signs = np.where(tail_first, 1.0, -1.0)
+        values = np.stack([signs, -signs, np.ones(m)], axis=1)  # every commodity's
+        present = np.stack(
+            [
+                np.where(tail_first, tail != t, head != t),
+                np.where(tail_first, head != t, tail != t),
+                np.ones((k, m), dtype=bool),
+            ],
+            axis=2,
+        )
+        indptr = np.zeros(self.num_vars + 1, dtype=np.int32)
+        np.cumsum(present.sum(axis=2).ravel(), out=indptr[1:-1])
+        indptr[-1] = indptr[-2] + m
+        indices = np.concatenate([rows[present], capacity_row]).astype(np.int32)
+        data = np.concatenate(
+            [np.broadcast_to(values, (k, m, 3))[present], -np.asarray(net.capacities)]
+        )
+        return indptr, indices, data
+
+    def _values(self, capacities: Optional[np.ndarray] = None) -> np.ndarray:
+        """Column-wise values with ``capacities`` in the ``U`` column.
+
+        ``None`` keeps the network's own capacities; a variant's scaled
+        ones replace the last ``m`` values (the ``U`` column's ``-c(e)``).
+        """
+        if capacities is None:
+            return self.values
+        values = self.values.copy()
+        values[-self.network.num_edges :] = -np.asarray(capacities)
+        return values
+
+    def _constraints(self, capacities: Optional[np.ndarray] = None) -> sparse.csc_matrix:
+        """``[a_eq; a_ub]`` as CSC, with ``capacities`` as in :meth:`_values`."""
+        return sparse.csc_matrix(
+            (self._values(capacities), self.indices, self.indptr),
+            shape=(self.num_rows, self.num_vars),
+        )
+
+    @cached_property
+    def a_eq(self) -> sparse.csr_matrix:
+        """Row-wise flow-conservation block (the ``linprog`` fallback's)."""
+        return self._constraints()[: self.num_rows - self.network.num_edges].tocsr()
+
+    @property
+    def a_ub(self) -> sparse.csr_matrix:
+        """Row-wise capacity block for the network's own capacities."""
+        return self._constraints()[self.num_rows - self.network.num_edges :].tocsr()
 
     # -- RHS ------------------------------------------------------------
 
@@ -309,37 +413,66 @@ class LinearProgramStructure:
         peak = float((flows.sum(axis=0) / net.capacities).max())
         return np.concatenate([flows.ravel(), [peak]])
 
+    # -- variants -------------------------------------------------------
+
+    def _variant_bounds(self, variant: Network) -> _VariantBounds:
+        """Express ``variant`` (a delta of this structure's network) as bounds.
+
+        Removed links become zero upper bounds on every commodity's copy
+        of their edges; scaled capacities become the ``U`` column's
+        coefficients.  The extra columns are pinned to zero and the extra
+        capacity rows hold trivially, so the LP has the variant's optimum.
+        """
+        base = self.network
+        keep = np.fromiter(
+            (base.edge_index[edge] for edge in variant.edges),
+            dtype=np.int64,
+            count=variant.num_edges,
+        )
+        removed = np.ones(base.num_edges, dtype=bool)
+        removed[keep] = False
+        upper = np.full(self.num_vars, np.inf)
+        upper[: self.u_index][np.tile(removed, self.num_commodities)] = 0.0
+        capacities = np.array(base.capacities, dtype=np.float64)
+        capacities[keep] = variant.capacities
+        return _VariantBounds(variant, keep, upper, capacities)
+
     # -- solving --------------------------------------------------------
 
-    def _failure(self, detail: str) -> InfeasibleRoutingError:
-        return InfeasibleRoutingError(
-            f"optimal-routing LP failed on {self.network!r}: {detail}"
-        )
+    @staticmethod
+    def _failure(network: Network, detail: str) -> InfeasibleRoutingError:
+        return InfeasibleRoutingError(f"optimal-routing LP failed on {network!r}: {detail}")
 
-    def _result(self, x: np.ndarray) -> OptimalRouting:
+    def _result(self, x: np.ndarray, bounds: Optional[_VariantBounds] = None) -> OptimalRouting:
         k, m = self.num_commodities, self.network.num_edges
         commodity_flows = x[: k * m].reshape(k, m)
-        return OptimalRouting(
-            float(x[self.u_index]), commodity_flows.sum(axis=0), commodity_flows
-        )
+        if bounds is not None:
+            commodity_flows = commodity_flows[:, bounds.keep]
+        return OptimalRouting(float(x[self.u_index]), commodity_flows.sum(axis=0), commodity_flows)
 
-    def solve(self, demand: np.ndarray) -> OptimalRouting:
-        """Solve for one demand matrix on this support (RHS-only re-solve).
+    def solve(self, demand: np.ndarray, variant: Optional[Network] = None) -> OptimalRouting:
+        """Solve for one demand matrix on this support.
+
+        ``variant`` names a perturbation of this structure's network
+        (``NetworkDelta.apply``: links removed, capacities scaled) to solve
+        on instead; its flows come back in the variant's edge order.
 
         The direct-HiGHS path sits behind :data:`DIRECT_SOLVER_BREAKER`:
         an unexpected solver failure falls back to ``linprog`` for *this*
-        solve (identical optimum to 1e-8), and after K consecutive
-        failures the breaker opens and solves go straight to ``linprog``
-        until a cooldown probe succeeds.  :class:`InfeasibleRoutingError`
-        is a legitimate typed outcome, never a breaker failure.
+        solve (identical optimum to 1e-8, a variant's bounds included),
+        and after K consecutive failures the breaker opens and solves go
+        straight to ``linprog`` until a cooldown probe succeeds.
+        :class:`InfeasibleRoutingError` is a legitimate typed outcome,
+        never a breaker failure.
         """
         self.solves += 1
+        bounds = None if variant is None else self._variant_bounds(variant)
         b_eq = self.equality_rhs(demand)
         if _highs is None or not DIRECT_SOLVER_BREAKER.allows():
-            return self._solve_linprog(b_eq)
+            return self._solve_linprog(b_eq, bounds)
         try:
             fault_point("lp.solve")
-            result = self._solve_direct(demand, b_eq)
+            result = self._solve_direct(demand, b_eq, bounds)
         except InfeasibleRoutingError:
             DIRECT_SOLVER_BREAKER.record_success()
             raise
@@ -348,75 +481,124 @@ class LinearProgramStructure:
             # A wedged persistent model would poison every later re-solve;
             # drop it so the next direct attempt rebuilds from scratch.
             self._model = None
-            self._model_lp = None
             warnings.warn(
                 f"direct LP solve failed ({exc!r}); falling back to linprog",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return self._solve_linprog(b_eq)
+            return self._solve_linprog(b_eq, bounds)
         DIRECT_SOLVER_BREAKER.record_success()
         return result
 
-    def _solve_linprog(self, b_eq: np.ndarray) -> OptimalRouting:
+    def _solve_linprog(self, b_eq: np.ndarray, bounds: Optional[_VariantBounds]) -> OptimalRouting:
+        if bounds is None:
+            capacities, column_bounds, network = None, (0, None), self.network
+        else:
+            capacities = bounds.capacities
+            column_bounds = np.column_stack([np.zeros(self.num_vars), bounds.upper])
+            network = bounds.network
         result = linprog(
             self.cost,
-            A_ub=self.a_ub,
-            b_ub=np.zeros(self.a_ub.shape[0]),
+            A_ub=self._constraints(capacities)[self.num_rows - self.network.num_edges :],
+            b_ub=np.zeros(self.network.num_edges),
             A_eq=self.a_eq,
             b_eq=b_eq,
-            bounds=(0, None),
+            bounds=column_bounds,
             method="highs",
         )
         if not result.success:
-            raise self._failure(result.message)
-        return self._result(result.x)
+            raise self._failure(network, result.message)
+        return self._result(result.x, bounds)
 
-    def _build_model(self):
-        a_all = sparse.vstack([self.a_eq, self.a_ub]).tocsc()
-        lp = _highs.HighsLp()
-        lp.num_col_ = self.num_vars
-        lp.num_row_ = a_all.shape[0]
-        lp.col_cost_ = self.cost
-        lp.col_lower_ = np.zeros(self.num_vars)
-        lp.col_upper_ = np.full(self.num_vars, _highs.kHighsInf)
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a_all.indptr
-        lp.a_matrix_.index_ = a_all.indices
-        lp.a_matrix_.value_ = a_all.data
-        model = _highs._Highs()
-        model.setOptionValue("output_flag", False)
-        return model, lp
+    def _pass_model(self, b_eq: np.ndarray, bounds: Optional[_VariantBounds]) -> None:
+        """Load the base LP for ``b_eq``, with ``bounds``' edits if given.
 
-    def _solve_direct(self, demand: np.ndarray, b_eq: np.ndarray) -> OptimalRouting:
+        The array form of ``passModel`` reads the numpy buffers directly;
+        filling a ``HighsLp``'s fields instead converts every entry through
+        Python, which costs more than the load itself.  The arrays go in
+        bare: building a scipy matrix around them costs about a tenth of
+        an Abilene re-solve.
+        """
         if self._model is None:
-            self._model, self._model_lp = self._build_model()
-        lp = self._model_lp
-        num_ub = self.a_ub.shape[0]
-        lp.row_lower_ = np.concatenate([b_eq, np.full(num_ub, -_highs.kHighsInf)])
-        lp.row_upper_ = np.concatenate([b_eq, np.zeros(num_ub)])
-        self._model.passModel(lp)
-        start = self._shortest_path_start(demand)
-        if start is not None:
-            solution = _highs.HighsSolution()
-            solution.col_value = start
-            solution.value_valid = True
-            self._model.setSolution(solution)
+            self._model = _highs._Highs()
+            self._model.setOptionValue("output_flag", False)
+        m = self.network.num_edges
+        if bounds is None:
+            values, upper = self._values(), np.full(self.num_vars, _highs.kHighsInf)
+        else:
+            values, upper = self._values(bounds.capacities), bounds.upper
+        self._model.passModel(
+            self.num_vars,
+            self.num_rows,
+            len(values),
+            int(_highs.MatrixFormat.kColwise),
+            int(_highs.ObjSense.kMinimize),
+            0.0,  # objective offset
+            self.cost,
+            np.zeros(self.num_vars),
+            upper,
+            np.concatenate([b_eq, np.full(m, -_highs.kHighsInf)]),
+            np.concatenate([b_eq, np.zeros(m)]),
+            self.indptr,
+            self.indices,
+            values,
+            np.zeros(self.num_vars, dtype=np.int32),  # every column continuous
+        )
+
+    def _solve_direct(
+        self, demand: np.ndarray, b_eq: np.ndarray, bounds: Optional[_VariantBounds]
+    ) -> OptimalRouting:
+        key = hashlib.sha256(b_eq).digest()
+        memo = self._memo.get(key)
+        if bounds is None:
+            if memo is not None:
+                return memo[1]
+            self._pass_model(b_eq, None)
+            start = self._shortest_path_start(demand)
+            if start is not None:
+                solution = _highs.HighsSolution()
+                solution.col_value = start
+                solution.value_valid = True
+                self._model.setSolution(solution)
+        else:
+            if memo is None:
+                try:
+                    self.solve(demand)  # memoises the base's basis and result
+                except InfeasibleRoutingError as exc:
+                    raise self._failure(bounds.network, f"its base is infeasible: {exc}") from None
+                memo = self._memo.get(key)  # None if the base fell back to linprog
+            self._pass_model(b_eq, bounds)
+            if memo is not None and self._model.setBasis(memo[0]) != _highs.HighsStatus.kOk:
+                warnings.warn(
+                    "HiGHS rejected the base's optimal basis; the variant solves from a cold start",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         self._model.run()
         status = self._model.getModelStatus()
         if status != _highs.HighsModelStatus.kOptimal:
-            raise self._failure(self._model.modelStatusToString(status))
-        return self._result(np.asarray(self._model.getSolution().col_value))
+            network = self.network if bounds is None else bounds.network
+            raise self._failure(network, self._model.modelStatusToString(status))
+        result = self._result(np.asarray(self._model.getSolution().col_value), bounds)
+        if bounds is None:
+            # Shared with every later solve of this DM: keep it immutable.
+            result.edge_flows.flags.writeable = False
+            result.commodity_flows.flags.writeable = False
+            self._memo.insert(key, (self._model.getBasis(), result))
+        return result
 
 
 class LinearProgramCache(KeyedLRU):
     """Keyed LRU of :class:`LinearProgramStructure` instances.
 
-    Keys are exact: ``(network fingerprint, destination support)``.  A hit
-    returns the shared structure — and with it the persistent solver model —
-    so demand matrices over the same support pay only an RHS update plus a
-    warm-started re-solve, mirroring how the engine's
-    ``FactorisationCache`` shares ``splu`` factorisations.
+    Keys are exact: ``(network fingerprint, destination support)``, and
+    the network is always a *base* topology: a dynamics variant is looked
+    up under its base, so a timeline's variants share its structures.  A
+    hit returns the shared structure with its assembled matrix, solver
+    model and memoised base solves, mirroring how the engine's
+    ``FactorisationCache`` shares ``splu`` factorisations.  A hit never
+    changes a result: every solve starts from a point fixed by
+    ``(base, delta, demand)`` alone.
     """
 
     def __init__(self, max_entries: int = 32):
@@ -487,7 +669,10 @@ def solve_optimal_max_utilisation(
 
     The constraint structure is fetched from the ambient cache
     (:func:`shared_lp_cache`), so repeated solves over the same
-    destination support are RHS-only re-solves.
+    destination support reuse the assembled matrix.  A dynamics variant
+    (``NetworkDelta.apply``) is solved on its *base* network's structure
+    as bound and coefficient edits, starting from the base's optimal basis
+    for the same demand matrix.
 
     Raises
     ------
@@ -498,7 +683,10 @@ def solve_optimal_max_utilisation(
     destinations = demand_destinations(demand)
     if len(destinations) == 0:
         return OptimalRouting(0.0, np.zeros(network.num_edges), np.zeros((0, network.num_edges)))
-    return shared_lp_cache().structure(network, destinations).solve(demand)
+    origin = getattr(network, "_dynamics_delta", None)
+    if origin is None:
+        return shared_lp_cache().structure(network, destinations).solve(demand)
+    return shared_lp_cache().structure(origin[0], destinations).solve(demand, network)
 
 
 # ---------------------------------------------------------------------------

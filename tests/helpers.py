@@ -366,6 +366,23 @@ def _link_loads_scalar(
     return loads
 
 
+def reference_sparse_balance_system(
+    network: Network, row: np.ndarray, target: int
+) -> sparse.csc_matrix:
+    """One ``I - Pᵀ`` system as COO → CSC plus a sparse identity.
+
+    The construction ``repro.engine.backend.sparse_balance_system``
+    replaced; its ``indptr``/``indices``/``data`` must match this byte for
+    byte (the sparse sum drops zero ratios and sorts row indices).
+    """
+    keep = network.senders != target
+    system = sparse.csc_matrix(
+        (-row[keep], (network.receivers[keep], network.senders[keep])),
+        shape=(network.num_nodes, network.num_nodes),
+    )
+    return system + sparse.identity(network.num_nodes, format="csc")
+
+
 def reference_link_loads(
     network: Network, routing: RoutingStrategy, demand_matrix: np.ndarray
 ) -> np.ndarray:

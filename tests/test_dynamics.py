@@ -29,13 +29,21 @@ from repro.engine.evaluate import batch_evaluate_routing, warm_lp_cache
 from repro.envs.reward import RewardComputer
 from repro.envs.routing_env import RoutingEnv
 from repro.experiments.runner import main
-from repro.flows.lp import network_fingerprint
+from repro.flows.lp import (
+    LinearProgramCache,
+    direct_solver_available,
+    network_fingerprint,
+    use_lp_cache,
+)
 from repro.graphs.dynamics import NetworkDelta, NetworkTimeline, identity_timeline
 from repro.graphs.modifications import distinct_link_failures, failed_links, remove_random_edge
+from repro.graphs import abilene
 from repro.graphs.network import Network
 from repro.routing.shortest_path import shortest_path_routing
+from repro.traffic import bimodal_matrix
 from repro.traffic.sequences import DemandSequence
 from repro.utils.seeding import rng_from_seed
+from tests.test_flows_lp import count_highs_runs
 
 # Captured from HEAD before the dynamics axis landed: the axis must not
 # perturb any pre-existing spec hash (results stores key on these).
@@ -270,6 +278,30 @@ class TestFailureRecoveryOracle:
         # outage variant: two (network, matrix) pairs, not one.
         assert count == 2
         assert warm_lp_cache(net, [saturating_sequence(5)], rewarder, 1) == 1
+
+    def test_parallel_warm_pass_solves_variants_bit_identically_to_serial(self):
+        # Workers rebuild each variant from its base and delta, so they
+        # solve it on the base structure from the same start: a plain
+        # rebuilt variant would differ from the serial optimum in the last
+        # bits on most of these matrices.
+        net = abilene()
+        outage = NetworkDelta(removed_links=((0, 1),))
+        timeline = NetworkTimeline(net, [outage if t % 2 else NetworkDelta() for t in range(6)])
+        sequences = [
+            DemandSequence(
+                np.stack([bimodal_matrix(net.num_nodes, seed=10 * k + t) for t in range(6)])
+            )
+            for k in range(2)
+        ]
+        serial, parallel = RewardComputer(), RewardComputer()
+        count = warm_lp_cache(net, sequences, serial, 0, timeline=timeline)
+        assert warm_lp_cache(net, sequences, parallel, 0, workers=2, timeline=timeline) == count
+        for sequence in sequences:
+            for step in range(len(sequence)):
+                variant, dm = timeline.network_at(step), sequence.matrix(step)
+                optimum = serial.cache.peek(variant, dm)
+                assert optimum is not None
+                assert parallel.cache.peek(variant, dm) == optimum
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +543,27 @@ class TestRunAndSweep:
         assert result.strategies["ecmp"].ratios == (
             1.0, 1.1784188320646531, 1.0, 1.1239965553227005, 1.0
         )
+
+    def test_linkflap_variants_solve_on_the_base_structures(self, monkeypatch):
+        """Structure misses = distinct base supports; every variant solve hits."""
+        runs = count_highs_runs(monkeypatch) if direct_solver_available() else None
+        looked_up = []
+        structure = LinearProgramCache.structure
+
+        def recording(cache, network, destinations):
+            looked_up.append((network_fingerprint(network), tuple(destinations)))
+            return structure(cache, network, destinations)
+
+        monkeypatch.setattr(LinearProgramCache, "structure", recording)
+        with use_lp_cache(LinearProgramCache()) as cache:
+            api.run(zoo_large_sparse_linkflap_spec())
+        base = network_fingerprint(TOPOLOGIES.get("cogent-like")())
+        assert {fingerprint for fingerprint, _ in looked_up} == {base}
+        supports = {support for _, support in looked_up}
+        assert cache.misses == len(supports) == 2
+        assert len(looked_up) == 4 and cache.hits == 2  # the two variant solves
+        if runs is not None:
+            assert len(runs) == 4  # one LP per (network, DM): no hidden base re-solve
 
     def test_each_timeline_is_built_once_per_run(self, monkeypatch):
         builder = DYNAMICS.get("link_flap")

@@ -28,6 +28,7 @@ from repro.engine import (
     shared_factorisation_cache,
     use_factorisation_cache,
 )
+from repro.engine.backend import sparse_balance_system
 from repro.engine.evaluate import (
     BatchEvaluationResult,
     EvaluationResult,
@@ -51,6 +52,7 @@ from tests.helpers import (
     reference_prune_by_distance,
     reference_rollout_policy,
     reference_softmin_routing,
+    reference_sparse_balance_system,
     triangle_network,
 )
 
@@ -248,6 +250,57 @@ class TestSparseBackend:
         # one unit reaches the destination (never re-injected), and the
         # load projection applies the stray ratio identically everywhere.
         assert dense[net.edge_index[(0, 2)]] == pytest.approx(1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        negative_zeros=st.booleans(),
+    )
+    def test_balance_system_arrays_are_byte_identical_to_the_reference(
+        self, seed, zero_share, negative_zeros
+    ):
+        # Zero ratios (including -0.0) must be dropped, the destination's
+        # column must keep only its diagonal, and the dtypes must match, so
+        # ``splu`` gets exactly the input the COO + identity sum produced.
+        rng = np.random.default_rng(seed)
+        net = random_connected_network(int(rng.integers(5, 16)), int(rng.integers(0, 5)), seed=seed)
+        row = rng.uniform(0.05, 1.0, net.num_edges)
+        row[rng.random(net.num_edges) < zero_share] = -0.0 if negative_zeros else 0.0
+        target = int(rng.integers(net.num_nodes))
+        built = sparse_balance_system(net, row, target)
+        expected = reference_sparse_balance_system(net, row, target)
+        assert built.format == "csc" and built.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(built, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        column = built.indices[built.indptr[target] : built.indptr[target + 1]]
+        np.testing.assert_array_equal(column, [target])  # the absorbing destination
+
+    def test_loop_error_names_the_same_destination_as_the_reference_systems(self):
+        from scipy.sparse.linalg import splu
+
+        net = triangle_network()
+        table = np.zeros((3, net.num_edges))
+        table[1, net.edge_index[(0, 2)]] = 1.0
+        table[1, net.edge_index[(2, 0)]] = 1.0
+        table[2, net.edge_index[(0, 1)]] = 1.0
+        table[2, net.edge_index[(1, 0)]] = 1.0
+        demand = np.zeros((3, 3))
+        demand[0, 2] = 1.0
+        demand[0, 1] = 1.0
+        first_singular = None
+        for target in (1, 2):  # the ascending order the sparse path walks
+            try:
+                splu(reference_sparse_balance_system(net, table[target], target))
+            except RuntimeError:
+                first_singular = target
+                break
+        assert first_singular == 1
+        with use_factorisation_cache(FactorisationCache()):
+            with pytest.raises(RoutingLoopError, match=f"destination {first_singular} "):
+                destination_link_loads(net, table, demand, backend="sparse")
 
     def test_invalid_backend_rejected(self):
         net, weights = random_case(0)

@@ -47,12 +47,15 @@ from repro.faults import (
 )
 from repro.flows.lp import (
     DIRECT_SOLVER_BREAKER,
+    LinearProgramCache,
     LPOptimumStore,
     OptimalUtilisationCache,
     direct_solver_available,
     solve_optimal_max_utilisation,
+    use_lp_cache,
 )
 from repro.graphs import abilene
+from repro.graphs.dynamics import NetworkDelta
 from repro.traffic import bimodal_matrix
 from tests.helpers import triangle_network
 from tests.test_api_sweep import assert_results_equal
@@ -271,6 +274,38 @@ class TestFaultMatrix:
                     lambda: solve_optimal_max_utilisation(net, demand)
                 )
         assert faulted.max_utilisation == pytest.approx(clean, abs=1e-8)
+
+    @pytest.mark.skipif(
+        not direct_solver_available(), reason="direct HiGHS bindings unavailable"
+    )
+    def test_lp_solve_error_on_a_variant_falls_back_with_the_variants_bounds(self):
+        # linprog solves the variant on its base's structure: removed links
+        # as zero column bounds, scaled capacities in the capacity rows.
+        net = abilene()
+        scale = np.linspace(0.5, 1.5, net.num_edges)
+        variant = NetworkDelta(removed_links=((0, 1),), capacity_scale=scale).apply(net)
+        demand = bimodal_matrix(net.num_nodes, seed=3)
+        with use_lp_cache(LinearProgramCache()):
+            clean = solve_optimal_max_utilisation(variant, demand)
+        cache = LinearProgramCache()
+
+        def solve(network):  # the cache binding is per thread
+            with use_lp_cache(cache):
+                return solve_optimal_max_utilisation(network, demand)
+
+        solve(net)  # memoises the base's basis
+        with inject(FaultPlan.single("lp.solve", kind="error", probability=1.0)):
+            with pytest.warns(RuntimeWarning, match="falling back to linprog"):
+                faulted = finish_within(lambda: solve(variant))
+        assert cache.misses == 1 and cache.hits == 1  # no structure of its own
+        assert faulted.max_utilisation == pytest.approx(clean.max_utilisation, abs=1e-8)
+        assert faulted.edge_flows.shape == clean.edge_flows.shape == (variant.num_edges,)
+        assert faulted.commodity_flows.shape == clean.commodity_flows.shape
+        np.testing.assert_array_less(
+            faulted.edge_flows, variant.capacities * faulted.max_utilisation * (1 + 1e-8)
+        )
+        # One failure leaves the breaker closed, as for a base solve.
+        assert DIRECT_SOLVER_BREAKER.state == "closed"
 
     @pytest.mark.skipif(
         not direct_solver_available(), reason="direct HiGHS bindings unavailable"

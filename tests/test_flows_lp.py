@@ -7,8 +7,12 @@ formulation on every tested instance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
+from repro.flows import lp
 from repro.flows.lp import (
+    BASE_MEMO_ENTRIES,
     SHARED_LP_CACHE,
     InfeasibleRoutingError,
     LinearProgramCache,
@@ -16,12 +20,15 @@ from repro.flows.lp import (
     LPOptimumStore,
     OptimalUtilisationCache,
     demand_destinations,
+    direct_solver_available,
     network_fingerprint,
     shared_lp_cache,
     solve_optimal_max_utilisation,
     use_lp_cache,
 )
 from repro.graphs import Network, abilene, random_connected_network
+from repro.graphs.dynamics import NetworkDelta
+from repro.graphs.kernels import undirected_links
 from repro.traffic import bimodal_matrix, gravity_matrix, sparse_matrix
 from tests.helpers import (
     line_network,
@@ -149,8 +156,20 @@ class TestValidation:
             solve_optimal_max_utilisation(net2, dm_single(3, 2, 0, 1.0))
 
 
+def assert_column_wise_equals_stacked(structure, a_eq, a_ub):
+    """HiGHS's column-wise arrays are ``vstack([a_eq, a_ub]).tocsc()``'s."""
+    stacked = sparse.vstack([a_eq, a_ub]).tocsc()
+    for got, want in (
+        (structure.indptr, stacked.indptr),
+        (structure.indices, stacked.indices),
+        (structure.values, stacked.data),
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 class TestVectorizedAssembly:
-    """The COO index-array assembly matches the loop reference exactly."""
+    """The index-arithmetic assembly matches the loop reference exactly."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_graphs_identical_matrices(self, seed):
@@ -162,6 +181,7 @@ class TestVectorizedAssembly:
         np.testing.assert_array_equal(structure.a_eq.toarray(), a_eq.toarray())
         np.testing.assert_array_equal(structure.a_ub.toarray(), a_ub.toarray())
         np.testing.assert_array_equal(structure.cost, cost)
+        assert_column_wise_equals_stacked(structure, a_eq, a_ub)
 
     def test_sparse_demand_subset_support(self):
         net = random_connected_network(10, 8, seed=3, capacity=50.0)
@@ -175,6 +195,7 @@ class TestVectorizedAssembly:
         a_eq, a_ub, _ = reference_lp_assemble(net, destinations)
         np.testing.assert_array_equal(structure.a_eq.toarray(), a_eq.toarray())
         np.testing.assert_array_equal(structure.a_ub.toarray(), a_ub.toarray())
+        assert_column_wise_equals_stacked(structure, a_eq, a_ub)
 
     def test_equality_rhs_matches_loop_order(self):
         net = random_connected_network(7, 5, seed=1, capacity=50.0)
@@ -280,6 +301,176 @@ class TestStructureCache:
         assert len(cache) == 2
         with pytest.raises(ValueError):
             LinearProgramCache(max_entries=0)
+
+
+def _delta_case(seed: int, num_removed: int, scaled: bool):
+    """A random network, one of its deltas and a demand matrix."""
+    rng = np.random.default_rng(seed)
+    net = random_connected_network(
+        int(rng.integers(5, 10)), int(rng.integers(2, 6)), seed=seed, capacity=100.0
+    )
+    links = sorted(undirected_links(net))
+    picks = rng.choice(len(links), size=min(num_removed, len(links) - 1), replace=False)
+    scale = tuple(rng.uniform(0.3, 2.0, net.num_edges)) if scaled else None
+    delta = NetworkDelta(removed_links=[links[i] for i in picks], capacity_scale=scale)
+    dm = sparse_matrix(net.num_nodes, seed=seed, density=0.4, mean=20.0, std=4.0)
+    if not np.any(dm > 0.0):
+        dm[0, 1] = 10.0
+    return net, delta, dm
+
+
+def count_highs_runs(monkeypatch, basis_status=None) -> list:
+    """Record every HiGHS ``run()`` of the direct LP path in the returned list.
+
+    ``basis_status`` makes ``setBasis`` report that status after loading.
+    """
+    runs = []
+
+    class CountingHighs(lp._highs._Highs):
+        def run(self):
+            runs.append(self.getNumCol())
+            return super().run()
+
+        def setBasis(self, *args):
+            status = super().setBasis(*args)
+            return status if basis_status is None else basis_status
+
+    monkeypatch.setattr(lp._highs, "_Highs", CountingHighs)
+    return runs
+
+
+def _assert_same_routing(a, b):
+    assert a.max_utilisation == b.max_utilisation
+    assert a.edge_flows.tobytes() == b.edge_flows.tobytes()
+    assert a.commodity_flows.tobytes() == b.commodity_flows.tobytes()
+
+
+class TestVariantSolves:
+    """Dynamics variants solve on their base's structure, hot-started."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_removed=st.integers(0, 2),
+        scaled=st.booleans(),
+        base_first=st.booleans(),
+    )
+    def test_variant_optimum_matches_the_reference_on_the_variant(
+        self, seed, num_removed, scaled, base_first
+    ):
+        net, delta, dm = _delta_case(seed, num_removed, scaled or num_removed == 0)
+        variant = delta.apply(net)
+        try:
+            want = reference_lp_solve(variant, dm)
+        except InfeasibleRoutingError:
+            want = None
+        with use_lp_cache(LinearProgramCache()) as cache:
+            if base_first:
+                solve_optimal_max_utilisation(net, dm)
+            if want is None:
+                with pytest.raises(InfeasibleRoutingError):
+                    solve_optimal_max_utilisation(variant, dm)
+                return
+            got = solve_optimal_max_utilisation(variant, dm)
+        assert len(cache) == 1  # the base's structure; the variant built none
+        assert got.max_utilisation == pytest.approx(want.max_utilisation, rel=1e-9, abs=1e-12)
+        # Flows come back in the variant's edge order and route the demand.
+        assert got.edge_flows.shape == (variant.num_edges,)
+        np.testing.assert_array_less(
+            got.edge_flows, variant.capacities * got.max_utilisation * (1 + 1e-9) + 1e-9
+        )
+        for flows, t in zip(got.commodity_flows, demand_destinations(dm)):
+            for v in range(variant.num_nodes):
+                if v != int(t):
+                    outflow = flows[list(variant.out_edges[v])].sum()
+                    inflow = flows[list(variant.in_edges[v])].sum()
+                    assert outflow - inflow == pytest.approx(dm[v, t], abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solve_order_does_not_change_any_bit(self, seed):
+        net, delta, dm = _delta_case(seed, num_removed=1, scaled=seed == 2)
+        other = bimodal_matrix(net.num_nodes, seed=seed + 100)
+        variant = delta.apply(net)
+        with use_lp_cache(LinearProgramCache()):
+            solve_optimal_max_utilisation(net, dm)
+            base_after = solve_optimal_max_utilisation(net, other)
+            # The solver last held another DM's basis: the start must not be it.
+            variant_after = solve_optimal_max_utilisation(variant, dm)
+        with use_lp_cache(LinearProgramCache()):
+            variant_first = solve_optimal_max_utilisation(variant, dm)
+            # A base solve after a variant solve on the same solver model.
+            base_later = solve_optimal_max_utilisation(net, other)
+        _assert_same_routing(variant_first, variant_after)
+        _assert_same_routing(base_later, base_after)
+
+    def test_infeasible_variant_on_a_memo_miss_and_a_memo_hit(self):
+        # A 4-cycle with a pendant node 4: losing link (3, 4) cuts node
+        # 4's demand off, while the base stays feasible.
+        net = Network.from_undirected(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)], 10.0)
+        variant = NetworkDelta(removed_links=((3, 4),)).apply(net)
+        dm = dm_single(5, 4, 1, 5.0)
+        with use_lp_cache(LinearProgramCache()):  # miss: the base solves first
+            with pytest.raises(InfeasibleRoutingError, match="~dyn"):
+                solve_optimal_max_utilisation(variant, dm)
+        with use_lp_cache(LinearProgramCache()) as cache:  # hit: the base is memoised
+            base = solve_optimal_max_utilisation(net, dm)
+            with pytest.raises(InfeasibleRoutingError, match="~dyn"):
+                solve_optimal_max_utilisation(variant, dm)
+            assert cache.hits == 1
+            # The structure stays usable for base and variant solves alike.
+            _assert_same_routing(solve_optimal_max_utilisation(net, dm), base)
+            reachable = solve_optimal_max_utilisation(variant, dm_single(5, 0, 2, 5.0))
+            assert reachable.max_utilisation == pytest.approx(0.25)
+
+    @pytest.mark.skipif(not direct_solver_available(), reason="direct HiGHS bindings unavailable")
+    def test_base_solved_for_a_variant_is_not_solved_again(self, monkeypatch):
+        net, delta, dm = _delta_case(1, num_removed=1, scaled=False)
+        with use_lp_cache(LinearProgramCache()):
+            fresh = solve_optimal_max_utilisation(net, dm)
+        runs = count_highs_runs(monkeypatch)
+        with use_lp_cache(LinearProgramCache()):
+            solve_optimal_max_utilisation(delta.apply(net), dm)
+            assert len(runs) == 2  # the base, then the variant from its basis
+            base = solve_optimal_max_utilisation(net, dm)
+        assert len(runs) == 2  # the memoised result: no third LP
+        _assert_same_routing(base, fresh)
+        assert not base.commodity_flows.flags.writeable  # shared, so read-only
+
+    @pytest.mark.skipif(not direct_solver_available(), reason="direct HiGHS bindings unavailable")
+    def test_memo_evicts_least_recent_without_changing_any_bit(self, monkeypatch):
+        net = abilene()
+        dms = [bimodal_matrix(net.num_nodes, seed=s) for s in range(BASE_MEMO_ENTRIES + 1)]
+        with use_lp_cache(LinearProgramCache()):
+            fresh = solve_optimal_max_utilisation(net, dms[0])
+        runs = count_highs_runs(monkeypatch)
+        with use_lp_cache(LinearProgramCache()):
+            first = [solve_optimal_max_utilisation(net, dm) for dm in dms[:-1]]
+            assert solve_optimal_max_utilisation(net, dms[0]) is first[0]  # a memo hit
+            assert len(runs) == BASE_MEMO_ENTRIES
+            solve_optimal_max_utilisation(net, dms[-1])  # evicts dms[1], not dms[0]
+            solve_optimal_max_utilisation(net, dms[0])
+            again = solve_optimal_max_utilisation(net, dms[1])
+        assert len(runs) == BASE_MEMO_ENTRIES + 2
+        _assert_same_routing(first[0], fresh)
+        _assert_same_routing(again, first[1])
+
+    @pytest.mark.skipif(not direct_solver_available(), reason="direct HiGHS bindings unavailable")
+    def test_rejected_basis_warns_and_still_solves(self, monkeypatch):
+        net, delta, dm = _delta_case(2, num_removed=1, scaled=True)
+        variant = delta.apply(net)
+        count_highs_runs(monkeypatch, basis_status=lp._highs.HighsStatus.kError)
+        with use_lp_cache(LinearProgramCache()):
+            with pytest.warns(RuntimeWarning, match="rejected the base's optimal basis"):
+                got = solve_optimal_max_utilisation(variant, dm)
+        want = reference_lp_solve(variant, dm)
+        assert got.max_utilisation == pytest.approx(want.max_utilisation, rel=1e-9)
+
+    def test_infeasible_base_makes_the_variant_infeasible(self):
+        net = Network(4, [(0, 1), (1, 2), (2, 1), (1, 0), (2, 3)])  # nothing leaves 3
+        variant = NetworkDelta(removed_links=((0, 1),)).apply(net)
+        with use_lp_cache(LinearProgramCache()):
+            with pytest.raises(InfeasibleRoutingError, match="~dyn"):
+                solve_optimal_max_utilisation(variant, dm_single(4, 3, 2, 1.0))
 
 
 class TestCache:
