@@ -38,6 +38,7 @@ for _path in (REPO_ROOT, REPO_ROOT / "src"):
 
 from repro.engine.backend import (  # noqa: E402
     FactorisationCache,
+    default_backend,
     select_backend,
     use_factorisation_cache,
 )
@@ -176,7 +177,7 @@ class BackendBenchmark:
     num_matrices: int
     dense_seconds: float
     sparse_seconds: float
-    #: What ``backend="auto"`` picks for this topology (the selection rule).
+    #: What the unbound ``"auto"`` backend picks here (the selection rule).
     auto_backend: str
 
     @property
@@ -230,11 +231,12 @@ def backend_comparison(
     )
 
     def dense():
-        return destination_link_loads_sequence(network, table, demands, backend="dense")
+        with default_backend("dense"):
+            return destination_link_loads_sequence(network, table, demands)
 
     def sparse():
-        with use_factorisation_cache(FactorisationCache()):
-            return destination_link_loads_sequence(network, table, demands, backend="sparse")
+        with use_factorisation_cache(FactorisationCache()), default_backend("sparse"):
+            return destination_link_loads_sequence(network, table, demands)
 
     np.testing.assert_allclose(sparse(), dense(), atol=1e-8)
     return BackendBenchmark(

@@ -244,12 +244,15 @@ def _backend_workload(num_nodes=224, seed=0):
 @pytest.mark.benchmark(group="backend")
 def test_dense_backend_large_topology(benchmark):
     """The dense stacked solve on a 224-node sparse carrier-scale graph."""
-    from repro.engine import destination_link_loads_sequence
+    from repro.engine import default_backend, destination_link_loads_sequence
 
     net, table, demands = _backend_workload()
-    loads = benchmark(
-        destination_link_loads_sequence, net, table, demands, "dense"
-    )
+
+    def dense():
+        with default_backend("dense"):
+            return destination_link_loads_sequence(net, table, demands)
+
+    loads = benchmark(dense)
     assert np.all(np.isfinite(loads))
 
 
@@ -258,6 +261,7 @@ def test_sparse_backend_large_topology(benchmark):
     """The sparse splu solve on the identical 224-node workload."""
     from repro.engine import (
         FactorisationCache,
+        default_backend,
         destination_link_loads_sequence,
         use_factorisation_cache,
     )
@@ -266,8 +270,8 @@ def test_sparse_backend_large_topology(benchmark):
 
     def sparse():
         # A fresh cache per round: the measurement includes factorisation.
-        with use_factorisation_cache(FactorisationCache()):
-            return destination_link_loads_sequence(net, table, demands, "sparse")
+        with use_factorisation_cache(FactorisationCache()), default_backend("sparse"):
+            return destination_link_loads_sequence(net, table, demands)
 
     loads = benchmark(sparse)
     assert np.all(np.isfinite(loads))

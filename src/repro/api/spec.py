@@ -31,7 +31,7 @@ from repro.api.registry import (
     TRAFFIC_MODELS,
     UnknownComponentError,
 )
-from repro.engine.backend import BACKENDS
+from repro.engine.backend import check_backend
 from repro.experiments.config import ExperimentScale, PRESETS, scale_field_names, scaled
 
 #: Metrics :func:`repro.api.run` knows how to collect.
@@ -352,11 +352,10 @@ class EvaluationSpec:
     lp_workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.backend, str) or self.backend.lower() not in BACKENDS:
-            raise SpecValidationError(
-                f"evaluation.backend must be one of {list(BACKENDS)}, got {self.backend!r}"
-            )
-        object.__setattr__(self, "backend", self.backend.lower())
+        try:
+            object.__setattr__(self, "backend", check_backend(self.backend))
+        except ValueError as error:
+            raise SpecValidationError(f"evaluation.{error}") from None
         object.__setattr__(
             self, "lp_workers", _coerce_int("evaluation.lp_workers", self.lp_workers, 1)
         )

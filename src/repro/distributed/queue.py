@@ -235,9 +235,6 @@ class TaskQueue:
             self.directory / "progress.json", json.dumps(payload, indent=2)
         )
 
-    def read_progress(self) -> Optional[dict]:
-        return _read_json(self.directory / "progress.json")
-
     # -- state inspection ----------------------------------------------
 
     def state_of(self, digest: str) -> Optional[str]:

@@ -9,13 +9,14 @@ batch evaluation API built on top of them:
 * :mod:`~repro.engine.simulator_batch` — stacked ``(I - Pᵀ)`` balance
   systems solved in one batched LAPACK call, with a factorised
   multi-right-hand-side path for fixed routings over demand sequences;
-* :mod:`~repro.engine.backend` — dense/sparse solver selection
-  (``backend="auto"|"dense"|"sparse"``: sparse ``splu`` factorisations for
-  large low-density topologies, shared across solves through a keyed
-  :class:`FactorisationCache`);
+* :mod:`~repro.engine.backend` — dense/sparse solver selection, bound
+  per thread with :func:`default_backend` (``"auto"|"dense"|"sparse"``:
+  sparse ``splu`` factorisations for large low-density topologies, shared
+  across solves through a keyed :class:`FactorisationCache`);
 * :mod:`~repro.engine.evaluate` — :func:`batch_evaluate` /
   :func:`batch_evaluate_routing`, evaluating many traffic matrices, seeds
-  and topologies per call.
+  and topologies per call; their ``backend`` argument is bound once around
+  the whole call.
 """
 
 from repro.engine.backend import (
@@ -23,7 +24,6 @@ from repro.engine.backend import (
     SPARSE_MAX_DENSITY,
     SPARSE_MIN_NODES,
     FactorisationCache,
-    active_default,
     check_backend,
     default_backend,
     edge_density,
@@ -45,7 +45,6 @@ __all__ = [
     "SPARSE_MIN_NODES",
     "SPARSE_MAX_DENSITY",
     "FactorisationCache",
-    "active_default",
     "check_backend",
     "default_backend",
     "edge_density",

@@ -8,10 +8,13 @@ of hundred nodes upward a sparse LU factorisation
 and the gap widens cubically with node count.  This module holds the three
 pieces that decide *which* solver runs:
 
-* **backend names** — every solve entry point takes
-  ``backend="auto" | "dense" | "sparse"``.  ``"dense"``/``"sparse"`` force
-  an implementation; ``"auto"`` applies the selection rule below (after
-  consulting the ambient default, see :func:`default_backend`).
+* **the ambient backend** — :func:`default_backend` binds
+  ``"auto" | "dense" | "sparse"`` for the calling thread, the one way to
+  choose a backend.  ``"dense"``/``"sparse"`` force an implementation for
+  every solve in the block; ``"auto"`` (also the unbound default) applies
+  the selection rule below.  High-level entry points (``batch_evaluate``,
+  ``batch_evaluate_routing``, the routing service) take a ``backend``
+  argument and bind it once around their whole call.
 * **the selection rule** — sparse iff the topology has at least
   :data:`SPARSE_MIN_NODES` nodes **and** directed edge density
   ``num_edges / (n * (n - 1))`` at most :data:`SPARSE_MAX_DENSITY`.  Dense
@@ -28,19 +31,17 @@ pieces that decide *which* solver runs:
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-
 import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from repro.faults import fault_point
 from repro.graphs.network import Network
+from repro.utils.ambient import Ambient
 from repro.utils.caching import KeyedLRU
 from repro.utils.resilience import CircuitBreaker
 
-#: Valid values for every ``backend=`` parameter in the engine.
+#: Valid values for :func:`default_backend` and every ``backend`` argument.
 BACKENDS = ("auto", "dense", "sparse")
 
 #: ``auto`` never picks sparse below this node count: per-system Python
@@ -75,53 +76,30 @@ def edge_density(network: Network) -> float:
     return network.num_edges / (n * (n - 1))
 
 
-# The ambient default consulted by ``backend="auto"`` call sites; rebound
-# by :func:`default_backend` so high-level entry points (``batch_evaluate``)
-# can steer every solve underneath them without threading a parameter
-# through the environment layer.  Thread-local: two service threads running
-# ``batch_evaluate`` with different backends must not race each other's
-# context-manager overrides.
-_AMBIENT = threading.local()
+# What the balance-system solves underneath a block run on, per thread.
+_BACKEND = Ambient("auto")
 
 
-def active_default() -> str:
-    """The backend ``"auto"`` currently resolves through (default ``"auto"``).
-
-    The binding is per-thread: :func:`default_backend` in one thread never
-    leaks into another.
-    """
-    return getattr(_AMBIENT, "backend", "auto")
-
-
-@contextmanager
 def default_backend(backend: str):
-    """Rebind what ``backend="auto"`` means for the duration of the block.
+    """Bind the calling thread's balance-system backend for a ``with`` block.
 
-    ``"auto"`` inside the block falls through to the size/density rule as
-    usual; ``"dense"``/``"sparse"`` pin every auto call site.  Explicit
-    non-auto arguments at a call site always win over the ambient default.
-    The override is thread-local, so concurrent ``batch_evaluate`` calls on
+    ``"dense"``/``"sparse"`` pin every solve in the block; ``"auto"`` falls
+    through to the size/density rule of :func:`select_backend`.  The
+    binding is per-thread, so concurrent ``batch_evaluate`` calls on
     different threads cannot observe each other's backend.
     """
-    previous = getattr(_AMBIENT, "backend", "auto")
-    _AMBIENT.backend = check_backend(backend)
-    try:
-        yield
-    finally:
-        _AMBIENT.backend = previous
+    return _BACKEND.bind(check_backend(backend))
 
 
-def select_backend(network: Network, backend: str = "auto") -> str:
-    """Resolve a backend request to ``"dense"`` or ``"sparse"``.
+def select_backend(network: Network) -> str:
+    """Resolve the bound backend to ``"dense"`` or ``"sparse"`` for ``network``.
 
-    Explicit requests pass through; ``"auto"`` consults the ambient default
-    (:func:`default_backend`) and then the selection rule: sparse iff
+    A bound ``"dense"``/``"sparse"`` (:func:`default_backend`) passes
+    through; ``"auto"`` applies the selection rule: sparse iff
     ``num_nodes >= SPARSE_MIN_NODES`` and
     ``edge_density(network) <= SPARSE_MAX_DENSITY``.
     """
-    backend = check_backend(backend)
-    if backend == "auto":
-        backend = active_default()
+    backend = _BACKEND.value
     if backend != "auto":
         return backend
     if (
@@ -236,6 +214,9 @@ class FactorisationCache(KeyedLRU):
 SHARED_FACTORISATION_CACHE = FactorisationCache(max_entries=256)
 
 
+_FACTORISATION_CACHE = Ambient(SHARED_FACTORISATION_CACHE)
+
+
 def shared_factorisation_cache() -> FactorisationCache:
     """The ambient default :class:`FactorisationCache`.
 
@@ -243,11 +224,9 @@ def shared_factorisation_cache() -> FactorisationCache:
     :func:`use_factorisation_cache` block on the calling thread, that
     thread's injected cache instead.
     """
-    override = getattr(_AMBIENT, "factorisation_cache", None)
-    return override if override is not None else SHARED_FACTORISATION_CACHE
+    return _FACTORISATION_CACHE.value
 
 
-@contextmanager
 def use_factorisation_cache(cache: FactorisationCache):
     """Route this thread's sparse solves through ``cache``.
 
@@ -257,12 +236,7 @@ def use_factorisation_cache(cache: FactorisationCache):
     threading a handle through the environment layer, and without
     affecting other threads.
     """
-    previous = getattr(_AMBIENT, "factorisation_cache", None)
-    _AMBIENT.factorisation_cache = cache
-    try:
-        yield cache
-    finally:
-        _AMBIENT.factorisation_cache = previous
+    return _FACTORISATION_CACHE.bind(cache)
 
 
 __all__ = [
@@ -272,7 +246,6 @@ __all__ = [
     "SPLU_BREAKER",
     "check_backend",
     "edge_density",
-    "active_default",
     "default_backend",
     "select_backend",
     "sparse_balance_system",

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.engine.backend import check_backend, default_backend
+from repro.engine.backend import default_backend
 from repro.engine.simulator_batch import destination_link_loads_sequence
 from repro.envs.factory import make_routing_env
 from repro.envs.iterative_env import set_edge_weight
@@ -375,10 +375,8 @@ def batch_evaluate(
         Rollout seed (only used for tie-breaking; actions are deterministic).
     backend:
         Balance-system solver for the rollouts' flow simulation
-        (``"auto"``/``"dense"``/``"sparse"``).  Routings are scored by the
-        real environments, so the choice is installed as the ambient
-        default (:func:`repro.engine.backend.default_backend`) rather than
-        threaded through every layer.
+        (``"auto"``/``"dense"``/``"sparse"``), bound with
+        :func:`repro.engine.backend.default_backend` for the whole call.
     lp_workers:
         Worker processes for the LP pre-warm pass (see
         :func:`warm_lp_cache`); ``1`` solves serially in-process.
@@ -430,21 +428,17 @@ def _routing_ratios(
     network: Network,
     stacked: np.ndarray,
     rewarder: RewardComputer,
-    backend: str,
 ) -> tuple:
     """Utilisation ratios of one strategy over stacked demands on one network."""
     strategy = routing(network) if callable(routing) else routing
     if isinstance(strategy, DestinationRouting):
-        loads = destination_link_loads_sequence(
-            network, strategy.destination_table(), stacked, backend=backend
-        )
+        loads = destination_link_loads_sequence(network, strategy.destination_table(), stacked)
         utilisations = (loads / network.capacities).max(axis=1)
         return tuple(
             rewarder.ratio_from_achieved(network, u, dm)
             for u, dm in zip(utilisations, stacked)
         )
-    with default_backend(backend):
-        return tuple(rewarder.utilisation_ratio(network, strategy, dm) for dm in stacked)
+    return tuple(rewarder.utilisation_ratio(network, strategy, dm) for dm in stacked)
 
 
 def batch_evaluate_routing(
@@ -464,7 +458,9 @@ def batch_evaluate_routing(
     Destination-based strategies take the factorised sequence path: one
     multi-RHS solve per destination covers every post-warmup demand matrix
     — on the sparse ``backend`` that is one shared ``splu`` factorisation
-    per destination.
+    per destination.  ``backend`` is bound with
+    :func:`repro.engine.backend.default_backend` for the whole call, so
+    every strategy kind solves on it.
 
     With ``dynamics`` (a factory ``(network, length) -> NetworkTimeline``)
     the post-warmup steps regroup by the network in force at each step:
@@ -473,43 +469,42 @@ def batch_evaluate_routing(
     variant's steps still share one factorised multi-RHS solve, so a
     link-flap timeline costs one extra factorisation, not one per step.
     """
-    check_backend(backend)
     rewarder = reward_computer or RewardComputer()
     results = []
-    for network, sequences in _as_groups(networks, traffic_sequences):
-        timeline, sequences = _group_timeline(dynamics, network, sequences)
-        if timeline is not None and not callable(routing):
-            raise ValueError(
-                "a dynamic scenario rebuilds the strategy per perturbed network; "
-                "pass a factory (network -> RoutingStrategy), not a concrete strategy"
-            )
-        entries = [
-            (step, sequence.matrix(step))
-            for sequence in sequences
-            for step in range(memory_length, len(sequence))
-        ]
-        if not entries:
-            results.append(EvaluationResult(()))
-            continue
-        if timeline is None:
-            stacked = np.stack([matrix for _, matrix in entries])
-            results.append(
-                EvaluationResult(_routing_ratios(routing, network, stacked, rewarder, backend))
-            )
-            continue
-        # Bucket the flattened steps by the variant network in force,
-        # evaluate each bucket on the factorised path, then scatter the
-        # ratios back into original (sequence, step) order.
-        buckets: dict[int, tuple[Network, list[int]]] = {}
-        for index, (step, _) in enumerate(entries):
-            variant = timeline.network_at(step)
-            buckets.setdefault(id(variant), (variant, []))[1].append(index)
-        ratios: list = [None] * len(entries)
-        for variant, indices in buckets.values():
-            stacked = np.stack([entries[i][1] for i in indices])
-            for i, ratio in zip(
-                indices, _routing_ratios(routing, variant, stacked, rewarder, backend)
-            ):
-                ratios[i] = ratio
-        results.append(EvaluationResult(tuple(ratios)))
+    with default_backend(backend):
+        for network, sequences in _as_groups(networks, traffic_sequences):
+            timeline, sequences = _group_timeline(dynamics, network, sequences)
+            if timeline is not None and not callable(routing):
+                raise ValueError(
+                    "a dynamic scenario rebuilds the strategy per perturbed network; "
+                    "pass a factory (network -> RoutingStrategy), not a concrete strategy"
+                )
+            entries = [
+                (step, sequence.matrix(step))
+                for sequence in sequences
+                for step in range(memory_length, len(sequence))
+            ]
+            if not entries:
+                results.append(EvaluationResult(()))
+                continue
+            if timeline is None:
+                stacked = np.stack([matrix for _, matrix in entries])
+                results.append(
+                    EvaluationResult(_routing_ratios(routing, network, stacked, rewarder))
+                )
+                continue
+            # Bucket the flattened steps by the variant network in force,
+            # evaluate each bucket on the factorised path, then scatter the
+            # ratios back into original (sequence, step) order.
+            buckets: dict[int, tuple[Network, list[int]]] = {}
+            for index, (step, _) in enumerate(entries):
+                variant = timeline.network_at(step)
+                buckets.setdefault(id(variant), (variant, []))[1].append(index)
+            ratios: list = [None] * len(entries)
+            for variant, indices in buckets.values():
+                stacked = np.stack([entries[i][1] for i in indices])
+                variant_ratios = _routing_ratios(routing, variant, stacked, rewarder)
+                for i, ratio in zip(indices, variant_ratios):
+                    ratios[i] = ratio
+            results.append(EvaluationResult(tuple(ratios)))
     return BatchEvaluationResult(tuple(results))

@@ -10,8 +10,9 @@ system once and back-substitutes all timesteps as extra right-hand sides —
 the fast path behind ``repro.engine.batch_evaluate`` for classical
 baselines.
 
-Every solve entry point takes ``backend="auto" | "dense" | "sparse"``
-(:mod:`repro.engine.backend`).  The sparse backend assembles each system as
+Every solve runs on the calling thread's bound backend
+(:func:`~repro.engine.backend.default_backend`, ``"auto"`` when unbound;
+see :mod:`repro.engine.backend`).  The sparse backend assembles each system as
 :class:`scipy.sparse.csc_matrix`, factorises it once with
 :func:`scipy.sparse.linalg.splu` — sharing factorisations across calls via
 the ambient :class:`~repro.engine.backend.FactorisationCache` (chosen
@@ -130,20 +131,19 @@ def _solve_batch(
     table: np.ndarray,
     injections: np.ndarray,
     targets: np.ndarray,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Solve every ``(I - Pᵀ) x = b``, dense-stacked or sparse-factorised.
 
     ``injections`` may be ``(k, n)`` (one right-hand side each) or
     ``(k, n, r)`` (``r`` shared right-hand sides per system, the
-    fixed-routing sequence path).  ``backend`` resolves through
+    fixed-routing sequence path).  The bound backend resolves through
     :func:`repro.engine.backend.select_backend`; the sparse path shares
     ``splu`` factorisations through the ambient cache.  Returns
     throughflows clipped at zero after the scalar simulator's negative-flow
     consistency check.
     """
     rhs = injections if injections.ndim == 3 else injections[:, :, np.newaxis]
-    if select_backend(network, backend) == "sparse" and SPLU_BREAKER.allows():
+    if select_backend(network) == "sparse" and SPLU_BREAKER.allows():
         # The sparse path sits behind a circuit breaker: an unexpected
         # splu failure falls back to the dense stack for this batch
         # (identical flows to 1e-8), and K consecutive failures trip every
@@ -190,7 +190,6 @@ def destination_link_loads(
     network: Network,
     table: np.ndarray,
     demand_matrix: np.ndarray,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Per-edge loads for a destination-based ratio table, batched.
 
@@ -208,9 +207,6 @@ def destination_link_loads(
         every flow destined to ``t``.
     demand_matrix:
         ``(num_nodes, num_nodes)`` demand matrix.
-    backend:
-        Solver selection (``"auto"``/``"dense"``/``"sparse"``); see
-        :mod:`repro.engine.backend`.
     """
     demand = np.asarray(demand_matrix, dtype=np.float64)
     injections = demand.T.copy()  # injections[t, v] = demand[v, t]
@@ -218,7 +214,7 @@ def destination_link_loads(
     active = np.flatnonzero(injections.sum(axis=1) > 0.0)
     if active.size == 0:
         return np.zeros(network.num_edges)
-    flows = _solve_batch(network, table[active], injections[active], active, backend)
+    flows = _solve_batch(network, table[active], injections[active], active)
     return np.einsum("ke,ke->e", flows[:, network.senders], table[active])
 
 
@@ -226,7 +222,6 @@ def destination_link_loads_sequence(
     network: Network,
     table: np.ndarray,
     demands: np.ndarray,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Loads for one fixed destination-based routing over many demands.
 
@@ -243,14 +238,13 @@ def destination_link_loads_sequence(
     active = np.flatnonzero(injections.sum(axis=(1, 2)) > 0.0)
     if active.size == 0:
         return np.zeros((num_steps, network.num_edges))
-    flows = _solve_batch(network, table[active], injections[active], active, backend)
+    flows = _solve_batch(network, table[active], injections[active], active)
     return np.einsum("kes,ke->se", flows[:, network.senders, :], table[active])
 
 
 def flow_link_loads(
     network: Network,
     flows: list[tuple[int, int, float, np.ndarray]],
-    backend: str = "auto",
 ) -> np.ndarray:
     """Per-edge loads for per-flow routings, one stacked solve for all flows.
 
@@ -265,5 +259,5 @@ def flow_link_loads(
     injections = np.zeros((len(flows), network.num_nodes))
     for i, (s, _, d, _) in enumerate(flows):
         injections[i, s] = d
-    solved = _solve_batch(network, table, injections, targets, backend)
+    solved = _solve_batch(network, table, injections, targets)
     return np.einsum("ke,ke->e", solved[:, network.senders], table)

@@ -59,9 +59,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -74,6 +72,7 @@ from scipy.optimize import linprog
 from repro.faults import fault_point
 from repro.graphs.kernels import batch_distances_to_targets
 from repro.graphs.network import Network
+from repro.utils.ambient import Ambient
 from repro.utils.caching import (
     KeyedLRU,
     atomic_write_text,
@@ -614,10 +613,7 @@ class LinearProgramCache(KeyedLRU):
 #: process reuse each other's assembled systems and solver models.
 SHARED_LP_CACHE = LinearProgramCache(max_entries=32)
 
-# Per-thread cache override installed by :func:`use_lp_cache` — the same
-# ambient-injection pattern as ``repro.engine.backend``'s thread-local
-# backend default.
-_AMBIENT = threading.local()
+_LP_CACHE = Ambient(SHARED_LP_CACHE)
 
 
 def shared_lp_cache() -> LinearProgramCache:
@@ -627,11 +623,9 @@ def shared_lp_cache() -> LinearProgramCache:
     :func:`use_lp_cache` block on the calling thread, that thread's
     injected cache instead.
     """
-    override = getattr(_AMBIENT, "lp_cache", None)
-    return override if override is not None else SHARED_LP_CACHE
+    return _LP_CACHE.value
 
 
-@contextmanager
 def use_lp_cache(cache: LinearProgramCache):
     """Route this thread's LP solves through ``cache``.
 
@@ -640,12 +634,7 @@ def use_lp_cache(cache: LinearProgramCache):
     without threading a handle through every layer, and without other
     threads observing the override.
     """
-    previous = getattr(_AMBIENT, "lp_cache", None)
-    _AMBIENT.lp_cache = cache
-    try:
-        yield cache
-    finally:
-        _AMBIENT.lp_cache = previous
+    return _LP_CACHE.bind(cache)
 
 
 # ---------------------------------------------------------------------------

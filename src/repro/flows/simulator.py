@@ -46,15 +46,14 @@ def link_loads(
     network: Network,
     routing: RoutingStrategy,
     demand_matrix: np.ndarray,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Total flow per edge when ``routing`` carries ``demand_matrix``.
 
     Returns an array aligned with ``network.edges``.  Destination-based
     routings are simulated with one batched solve over all active
     destinations and per-flow routings with one batched solve over all
-    positive-demand flows.  ``backend`` picks the balance-system solver
-    (``"auto"``/``"dense"``/``"sparse"``, see :mod:`repro.engine.backend`).
+    positive-demand flows, on the calling thread's bound balance-system
+    backend (:func:`repro.engine.backend.default_backend`).
     """
     demand = check_square_matrix("demand_matrix", demand_matrix)
     if demand.shape[0] != network.num_nodes:
@@ -63,16 +62,14 @@ def link_loads(
             f"({network.num_nodes} nodes)"
         )
     if isinstance(routing, DestinationRouting):
-        return destination_link_loads(
-            network, routing.destination_table(), demand, backend=backend
-        )
+        return destination_link_loads(network, routing.destination_table(), demand)
     flows = [
         (s, t, float(demand[s, t]), routing.ratios(s, t))
         for s in range(network.num_nodes)
         for t in range(network.num_nodes)
         if s != t and demand[s, t] > 0.0
     ]
-    return flow_link_loads(network, flows, backend=backend)
+    return flow_link_loads(network, flows)
 
 
 def max_link_utilisation(

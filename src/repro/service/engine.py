@@ -21,12 +21,14 @@ the denominators — so served numbers match
 same spec (bit-identical on the common path; 1e-8 where solver model reuse
 differs).
 
-Cache injection is ambient and thread-local (:func:`use_lp_cache`,
-:func:`use_factorisation_cache`) — the only way any caller picks a solver
-cache.  The engine binds its private caches around construction, each tick
-and :meth:`run_result`, so every LP structure and ``splu`` factorisation it
-uses is engine-owned, and two engines (old and new, during a reload) never
-share state.
+Cache and backend choice are ambient and per-thread (:func:`use_lp_cache`,
+:func:`use_factorisation_cache`, :func:`default_backend`), so no handle is
+threaded through the environment or simulator layers.  The engine binds
+its private caches around construction, each tick and :meth:`run_result`,
+so every LP structure and ``splu`` factorisation it uses is engine-owned,
+and two engines (old and new, during a reload) never share state.  It
+binds the scenario's ``evaluation.backend`` around the warm pass and each
+tick; training runs unbound (``"auto"``), as offline.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from repro.api.spec import SpecValidationError
 from repro.api.store import ResultStore
 from repro.engine.backend import (
     FactorisationCache,
-    check_backend,
     default_backend,
     use_factorisation_cache,
 )
@@ -74,7 +75,7 @@ class ServiceEngine:
     def __init__(self, spec: ServiceSpec, echo: bool = False):
         self.spec = spec
         scenario = spec.scenario
-        self.backend = check_backend(scenario.evaluation.backend)
+        self.backend = scenario.evaluation.backend
         self.lp_cache = LinearProgramCache(max_entries=32)
         self.fact_cache = FactorisationCache(max_entries=256)
         self._rng = rng_from_seed(scenario.evaluation.seeds[0])
@@ -145,19 +146,18 @@ class ServiceEngine:
         ]
         if not demands:
             return
-        warm_lp_cache(
-            self.network,
-            sequences,
-            self.rewarder,
-            self.memory_length,
-            workers=self.spec.scenario.evaluation.lp_workers,
-        )
-        first = np.stack(demands[:1])
-        for kind, obj in self.entries.values():
-            if kind == "strategy" and isinstance(obj, DestinationRouting):
-                destination_link_loads_sequence(
-                    self.network, obj.destination_table(), first, backend=self.backend
-                )
+        with default_backend(self.backend):
+            warm_lp_cache(
+                self.network,
+                sequences,
+                self.rewarder,
+                self.memory_length,
+                workers=self.spec.scenario.evaluation.lp_workers,
+            )
+            first = np.stack(demands[:1])
+            for kind, obj in self.entries.values():
+                if kind == "strategy" and isinstance(obj, DestinationRouting):
+                    destination_link_loads_sequence(self.network, obj.destination_table(), first)
 
     # -- evaluation ----------------------------------------------------
 
@@ -188,7 +188,7 @@ class ServiceEngine:
                     f"unknown routing label(s) {unknown}; this deployment "
                     f"serves {sorted(self.entries)}"
                 )
-        with self._bindings():
+        with self._bindings(), default_backend(self.backend):
             for label, (kind, obj) in self.entries.items():
                 idxs = [
                     i
@@ -224,10 +224,7 @@ class ServiceEngine:
             stacked = np.stack([requests[i].demand for i in idxs])
             try:
                 loads = destination_link_loads_sequence(
-                    self.network,
-                    strategy.destination_table(),
-                    stacked,
-                    backend=self.backend,
+                    self.network, strategy.destination_table(), stacked
                 )
             except Exception as exc:
                 for i in idxs:
@@ -242,18 +239,17 @@ class ServiceEngine:
                 except Exception as exc:
                     errors[i] = exc
             return
-        with default_backend(self.backend):
-            for i in idxs:
-                demand = requests[i].demand
-                try:
-                    achieved = (
-                        max_link_utilisation(self.network, strategy, demand)
-                        if np.any(demand > 0.0)
-                        else 0.0
-                    )
-                    entries[i].append(self._entry(label, achieved, demand))
-                except Exception as exc:
-                    errors[i] = exc
+        for i in idxs:
+            demand = requests[i].demand
+            try:
+                achieved = (
+                    max_link_utilisation(self.network, strategy, demand)
+                    if np.any(demand > 0.0)
+                    else 0.0
+                )
+                entries[i].append(self._entry(label, achieved, demand))
+            except Exception as exc:
+                errors[i] = exc
 
     def _policy_tick(self, label, entry, requests, idxs, entries, errors):
         policy, iterative = entry
@@ -265,12 +261,11 @@ class ServiceEngine:
             for i in idxs:
                 errors[i] = exc
             return
-        with default_backend(self.backend):
-            for i in idxs:
-                try:
-                    entries[i].append(self._policy_entry(label, policy, requests[i]))
-                except Exception as exc:
-                    errors[i] = exc
+        for i in idxs:
+            try:
+                entries[i].append(self._policy_entry(label, policy, requests[i]))
+            except Exception as exc:
+                errors[i] = exc
 
     def _policy_entry(self, label, policy, request: RouteRequest) -> RouteEntry:
         n = self.network.num_nodes

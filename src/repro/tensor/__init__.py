@@ -28,7 +28,6 @@ from repro.tensor.ops import (
     log_softmax,
     maximum,
     minimum,
-    scatter_add_rows,
     segment_max,
     segment_mean,
     segment_softmax,
@@ -50,7 +49,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "gather_rows",
-    "scatter_add_rows",
     "segment_sum",
     "segment_mean",
     "segment_max",

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.tensor import operation as _op
 from repro.tensor import tensor as _core
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import _GRAD, Tensor
 
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic
@@ -28,35 +28,35 @@ from repro.tensor.tensor import Tensor
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    if _core._GRAD_ENABLED and (a.requires_grad or b.requires_grad):
+    if _GRAD.value and (a.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.Add((a, b)))
     return Tensor._constant(out)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
-    if _core._GRAD_ENABLED and (a.requires_grad or b.requires_grad):
+    if _GRAD.value and (a.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.Sub((a, b)))
     return Tensor._constant(out)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
-    if _core._GRAD_ENABLED and (a.requires_grad or b.requires_grad):
+    if _GRAD.value and (a.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.Mul((a, b)))
     return Tensor._constant(out)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
-    if _core._GRAD_ENABLED and (a.requires_grad or b.requires_grad):
+    if _GRAD.value and (a.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.Div((a, b)))
     return Tensor._constant(out)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     out = a.data**exponent
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.Power((a,), exponent))
     return Tensor._constant(out)
 
@@ -65,7 +65,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise maximum; at ties the gradient flows to the first operand."""
     a, b = Tensor.ensure(a), Tensor.ensure(b)
     out = np.maximum(a.data, b.data)
-    if _core._GRAD_ENABLED and (a.requires_grad or b.requires_grad):
+    if _GRAD.value and (a.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.MaximumMinimum((a, b), a.data >= b.data))
     return Tensor._constant(out)
 
@@ -74,7 +74,7 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise minimum; at ties the gradient flows to the first operand."""
     a, b = Tensor.ensure(a), Tensor.ensure(b)
     out = np.minimum(a.data, b.data)
-    if _core._GRAD_ENABLED and (a.requires_grad or b.requires_grad):
+    if _GRAD.value and (a.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.MaximumMinimum((a, b), a.data <= b.data))
     return Tensor._constant(out)
 
@@ -84,7 +84,7 @@ def where(condition, a: Tensor, b: Tensor) -> Tensor:
     a, b = Tensor.ensure(a), Tensor.ensure(b)
     mask = np.asarray(condition, dtype=bool)
     out = np.where(mask, a.data, b.data)
-    if _core._GRAD_ENABLED and (a.requires_grad or b.requires_grad):
+    if _GRAD.value and (a.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.Where((a, b), mask))
     return Tensor._constant(out)
 
@@ -92,7 +92,7 @@ def where(condition, a: Tensor, b: Tensor) -> Tensor:
 def clip(a: Tensor, low: float, high: float) -> Tensor:
     """Clamp values to ``[low, high]``; gradient is zero outside the range."""
     out = np.clip(a.data, low, high)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         inside = (a.data >= low) & (a.data <= high)
         return Tensor._from_op(out, _op.Clip((a,), inside))
     return Tensor._constant(out)
@@ -100,7 +100,7 @@ def clip(a: Tensor, low: float, high: float) -> Tensor:
 
 def absolute(a: Tensor) -> Tensor:
     out = np.abs(a.data)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.Absolute((a,), np.sign(a.data)))
     return Tensor._constant(out)
 
@@ -112,42 +112,42 @@ def absolute(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.Exp((a,), out))
     return Tensor._constant(out)
 
 
 def log(a: Tensor) -> Tensor:
     out = np.log(a.data)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.Log((a,)))
     return Tensor._constant(out)
 
 
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.Sqrt((a,), out))
     return Tensor._constant(out)
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.Tanh((a,), out))
     return Tensor._constant(out)
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.ReLU((a,), a.data > 0.0))
     return Tensor._constant(out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.data))
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.Sigmoid((a,), out))
     return Tensor._constant(out)
 
@@ -160,7 +160,7 @@ def sigmoid(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product supporting (m,k)@(k,n), (k,)@(k,n) and (m,k)@(k,)."""
     out = a.data @ b.data
-    if _core._GRAD_ENABLED and (a.requires_grad or b.requires_grad):
+    if _GRAD.value and (a.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.MatMul((a, b)))
     return Tensor._constant(out)
 
@@ -180,7 +180,7 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused affine map ``x @ w + b`` (see :class:`operation.Linear`)."""
     out = _affine(x.data, w.data, b.data)
-    if _core._GRAD_ENABLED and (x.requires_grad or w.requires_grad or b.requires_grad):
+    if _GRAD.value and (x.requires_grad or w.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.Linear((x, w, b)))
     return Tensor._constant(out)
 
@@ -189,7 +189,7 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused ``relu(x @ w + b)`` (see :class:`operation.LinearReLU`)."""
     pre = _affine(x.data, w.data, b.data)
     out = np.maximum(pre, 0.0)
-    if _core._GRAD_ENABLED and (x.requires_grad or w.requires_grad or b.requires_grad):
+    if _GRAD.value and (x.requires_grad or w.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.LinearReLU((x, w, b), pre > 0.0))
     return Tensor._constant(out)
 
@@ -197,7 +197,7 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def linear_tanh(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused ``tanh(x @ w + b)`` (see :class:`operation.LinearTanh`)."""
     out = np.tanh(_affine(x.data, w.data, b.data))
-    if _core._GRAD_ENABLED and (x.requires_grad or w.requires_grad or b.requires_grad):
+    if _GRAD.value and (x.requires_grad or w.requires_grad or b.requires_grad):
         return Tensor._from_op(out, _op.LinearTanh((x, w, b), out))
     return Tensor._constant(out)
 
@@ -216,7 +216,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float) -> Tenso
     std = np.sqrt(variance + epsilon)
     normed = centred / std
     out = normed * scale.data + shift.data
-    if _core._GRAD_ENABLED and (
+    if _GRAD.value and (
         x.requires_grad or scale.requires_grad or shift.requires_grad
     ):
         return Tensor._from_op(
@@ -227,14 +227,14 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float) -> Tenso
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     out = a.data.reshape(shape)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.Reshape((a,)))
     return Tensor._constant(out)
 
 
 def transpose(a: Tensor, axes: Optional[tuple] = None) -> Tensor:
     out = np.transpose(a.data, axes)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         inverse = None if axes is None else tuple(np.argsort(axes))
         return Tensor._from_op(out, _op.Transpose((a,), inverse))
     return Tensor._constant(out)
@@ -243,7 +243,7 @@ def transpose(a: Tensor, axes: Optional[tuple] = None) -> Tensor:
 def getitem(a: Tensor, index) -> Tensor:
     """Basic and integer-array indexing with scatter-add backward."""
     out = np.array(a.data[index], copy=True)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.GetItem((a,), index))
     return Tensor._constant(out)
 
@@ -251,7 +251,7 @@ def getitem(a: Tensor, index) -> Tensor:
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [Tensor.ensure(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    if _core._GRAD_ENABLED and any(t.requires_grad for t in tensors):
+    if _GRAD.value and any(t.requires_grad for t in tensors):
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
         return Tensor._from_op(out, _op.Concatenate(tuple(tensors), axis, offsets))
@@ -261,7 +261,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [Tensor.ensure(t) for t in tensors]
     out = np.stack([t.data for t in tensors], axis=axis)
-    if _core._GRAD_ENABLED and any(t.requires_grad for t in tensors):
+    if _GRAD.value and any(t.requires_grad for t in tensors):
         return Tensor._from_op(out, _op.Stack(tuple(tensors), axis))
     return Tensor._constant(out)
 
@@ -273,14 +273,14 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.ReduceSum((a,), axis, keepdims))
     return Tensor._constant(out)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         count = (
             a.data.size
             if axis is None
@@ -293,7 +293,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Max reduction; ties split the gradient evenly between maxima."""
     out = a.data.max(axis=axis, keepdims=keepdims)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         expanded = a.data.max(axis=axis, keepdims=True)
         mask = (a.data == expanded).astype(np.float64)
         mask = mask / mask.sum(axis=axis, keepdims=True)
@@ -310,7 +310,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
     out = exps / exps.sum(axis=axis, keepdims=True)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.Softmax((a,), axis, out))
     return Tensor._constant(out)
 
@@ -319,7 +319,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - log_norm
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.LogSoftmax((a,), axis, np.exp(out)))
     return Tensor._constant(out)
 
@@ -333,17 +333,9 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows ``a[indices]`` (indices may repeat)."""
     indices = np.asarray(indices, dtype=np.int64)
     out = a.data[indices]
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.GatherRows((a,), indices))
     return Tensor._constant(out)
-
-
-def scatter_add_rows(a: Tensor, indices, num_rows: int) -> Tensor:
-    """Scatter rows of ``a`` into ``num_rows`` buckets, adding collisions.
-
-    Equivalent to :func:`segment_sum` but named for the scatter view.
-    """
-    return segment_sum(a, indices, num_rows)
 
 
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -356,7 +348,7 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     out_shape = (num_segments,) + a.data.shape[1:]
     out = np.zeros(out_shape, dtype=a.data.dtype)
     np.add.at(out, segment_ids, a.data)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.SegmentSum((a,), segment_ids))
     return Tensor._constant(out)
 
@@ -397,7 +389,7 @@ def segment_max(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     np.maximum.at(out, segment_ids, a.data)
     empty = np.isinf(out)
     out = np.where(empty, 0.0, out)
-    if _core._GRAD_ENABLED and a.requires_grad:
+    if _GRAD.value and a.requires_grad:
         winners = (a.data == out[segment_ids]).astype(np.float64)
         return Tensor._from_op(out, _op.SegmentMax((a,), segment_ids, winners))
     return Tensor._constant(out)

@@ -17,22 +17,26 @@ allocation per extra fan-out edge.
 Broadcasting follows numpy semantics; :func:`unbroadcast` reduces an upstream
 gradient back to the shape of the operand that was broadcast.
 
-A module-level switch (:func:`no_grad`) disables graph construction for
+A per-thread switch (:func:`no_grad`) disables graph construction for
 rollout/inference code paths, mirroring ``torch.no_grad`` /
 ``tf.stop_gradient`` usage in RL libraries.  Under ``no_grad`` the operation
-objects (and their cached masks) are never built at all.
+objects (and their cached masks) are never built at all.  The switch is an
+:class:`~repro.utils.ambient.Ambient`, so a thread serving inference under
+``no_grad`` never turns recording off for a thread that is training.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.utils.ambient import Ambient
+
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_GRAD_ENABLED = True
+#: Whether new operations are recorded on the tape, per thread.
+_GRAD = Ambient(True)
 
 # Bound to the repro.tensor.ops module when it is imported (always, via the
 # package __init__); breaks the Tensor <-> ops import cycle without paying a
@@ -42,23 +46,16 @@ _ops = None
 
 def is_grad_enabled() -> bool:
     """Return whether new operations are currently recorded on the tape."""
-    return _GRAD_ENABLED
+    return _GRAD.value
 
 
-@contextlib.contextmanager
-def no_grad() -> Iterator[None]:
-    """Context manager that disables gradient recording.
+def no_grad():
+    """Context manager that disables gradient recording on this thread.
 
     Inside the block every operation produces constant tensors, which keeps
     inference (e.g. PPO rollouts) cheap and prevents the tape from growing.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
+    return _GRAD.bind(False)
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -85,25 +82,6 @@ def _as_array(value: ArrayLike) -> np.ndarray:
     return array
 
 
-class _ClosureOp:
-    """Adapter so :meth:`Tensor.make` keeps accepting backward closures."""
-
-    __slots__ = ("parents", "fn")
-
-    def __init__(self, parents: tuple, fn: Callable):
-        self.parents = parents
-        self.fn = fn
-
-    def backward(self, grad: np.ndarray):
-        pairs: list = []
-
-        def receive(parent, g):
-            pairs.append((parent, g))
-
-        self.fn(grad, receive)
-        return pairs
-
-
 class Tensor:
     """A numpy-backed array that supports reverse-mode differentiation.
 
@@ -120,7 +98,7 @@ class Tensor:
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = ""):
         self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD.value
         self.grad: Optional[np.ndarray] = None
         self._op = None
         self.name = name
@@ -153,27 +131,6 @@ class Tensor:
         out.grad = None
         out._op = None
         out.name = ""
-        return out
-
-    @staticmethod
-    def make(
-        data: np.ndarray,
-        parents: Iterable["Tensor"],
-        backward: Callable[[np.ndarray, Callable], None],
-    ) -> "Tensor":
-        """Create a non-leaf tensor from an op's forward result.
-
-        Compatibility entry point for ad-hoc ops defined as closures (the
-        pre-Operation-class style): ``backward(grad, receive)`` must call
-        ``receive(parent, parent_grad)`` for each input.  If gradients are
-        globally disabled, or no parent requires a gradient, the result is a
-        constant and the closure is dropped.
-        """
-        parents = tuple(parents)
-        out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._op = _ClosureOp(parents, backward)
         return out
 
     @staticmethod

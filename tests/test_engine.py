@@ -57,6 +57,12 @@ from tests.helpers import (
 )
 
 
+def on(backend, solve, *args):
+    """``solve(*args)`` with ``backend`` bound for the call."""
+    with default_backend(backend):
+        return solve(*args)
+
+
 def random_case(seed, num_nodes=12, extra_edges=14):
     net = random_connected_network(num_nodes, extra_edges, seed=seed)
     rng = np.random.default_rng(seed)
@@ -194,8 +200,8 @@ class TestSparseBackend:
         table = softmin_routing(net, weights, gamma=2.0).destination_table()
         demand = bimodal_matrix(net.num_nodes, seed=seed)
         np.testing.assert_allclose(
-            destination_link_loads(net, table, demand, backend="sparse"),
-            destination_link_loads(net, table, demand, backend="dense"),
+            on("sparse", destination_link_loads, net, table, demand),
+            on("dense", destination_link_loads, net, table, demand),
             atol=1e-8,
         )
 
@@ -205,8 +211,8 @@ class TestSparseBackend:
         table = softmin_routing(net, weights, gamma=2.0).destination_table()
         demands = np.stack([bimodal_matrix(net.num_nodes, seed=seed + i) for i in range(4)])
         np.testing.assert_allclose(
-            destination_link_loads_sequence(net, table, demands, backend="sparse"),
-            destination_link_loads_sequence(net, table, demands, backend="dense"),
+            on("sparse", destination_link_loads_sequence, net, table, demands),
+            on("dense", destination_link_loads_sequence, net, table, demands),
             atol=1e-8,
         )
 
@@ -216,7 +222,7 @@ class TestSparseBackend:
         routing = softmin_routing(net, weights, gamma=2.0)
         demand = bimodal_matrix(net.num_nodes, seed=9)
         np.testing.assert_allclose(
-            link_loads(net, routing, demand, backend="sparse"),
+            on("sparse", link_loads, net, routing, demand),
             reference_link_loads(net, routing, demand),
             atol=1e-8,
         )
@@ -227,8 +233,8 @@ class TestSparseBackend:
         routing = softmin_routing(net, weights, gamma=2.0, pruner="frontier")
         demand = sparse_matrix(net.num_nodes, seed=5, density=0.4)
         np.testing.assert_allclose(
-            link_loads(net, routing, demand, backend="sparse"),
-            link_loads(net, routing, demand, backend="dense"),
+            on("sparse", link_loads, net, routing, demand),
+            on("dense", link_loads, net, routing, demand),
             atol=1e-8,
         )
 
@@ -243,8 +249,8 @@ class TestSparseBackend:
         table[2, net.edge_index[(2, 0)]] = 1.0  # destination forwards (bad)
         demand = np.zeros((3, 3))
         demand[0, 2] = 1.0
-        dense = destination_link_loads(net, table, demand, backend="dense")
-        sparse = destination_link_loads(net, table, demand, backend="sparse")
+        dense = on("dense", destination_link_loads, net, table, demand)
+        sparse = on("sparse", destination_link_loads, net, table, demand)
         np.testing.assert_allclose(sparse, dense, atol=1e-12)
         # The zeroed balance system still admits a unique finite solution:
         # one unit reaches the destination (never re-injected), and the
@@ -300,13 +306,7 @@ class TestSparseBackend:
         assert first_singular == 1
         with use_factorisation_cache(FactorisationCache()):
             with pytest.raises(RoutingLoopError, match=f"destination {first_singular} "):
-                destination_link_loads(net, table, demand, backend="sparse")
-
-    def test_invalid_backend_rejected(self):
-        net, weights = random_case(0)
-        table = softmin_routing(net, weights, gamma=2.0).destination_table()
-        with pytest.raises(ValueError, match="backend"):
-            destination_link_loads(net, table, np.ones((12, 12)), backend="cuda")
+                on("sparse", destination_link_loads, net, table, demand)
 
     def test_loop_error_names_same_destination_as_dense(self):
         # Singular sparse systems must name the first offending destination
@@ -325,7 +325,7 @@ class TestSparseBackend:
         messages = {}
         for backend in ("dense", "sparse"):
             with pytest.raises(RoutingLoopError) as excinfo:
-                destination_link_loads(net, table, demand, backend=backend)
+                on(backend, destination_link_loads, net, table, demand)
             messages[backend] = str(excinfo.value)
         assert "destination 1" in messages["dense"]
         assert "destination 1" in messages["sparse"]
@@ -338,7 +338,7 @@ class TestSparseBackend:
         table[1, net.edge_index[(0, 1)]] = 1.0
         demand = np.zeros((3, 3))
         demand[0, 1] = 4.0
-        loads = destination_link_loads(net, table, demand, backend="sparse")
+        loads = on("sparse", destination_link_loads, net, table, demand)
         assert loads[net.edge_index[(0, 1)]] == pytest.approx(4.0)
 
 
@@ -357,22 +357,16 @@ class TestBackendSelection:
         net = random_connected_network(n, extra, seed=0)
         assert select_backend(net) == "dense"
 
-    def test_explicit_request_wins(self):
-        assert select_backend(abilene(), "sparse") == "sparse"
-        assert select_backend(random_connected_network(200, 60, seed=0), "dense") == "dense"
-
     def test_default_backend_context_steers_auto(self):
         net = abilene()
         assert select_backend(net) == "dense"
         with default_backend("sparse"):
             assert select_backend(net) == "sparse"
-            # Explicit call-site choices still win over the ambient default.
-            assert select_backend(net, "dense") == "dense"
+            with default_backend("auto"):
+                assert select_backend(net) == "dense"  # the size rule again
         assert select_backend(net) == "dense"
 
     def test_invalid_names_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            select_backend(abilene(), "fast")
         with pytest.raises(ValueError, match="backend"):
             with default_backend("gpu"):
                 pass  # pragma: no cover - the context must raise on entry
@@ -434,19 +428,19 @@ class TestFactorisationCache:
     def test_repeated_solves_hit_the_cache(self):
         net, table, demand = self._workload()
         with use_factorisation_cache(FactorisationCache()) as cache:
-            destination_link_loads(net, table, demand, backend="sparse")
+            on("sparse", destination_link_loads, net, table, demand)
             assert cache.misses == net.num_nodes and cache.hits == 0
-            destination_link_loads(net, table, demand, backend="sparse")
+            on("sparse", destination_link_loads, net, table, demand)
         assert cache.hits == net.num_nodes  # the fixed routing re-solves free
 
     def test_cached_results_stay_correct(self):
         net, table, demand = self._workload(3)
         with use_factorisation_cache(FactorisationCache()):
-            first = destination_link_loads(net, table, demand, backend="sparse")
-            again = destination_link_loads(net, table, demand, backend="sparse")
+            first = on("sparse", destination_link_loads, net, table, demand)
+            again = on("sparse", destination_link_loads, net, table, demand)
         np.testing.assert_allclose(again, first, atol=0.0)
         np.testing.assert_allclose(
-            again, destination_link_loads(net, table, demand, backend="dense"), atol=1e-8
+            again, on("dense", destination_link_loads, net, table, demand), atol=1e-8
         )
 
     def test_different_routings_do_not_collide(self):
@@ -455,16 +449,16 @@ class TestFactorisationCache:
         demand = bimodal_matrix(net.num_nodes, seed=1)
         for gamma in (1.0, 4.0):
             table = softmin_routing(net, weights, gamma=gamma).destination_table()
-            dense = destination_link_loads(net, table, demand, backend="dense")
+            dense = on("dense", destination_link_loads, net, table, demand)
             with use_factorisation_cache(cache):
-                sparse = destination_link_loads(net, table, demand, backend="sparse")
+                sparse = on("sparse", destination_link_loads, net, table, demand)
             np.testing.assert_allclose(sparse, dense, atol=1e-8)
         assert cache.hits == 0 and cache.misses == 2 * net.num_nodes
 
     def test_eviction_respects_max_entries(self):
         net, table, demand = self._workload()
         with use_factorisation_cache(FactorisationCache(max_entries=4)) as cache:
-            destination_link_loads(net, table, demand, backend="sparse")
+            on("sparse", destination_link_loads, net, table, demand)
         assert len(cache) == 4
 
     def test_sequence_and_flow_solves_use_the_bound_cache(self):
@@ -475,9 +469,9 @@ class TestFactorisationCache:
         shared = shared_factorisation_cache()
         before = shared.hits + shared.misses
         with use_factorisation_cache(FactorisationCache()) as cache:
-            destination_link_loads_sequence(net, table, demand[np.newaxis], backend="sparse")
+            on("sparse", destination_link_loads_sequence, net, table, demand[np.newaxis])
             assert cache.misses == net.num_nodes
-            link_loads(net, flows, demand, backend="sparse")
+            on("sparse", link_loads, net, flows, demand)
         positive = int(np.count_nonzero(demand))
         assert cache.hits + cache.misses == net.num_nodes + positive  # one lookup per flow
         assert shared.hits + shared.misses == before
@@ -486,13 +480,13 @@ class TestFactorisationCache:
         net, table, demand = self._workload(7)
         shared = shared_factorisation_cache()
         before = shared.hits + shared.misses
-        destination_link_loads(net, table, demand, backend="sparse")
+        on("sparse", destination_link_loads, net, table, demand)
         assert shared.hits + shared.misses > before
 
     def test_clear(self):
         net, table, demand = self._workload()
         with use_factorisation_cache(FactorisationCache()) as cache:
-            destination_link_loads(net, table, demand, backend="sparse")
+            on("sparse", destination_link_loads, net, table, demand)
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
@@ -630,6 +624,14 @@ class TestBatchEvaluate:
             shortest_path_routing, net, seqs, memory_length=3, backend="sparse"
         )
         np.testing.assert_allclose(sparse.ratios, dense.ratios, rtol=1e-8)
+
+    def test_routing_backend_argument_overrides_an_outer_binding(self):
+        # backend="auto" is bound for the whole call, so the destination
+        # path picks dense by the size rule here, as the per-flow path does.
+        net, seqs = self._setup()
+        with default_backend("sparse"), use_factorisation_cache(FactorisationCache()) as cache:
+            batch_evaluate_routing(shortest_path_routing, net, seqs, memory_length=3)
+        assert cache.misses == 0
 
     def test_policy_evaluation_backends_agree(self):
         net, seqs = self._setup()

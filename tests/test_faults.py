@@ -30,6 +30,7 @@ from repro.distributed.worker import execute_task, run_worker
 from repro.engine.backend import (
     SPLU_BREAKER,
     FactorisationCache,
+    default_backend,
     use_factorisation_cache,
 )
 from repro.engine.simulator_batch import destination_link_loads
@@ -333,15 +334,16 @@ class TestFaultMatrix:
         table[1, net.edge_index[(0, 1)]] = 1.0
         demand = np.zeros((3, 3))
         demand[0, 1] = 4.0
-        dense = destination_link_loads(net, table, demand, backend="dense")
+        with default_backend("dense"):
+            dense = destination_link_loads(net, table, demand)
 
         def solve_sparse_uncached():
-            # A fresh factorisation cache, bound inside the watchdog thread
-            # (the override is thread-local): earlier tests may have
-            # factorised this triangle, and a cache hit never reaches the
-            # fault site.
-            with use_factorisation_cache(FactorisationCache()):
-                return destination_link_loads(net, table, demand, backend="sparse")
+            # A fresh factorisation cache and the sparse backend, bound
+            # inside the watchdog thread (bindings are per-thread): earlier
+            # tests may have factorised this triangle, and a cache hit never
+            # reaches the fault site.
+            with use_factorisation_cache(FactorisationCache()), default_backend("sparse"):
+                return destination_link_loads(net, table, demand)
 
         with inject(
             FaultPlan.single("backend.factorise", kind="error", probability=1.0)
@@ -356,16 +358,17 @@ class TestFaultMatrix:
         table[1, net.edge_index[(0, 1)]] = 1.0
         demand = np.zeros((3, 3))
         demand[0, 1] = 4.0
-        dense = destination_link_loads(net, table, demand, backend="dense")
-        with use_factorisation_cache(FactorisationCache()), inject(
+        with default_backend("dense"):
+            dense = destination_link_loads(net, table, demand)
+        with use_factorisation_cache(FactorisationCache()), default_backend("sparse"), inject(
             FaultPlan.single("backend.factorise", kind="error", probability=1.0)
         ):
             for _ in range(SPLU_BREAKER.failure_threshold):
                 with pytest.warns(RuntimeWarning, match="falling back"):
-                    destination_link_loads(net, table, demand, backend="sparse")
+                    destination_link_loads(net, table, demand)
             assert SPLU_BREAKER.state == "open"
             calls_before = fault_counts()["backend.factorise"][0]
-            tripped = destination_link_loads(net, table, demand, backend="sparse")
+            tripped = destination_link_loads(net, table, demand)
             assert fault_counts()["backend.factorise"][0] == calls_before
         np.testing.assert_allclose(tripped, dense, atol=1e-8)
 

@@ -38,7 +38,7 @@ from repro.api.client import (
 from repro.api.service import RouteRequest, ServiceSpec
 from repro.api.store import STORE_FORMAT, ResultStore
 from repro.distributed.worker import WorkerShutdown, run_worker
-from repro.engine.backend import SPLU_BREAKER
+from repro.engine.backend import SPLU_BREAKER, default_backend
 from repro.engine.simulator_batch import destination_link_loads
 from repro.faults import FaultPlan, inject
 from repro.flows.lp import (
@@ -311,9 +311,10 @@ class TestCircuitBreaker:
         table[2, net.edge_index[(1, 0)]] = 1.0
         demand = np.zeros((3, 3))
         demand[0, 2] = 1.0
-        for _ in range(SPLU_BREAKER.failure_threshold + 1):
-            with pytest.raises(RoutingLoopError):
-                destination_link_loads(net, table, demand, backend="sparse")
+        with default_backend("sparse"):
+            for _ in range(SPLU_BREAKER.failure_threshold + 1):
+                with pytest.raises(RoutingLoopError):
+                    destination_link_loads(net, table, demand)
         assert SPLU_BREAKER.state == "closed"
 
 

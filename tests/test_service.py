@@ -236,23 +236,27 @@ class TestLifecycle:
             ServiceEngine(ServiceSpec(scenario=scenario))
 
 
+def _policy_scenario(name="policy-service-test"):
+    return ScenarioSpec(
+        name=name,
+        topology={"name": "abilene"},
+        traffic={
+            "model": "bimodal",
+            "length": 8,
+            "cycle_length": 4,
+            "num_train": 1,
+            "num_test": 1,
+        },
+        routing={"policies": ["mlp"], "strategies": ["shortest_path"]},
+        training={"preset": "quick", "overrides": {"total_timesteps": 64}},
+    )
+
+
 class TestPolicyServing:
     @pytest.fixture(scope="class")
     def policy_server(self):
-        scenario = ScenarioSpec(
-            name="policy-service-test",
-            topology={"name": "abilene"},
-            traffic={
-                "model": "bimodal",
-                "length": 8,
-                "cycle_length": 4,
-                "num_train": 1,
-                "num_test": 1,
-            },
-            routing={"policies": ["mlp"], "strategies": ["shortest_path"]},
-            training={"preset": "quick", "overrides": {"total_timesteps": 64}},
-        )
-        with serve(ServiceSpec(scenario=scenario, batch_window_ms=0.0)) as running:
+        spec = ServiceSpec(scenario=_policy_scenario(), batch_window_ms=0.0)
+        with serve(spec) as running:
             yield running
 
     def test_policy_answers_deterministically(self, policy_server):
@@ -342,6 +346,42 @@ class TestPolicyServing:
             engine.entries["mlp"] = ("policy", (policy, iterative))
         assert isinstance(answers[1], NonFiniteActionError)
         assert answers[0] == answers[2] == expected
+
+
+class TestReloadUnderTraffic:
+    def test_reload_trains_while_a_tick_holds_a_policy_forward(self):
+        # The tick thread sits inside act_batch's no_grad while the main
+        # thread retrains the same deployment: the retraining must still
+        # record gradients, and both requests must be answered.
+        spec = ServiceSpec(scenario=_policy_scenario("reload-traffic"), batch_window_ms=0.0)
+        demand = np.ones((11, 11))
+        np.fill_diagonal(demand, 0.0)
+        request = RouteRequest(demand=demand, labels=("mlp",))
+        with serve(spec) as running:
+            policy = running.engine.entries["mlp"][1][0]
+            forward = policy._forward_batch
+            inside, release = threading.Event(), threading.Event()
+
+            def held_forward(observations):
+                inside.set()
+                assert release.wait(30.0)
+                return forward(observations)
+
+            policy._forward_batch = held_forward
+            answers = {}
+            held = threading.Thread(
+                target=lambda: answers.setdefault("held", running.evaluate(request))
+            )
+            held.start()
+            try:
+                assert inside.wait(30.0)
+                info = running.reload(spec)
+            finally:
+                release.set()
+                held.join(timeout=30.0)
+            assert info["reloaded"]
+            assert answers["held"].entry("mlp").ratio >= 1.0 - 1e-9
+            assert running.evaluate(request).entry("mlp").ratio >= 1.0 - 1e-9
 
 
 class TestServedPolicyMatchesOffline:

@@ -1,5 +1,7 @@
 """Tests for the autodiff core: Tensor mechanics, backward pass, no_grad."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,34 @@ class TestNoGrad:
         with no_grad():
             t = Tensor(1.0, requires_grad=True)
         assert not t.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        # A holds no_grad while B builds a leaf, then B's own no_grad block
+        # outlives A's.  Neither thread may see the other's switch.
+        a_inside, b_inside, a_left = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_inside.set()
+                assert b_inside.wait(5.0)
+            a_left.set()
+
+        def thread_b():
+            assert a_inside.wait(5.0)
+            seen["leaf"] = Tensor([1.0], requires_grad=True)
+            with no_grad():
+                b_inside.set()
+                assert a_left.wait(5.0)
+            seen["after"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert seen["leaf"].requires_grad
+        assert seen["after"] and is_grad_enabled()
 
 
 class TestUnbroadcast:
