@@ -264,9 +264,9 @@ def strategy_grid_spec() -> ScenarioSpec:
 # look, and it keeps the LP reward denominator tractable — each distinct
 # DM's optimum is one solve over the active destinations only, and the
 # structure-reusing LP layer (repro.flows.lp) makes those solves
-# warm-started RHS-only re-solves where supports repeat.  For bigger
-# warm-up volumes, `--set evaluation.lp_workers=N` fans the solve set out
-# over worker processes and `--lp-store DIR` persists optima across runs.
+# warm-started RHS-only re-solves where supports repeat.  These presets
+# evaluate fixed strategies only, so they run no LP warm-up pass: each
+# optimum is solved once, when evaluation first scores its DM.
 
 
 def zoo_large_sparse_spec() -> ScenarioSpec:

@@ -235,12 +235,7 @@ class _SeedRun:
                 if self.dynamics is None
                 else self.train_seqs
             )
-            warm_lp_cache(
-                self.train_graphs[0],
-                warm,
-                self.rewarder,
-                workers=self.spec.evaluation.lp_workers,
-            )
+            warm_lp_cache(self.train_graphs[0], warm, self.rewarder)
         trained: dict[str, tuple[object, bool, LearningCurve]] = {}
         for i, pspec in enumerate(self.spec.routing.policies):
             policy, iterative = _build_policy(
@@ -280,7 +275,6 @@ class _SeedRun:
                 weight_scale=self.scale.weight_scale,
                 reward_computer=self.rewarder,
                 backend=self.spec.evaluation.backend,
-                lp_workers=self.spec.evaluation.lp_workers,
                 dynamics=self.dynamics,
             ).combined
         return out

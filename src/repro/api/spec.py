@@ -340,25 +340,17 @@ class EvaluationSpec:
     (``"auto"``/``"dense"``/``"sparse"``, see :mod:`repro.engine.backend`);
     ``"auto"`` applies the node-count/edge-density rule per topology, while
     large-topology presets pin ``"sparse"`` explicitly.
-
-    ``lp_workers`` fans the LP reward-denominator warm-up out over that
-    many worker processes (see :func:`repro.engine.warm_lp_cache`); ``1``
-    (the default) solves serially in-process.
     """
 
     metrics: tuple = ("utilisation_ratio",)
     seeds: tuple = (0,)
     backend: str = "auto"
-    lp_workers: int = 1
 
     def __post_init__(self):
         try:
             object.__setattr__(self, "backend", check_backend(self.backend))
         except ValueError as error:
             raise SpecValidationError(f"evaluation.{error}") from None
-        object.__setattr__(
-            self, "lp_workers", _coerce_int("evaluation.lp_workers", self.lp_workers, 1)
-        )
         metrics = tuple(self.metrics)
         unknown = sorted(set(metrics) - set(KNOWN_METRICS))
         if unknown:
@@ -396,17 +388,14 @@ class EvaluationSpec:
         object.__setattr__(self, "seeds", seeds)
 
     def to_dict(self) -> dict:
-        # ``backend`` and ``lp_workers`` are emitted only when they deviate
-        # from their defaults: the dict form feeds ``canonical_json`` →
-        # ``spec_hash``, and an always-present key would silently orphan
-        # every pre-existing ResultStore entry (sweep resume would
-        # re-execute everything).  ``from_dict`` restores omitted keys to
-        # their defaults.
+        # ``backend`` is emitted only when it deviates from its default:
+        # the dict form feeds ``canonical_json`` → ``spec_hash``, and an
+        # always-present key would silently orphan every pre-existing
+        # ResultStore entry (sweep resume would re-execute everything).
+        # ``from_dict`` restores an omitted key to its default.
         data = {"metrics": list(self.metrics), "seeds": list(self.seeds)}
         if self.backend != "auto":
             data["backend"] = self.backend
-        if self.lp_workers != 1:
-            data["lp_workers"] = self.lp_workers
         return data
 
     @classmethod
@@ -557,7 +546,7 @@ class ScenarioSpec:
         }
         # Omitted at the default (None, i.e. static) per the spec-hash
         # stability rule: an always-present key would silently orphan every
-        # pre-existing ResultStore/LPOptimumStore entry.
+        # pre-existing ResultStore entry.
         if self.dynamics is not None:
             data["dynamics"] = self.dynamics.to_dict()
         return data

@@ -14,9 +14,7 @@ this module amortises it across whole evaluation workloads:
   factorised multi-right-hand-side solve per destination;
 * :func:`warm_lp_cache` — deduplicate and presolve the LP optima a
   workload will need (cyclical sequences repeat each block matrix many
-  times, so the distinct-matrix count is far below the step count); with
-  ``workers > 1`` the deduplicated solve set fans out over a
-  ``ProcessPoolExecutor``, the same machinery the sweep executor uses.
+  times, so the distinct-matrix count is far below the step count).
 
 All-zero demand matrices are defined to have utilisation ratio 1.0 (zero
 load is trivially optimal), so sparse traffic sequences no longer abort a
@@ -36,7 +34,7 @@ from repro.envs.factory import make_routing_env
 from repro.envs.iterative_env import set_edge_weight
 from repro.envs.observation import GraphObservation, demand_history, edge_markers
 from repro.envs.reward import RewardComputer
-from repro.graphs.dynamics import NetworkDelta, NetworkTimeline
+from repro.graphs.dynamics import NetworkTimeline
 from repro.graphs.network import Network
 from repro.routing.strategy import DestinationRouting, RoutingStrategy
 from repro.traffic.sequences import DemandSequence
@@ -124,37 +122,11 @@ def _as_groups(
     return list(zip(networks, groups))
 
 
-def _warm_solve_chunk(
-    network_payload: tuple, matrices: list, delta: Optional[NetworkDelta] = None
-) -> list:
-    """Worker entry point: solve one chunk of demand matrices.
-
-    Takes the network as plain constructor arguments (cheap to pickle, no
-    reliance on array-flag round-trips) and returns the optima in order.
-    A dynamics variant arrives as its base's arguments plus ``delta`` and
-    is re-applied here, so the worker solves it on the base structure from
-    the same start as a serial solve.  A fresh structure cache keeps
-    same-support matrices within the chunk on one assembled structure.
-    """
-    from repro.flows.lp import LinearProgramCache, solve_optimal_max_utilisation, use_lp_cache
-
-    num_nodes, edges, capacities, name = network_payload
-    network = Network(num_nodes, edges, capacities, name=name)
-    if delta is not None:
-        network = delta.apply(network)
-    with use_lp_cache(LinearProgramCache()):
-        return [
-            solve_optimal_max_utilisation(network, matrix).max_utilisation
-            for matrix in matrices
-        ]
-
-
 def warm_lp_cache(
     network: Network,
     sequences: Sequence[DemandSequence],
     reward_computer: RewardComputer,
     memory_length: int = 0,
-    workers: int = 1,
     timeline: Optional[NetworkTimeline] = None,
 ) -> int:
     """Presolve the LP optimum for every distinct post-warmup demand matrix.
@@ -168,18 +140,9 @@ def warm_lp_cache(
     each step, so a dynamic scenario presolves against its perturbed
     variants (cached under their delta fingerprints) rather than the base
     graph; ``None`` is the static workload.
-
-    With ``workers > 1`` the pairs still missing after the in-memory and
-    on-disk caches are consulted fan out over a ``ProcessPoolExecutor``;
-    results merge back through ``reward_computer.cache.put`` (persisting to
-    the optimum store when one is configured).  An
-    :class:`~repro.flows.lp.InfeasibleRoutingError` raised in a worker
-    propagates unchanged, exactly like a serial solve.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be a positive int, got {workers!r}")
     seen: set[tuple[int, bytes]] = set()
-    distinct: list[tuple[Network, np.ndarray]] = []
+    solved = 0
     for sequence in sequences:
         for step in range(memory_length, len(sequence)):
             net = network if timeline is None else timeline.network_at(step)
@@ -189,42 +152,9 @@ def warm_lp_cache(
                 continue
             seen.add(key)
             if np.any(matrix > 0.0):
-                distinct.append((net, matrix))
-
-    cache = reward_computer.cache
-    if workers == 1 or len(distinct) <= 1:
-        for net, matrix in distinct:
-            cache.optimal_max_utilisation(net, matrix)
-        return len(distinct)
-
-    pending = [(net, m) for net, m in distinct if cache.peek(net, m) is None]
-    if pending:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # One submission wave per distinct network (a static workload is a
-        # single wave, chunked exactly as before); variants reconstruct
-        # cheaply in the workers from plain constructor arguments.
-        waves: dict[int, tuple[Network, list[np.ndarray]]] = {}
-        for net, matrix in pending:
-            waves.setdefault(id(net), (net, []))[1].append(matrix)
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            for net, matrices in waves.values():
-                base, delta = getattr(net, "_dynamics_delta", (net, None))
-                payload = (
-                    base.num_nodes,
-                    base.edges,
-                    np.asarray(base.capacities).copy(),
-                    base.name,
-                )
-                worker_count = min(workers, len(matrices))
-                chunks = [matrices[i::worker_count] for i in range(worker_count)]
-                futures = [
-                    pool.submit(_warm_solve_chunk, payload, chunk, delta) for chunk in chunks
-                ]
-                for chunk, future in zip(chunks, futures):
-                    for matrix, optimum in zip(chunk, future.result()):
-                        cache.put(net, matrix, optimum)
-    return len(distinct)
+                reward_computer.cache.optimal_max_utilisation(net, matrix)
+                solved += 1
+    return solved
 
 
 #: Test steps per forward in :func:`_rollout_policy`.  It bounds the
@@ -346,7 +276,6 @@ def batch_evaluate(
     reward_computer: Optional[RewardComputer] = None,
     seed: SeedLike = 0,
     backend: str = "auto",
-    lp_workers: int = 1,
     dynamics: Optional[DynamicsFactory] = None,
 ) -> BatchEvaluationResult:
     """Evaluate one policy over many (network, demand-sequence) workloads.
@@ -377,9 +306,6 @@ def batch_evaluate(
         Balance-system solver for the rollouts' flow simulation
         (``"auto"``/``"dense"``/``"sparse"``), bound with
         :func:`repro.engine.backend.default_backend` for the whole call.
-    lp_workers:
-        Worker processes for the LP pre-warm pass (see
-        :func:`warm_lp_cache`); ``1`` solves serially in-process.
     dynamics:
         Optional factory ``(network, length) -> NetworkTimeline`` making
         the scenario time-varying: each group's rollouts score step ``t``
@@ -398,14 +324,7 @@ def batch_evaluate(
     with default_backend(backend):
         for network, sequences in _as_groups(networks, traffic_sequences):
             timeline, sequences = _group_timeline(dynamics, network, sequences)
-            warm_lp_cache(
-                network,
-                sequences,
-                rewarder,
-                memory_length,
-                workers=lp_workers,
-                timeline=timeline,
-            )
+            warm_lp_cache(network, sequences, rewarder, memory_length, timeline=timeline)
             results.append(
                 _rollout_policy(
                     policy,
@@ -435,7 +354,7 @@ def _routing_ratios(
         loads = destination_link_loads_sequence(network, strategy.destination_table(), stacked)
         utilisations = (loads / network.capacities).max(axis=1)
         return tuple(
-            rewarder.ratio_from_achieved(network, u, dm)
+            rewarder.ratio_from_achieved(network, u, dm)[0]
             for u, dm in zip(utilisations, stacked)
         )
     return tuple(rewarder.utilisation_ratio(network, strategy, dm) for dm in stacked)

@@ -97,32 +97,26 @@ class RewardComputer:
     def utilisation_ratio(
         self, network: Network, routing: RoutingStrategy, demand_matrix: np.ndarray
     ) -> float:
-        """``U_agent / U_optimal`` for one DM (≥ 1 up to LP tolerance).
-
-        An all-zero demand matrix has the defined result 1.0 (zero load is
-        trivially optimal), so sparse traffic sequences evaluate without
-        aborting mid-batch.
-        """
-        if not np.any(np.asarray(demand_matrix) > 0.0):
-            return 1.0
+        """``U_agent / U_optimal`` for one DM (≥ 1 up to LP tolerance)."""
         achieved = max_link_utilisation(network, routing, demand_matrix)
-        return self.ratio_from_achieved(network, achieved, demand_matrix)
+        return self.ratio_from_achieved(network, achieved, demand_matrix)[0]
 
     def ratio_from_achieved(
         self, network: Network, achieved: float, demand_matrix: np.ndarray
-    ) -> float:
-        """Normalise an already-measured ``U_max`` by the cached LP optimum.
+    ) -> tuple[float, float]:
+        """``(U_agent / U_optimal, U_optimal)`` for an already-measured ``U_max``.
 
-        Shares the zero-demand (ratio 1.0) and zero-optimal (error)
-        semantics with :meth:`utilisation_ratio`, so batched callers that
-        compute utilisations in bulk cannot drift from the scalar path.
+        The one home of the zero-demand rule: an all-zero demand matrix has
+        the defined result ``(1.0, 0.0)`` (zero load is trivially optimal),
+        so sparse traffic sequences evaluate without aborting mid-batch.  A
+        zero optimum under positive demand raises ``ValueError``.
         """
         if not np.any(np.asarray(demand_matrix) > 0.0):
-            return 1.0
+            return 1.0, 0.0
         optimal = self.cache.optimal_max_utilisation(network, demand_matrix)
         if optimal <= 0.0:
             raise ValueError("reward undefined for a zero optimal utilisation")
-        return float(achieved) / optimal
+        return float(achieved) / optimal, optimal
 
     def reward(
         self,
@@ -133,9 +127,6 @@ class RewardComputer:
     ) -> tuple[float, dict]:
         """Equation 2: returns ``(reward, info)`` for one timestep."""
         routing = self.routing_from_weights(network, weights, gamma)
-        ratio = self.utilisation_ratio(network, routing, demand_matrix)
-        info = {
-            "utilisation_ratio": ratio,
-            "optimal_utilisation": self.cache.optimal_max_utilisation(network, demand_matrix),
-        }
-        return -ratio, info
+        achieved = max_link_utilisation(network, routing, demand_matrix)
+        ratio, optimal = self.ratio_from_achieved(network, achieved, demand_matrix)
+        return -ratio, {"utilisation_ratio": ratio, "optimal_utilisation": optimal}

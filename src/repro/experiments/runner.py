@@ -44,7 +44,6 @@ from pathlib import Path
 
 from repro.api.registry import UnknownComponentError, registry_for
 from repro.api.presets import SCENARIOS, get_scenario
-from repro.flows.lp import LP_STORE_ENV
 from repro.api.runner import run as run_scenario
 from repro.api.spec import ScenarioSpec, SpecValidationError
 from repro.api.store import ResultStore
@@ -69,22 +68,6 @@ def _add_scale_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--echo", action="store_true", help="print per-update training diagnostics"
-    )
-    parser.add_argument(
-        "--lp-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan the LP reward-denominator warm-up over N worker processes "
-        "(shorthand for --set evaluation.lp_workers=N)",
-    )
-    parser.add_argument(
-        "--lp-store",
-        metavar="DIR",
-        default=None,
-        help="persist LP optima per (network fingerprint, demand hash) in DIR "
-        "so repeated runs and sweep workers never re-solve a demand matrix "
-        f"(sets ${LP_STORE_ENV} for this process and its workers)",
     )
 
 
@@ -378,8 +361,6 @@ def _resolve_spec(args: argparse.Namespace) -> ScenarioSpec:
         updates["training.overrides.total_timesteps"] = args.timesteps
     if args.seed is not None:
         updates["evaluation.seeds"] = [args.seed]
-    if getattr(args, "lp_workers", None) is not None:
-        updates["evaluation.lp_workers"] = args.lp_workers
     for assignment in args.overrides:
         path, value = _parse_set(assignment)
         updates[path] = value
@@ -559,12 +540,6 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "lp_store", None):
-        # Environment-propagated so sweep worker processes (and every
-        # RewardComputer cache created anywhere below) inherit the store.
-        import os
-
-        os.environ[LP_STORE_ENV] = args.lp_store
     try:
         if args.command == "run":
             return _cmd_run(args)

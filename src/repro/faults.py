@@ -34,7 +34,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -64,7 +64,6 @@ FAULT_SITES: Tuple[str, ...] = (
     "lp.solve",
     "backend.factorise",
     "store.put",
-    "lp_store.put",
     "queue.claim",
     "queue.heartbeat",
     "queue.complete",

@@ -16,7 +16,6 @@ Figure 1:
 from repro.flows.lp import (
     LinearProgramCache,
     LinearProgramStructure,
-    LPOptimumStore,
     OptimalRouting,
     OptimalUtilisationCache,
     demand_destinations,
@@ -37,7 +36,6 @@ __all__ = [
     "OptimalUtilisationCache",
     "LinearProgramCache",
     "LinearProgramStructure",
-    "LPOptimumStore",
     "demand_destinations",
     "direct_solver_available",
     "network_fingerprint",

@@ -48,22 +48,19 @@ equality right-hand side changes.  The fast path exploits that four ways:
   :func:`scipy.optimize.linprog` unchanged.
 
 LP *optima* are additionally memoised per ``(network fingerprint, demand
-bytes)`` in :class:`OptimalUtilisationCache` (in-memory LRU) and optionally
-persisted across processes in a :class:`LPOptimumStore` (ResultStore-style
-on-disk layout, see :mod:`repro.api.store`), so repeated sweeps and grid
-cells never re-solve a demand matrix they have seen before.
+bytes)`` in :class:`OptimalUtilisationCache`, an in-memory LRU each run owns.
+Optima are never persisted: a stored value would outlive the solver and
+solve path that produced it, so a run's denominators would depend on what
+earlier processes happened to compute.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -73,13 +70,7 @@ from repro.faults import fault_point
 from repro.graphs.kernels import batch_distances_to_targets
 from repro.graphs.network import Network
 from repro.utils.ambient import Ambient
-from repro.utils.caching import (
-    KeyedLRU,
-    atomic_write_text,
-    quarantine_entry,
-    sharded_digests,
-    sharded_entry_path,
-)
+from repro.utils.caching import KeyedLRU
 from repro.utils.resilience import CircuitBreaker
 from repro.utils.validation import check_square_matrix
 
@@ -679,97 +670,8 @@ def solve_optimal_max_utilisation(
 
 
 # ---------------------------------------------------------------------------
-# Optimum memoisation: in-memory LRU + optional on-disk persistence
+# Optimum memoisation
 # ---------------------------------------------------------------------------
-
-#: Environment variable naming a directory for the process-default
-#: :class:`LPOptimumStore`; set by ``runner --lp-store`` so sweep worker
-#: processes inherit it.
-LP_STORE_ENV = "REPRO_LP_STORE"
-
-#: Bump when the on-disk entry schema changes; older entries read as misses.
-LP_STORE_FORMAT = 1
-
-
-class LPOptimumStore:
-    """On-disk cache of LP optima keyed by (network fingerprint, DM hash).
-
-    Same layout discipline as :class:`repro.api.store.ResultStore`: entries
-    live at ``<root>/<hh>/<digest>.json`` where ``hh`` is the first two hex
-    digits, writes are atomic (temp file + ``os.replace``), and unreadable
-    or wrong-format entries read as misses.  Because the key covers the
-    exact topology bytes and the exact demand bytes, repeated sweeps and
-    grid cells across processes never re-solve a matrix any of them has
-    already solved.
-    """
-
-    def __init__(self, directory: Union[str, Path]):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def __repr__(self) -> str:
-        return f"LPOptimumStore({str(self.directory)!r}, entries={len(self)})"
-
-    @staticmethod
-    def digest(network: Network, demand_matrix: np.ndarray) -> str:
-        payload = hashlib.sha256()
-        payload.update(network_fingerprint(network))
-        payload.update(np.ascontiguousarray(np.asarray(demand_matrix)).tobytes())
-        return payload.hexdigest()
-
-    def path_for(self, digest: str) -> Path:
-        return sharded_entry_path(self.directory, digest)
-
-    def get(self, network: Network, demand_matrix: np.ndarray) -> Optional[float]:
-        """The stored optimum, or ``None`` on a miss.
-
-        A present-but-corrupt entry (truncated, bad JSON, wrong format,
-        non-numeric optimum) is quarantined as ``*.json.corrupt`` with a
-        one-line warning, then reported as a miss.
-        """
-        path = self.path_for(self.digest(network, demand_matrix))
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            quarantine_entry(path, f"unreadable: {exc}")
-            return None
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            quarantine_entry(path, f"invalid JSON: {exc}")
-            return None
-        if not isinstance(data, dict) or data.get("format") != LP_STORE_FORMAT:
-            quarantine_entry(path, f"unsupported entry format {data.get('format')!r}")
-            return None
-        optimum = data.get("optimum")
-        if not isinstance(optimum, (int, float)) or isinstance(optimum, bool):
-            quarantine_entry(path, f"non-numeric optimum {optimum!r}")
-            return None
-        return float(optimum)
-
-    def put(self, network: Network, demand_matrix: np.ndarray, optimum: float) -> Path:
-        """Persist one optimum atomically; returns the entry path."""
-        digest = self.digest(network, demand_matrix)
-        payload = json.dumps(
-            {"format": LP_STORE_FORMAT, "key": digest, "optimum": float(optimum)}
-        )
-        fault_point("lp_store.put")
-        return atomic_write_text(self.path_for(digest), payload)
-
-    def hashes(self) -> list[str]:
-        """Every stored key, sorted."""
-        return sharded_digests(self.directory)
-
-    def __len__(self) -> int:
-        return len(self.hashes())
-
-
-def default_lp_store() -> Optional[LPOptimumStore]:
-    """The :data:`LP_STORE_ENV`-configured store, or ``None`` when unset."""
-    directory = os.environ.get(LP_STORE_ENV)
-    return LPOptimumStore(directory) if directory else None
 
 
 class OptimalUtilisationCache(KeyedLRU):
@@ -786,88 +688,28 @@ class OptimalUtilisationCache(KeyedLRU):
     hash collisions across distinct networks must miss, not silently return
     the wrong optimum.
 
-    Parameters
-    ----------
-    max_entries:
-        In-memory LRU capacity.
-    store:
-        Optional :class:`LPOptimumStore` (or a directory path for one) for
-        cross-process persistence.  ``None`` falls back to the
-        :data:`LP_STORE_ENV` environment variable, so ``runner --lp-store``
-        reaches every cache in every worker without plumbing.
+    Builds are single-flight per key (:meth:`KeyedLRU.lookup`), so request
+    threads that miss on the same matrix share one solve.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 4096,
-        store: Union[LPOptimumStore, str, Path, None] = None,
-    ):
+    def __init__(self, max_entries: int = 4096):
         super().__init__(max_entries)
-        if store is None:
-            store = default_lp_store()
-        elif not isinstance(store, LPOptimumStore):
-            store = LPOptimumStore(store)
-        self.store = store
-
-    def _key(self, network: Network, demand_matrix: np.ndarray) -> tuple:
-        return (network_fingerprint(network), np.asarray(demand_matrix).tobytes())
-
-    def peek(self, network: Network, demand_matrix: np.ndarray) -> Optional[float]:
-        """The cached/persisted optimum without solving, or ``None``."""
-        key = self._key(network, demand_matrix)
-        cached = self.get(key)
-        if cached is not None:
-            return cached
-        if self.store is not None:
-            persisted = self.store.get(network, demand_matrix)
-            if persisted is not None:
-                self.insert(key, persisted)
-                self.hits += 1
-                return persisted
-        return None
-
-    def put(self, network: Network, demand_matrix: np.ndarray, optimum: float) -> None:
-        """Record an externally-computed optimum (parallel warm-up merge).
-
-        Persistence is best-effort: the optimum is already in memory, so a
-        failed on-disk write (full disk, injected fault) degrades to a
-        warning instead of killing the run — the next process just
-        re-solves that matrix once.
-        """
-        self.insert(self._key(network, demand_matrix), float(optimum))
-        if self.store is not None:
-            try:
-                self.store.put(network, demand_matrix, optimum)
-            except (OSError, RuntimeError) as exc:
-                warnings.warn(
-                    f"LP optimum persist failed ({exc!r}); continuing with the "
-                    "in-memory value",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
 
     def optimal_max_utilisation(self, network: Network, demand_matrix: np.ndarray) -> float:
-        cached = self.peek(network, demand_matrix)
-        if cached is not None:
-            return cached
-        self.misses += 1
-        optimum = solve_optimal_max_utilisation(network, demand_matrix).max_utilisation
-        self.put(network, demand_matrix, optimum)
-        return optimum
+        return self.lookup(
+            (network_fingerprint(network), np.asarray(demand_matrix).tobytes()),
+            lambda: float(solve_optimal_max_utilisation(network, demand_matrix).max_utilisation),
+        )
 
 
 __all__ = [
     "DIRECT_SOLVER_BREAKER",
-    "LP_STORE_ENV",
-    "LP_STORE_FORMAT",
     "InfeasibleRoutingError",
-    "LPOptimumStore",
     "LinearProgramCache",
     "LinearProgramStructure",
     "OptimalRouting",
     "OptimalUtilisationCache",
     "SHARED_LP_CACHE",
-    "default_lp_store",
     "demand_destinations",
     "direct_solver_available",
     "network_fingerprint",

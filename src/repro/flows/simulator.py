@@ -42,6 +42,16 @@ __all__ = [
 ]
 
 
+def _checked_demand(network: Network, demand_matrix: np.ndarray) -> np.ndarray:
+    demand = check_square_matrix("demand_matrix", demand_matrix)
+    if demand.shape[0] != network.num_nodes:
+        raise ValueError(
+            f"demand matrix size {demand.shape[0]} does not match network "
+            f"({network.num_nodes} nodes)"
+        )
+    return demand
+
+
 def link_loads(
     network: Network,
     routing: RoutingStrategy,
@@ -55,12 +65,7 @@ def link_loads(
     positive-demand flows, on the calling thread's bound balance-system
     backend (:func:`repro.engine.backend.default_backend`).
     """
-    demand = check_square_matrix("demand_matrix", demand_matrix)
-    if demand.shape[0] != network.num_nodes:
-        raise ValueError(
-            f"demand matrix size {demand.shape[0]} does not match network "
-            f"({network.num_nodes} nodes)"
-        )
+    demand = _checked_demand(network, demand_matrix)
     if isinstance(routing, DestinationRouting):
         return destination_link_loads(network, routing.destination_table(), demand)
     flows = [
@@ -77,8 +82,15 @@ def max_link_utilisation(
     routing: RoutingStrategy,
     demand_matrix: np.ndarray,
 ) -> float:
-    """The achieved ``U_max``: max over links of load / capacity."""
-    loads = link_loads(network, routing, demand_matrix)
+    """The achieved ``U_max``: max over links of load / capacity.
+
+    An all-zero demand matrix loads no link, so it returns 0.0 without
+    simulating.
+    """
+    demand = _checked_demand(network, demand_matrix)
+    if not np.any(demand > 0.0):
+        return 0.0
+    loads = link_loads(network, routing, demand)
     return float((loads / network.capacities).max())
 
 

@@ -19,10 +19,10 @@ Cache keying is the load-bearing part.  Perturbed variants are stamped
 with a *delta fingerprint* — ``sha256(base_fingerprint || delta bytes)``
 installed into the ``_lp_fingerprint`` slot that
 :func:`repro.flows.lp.network_fingerprint` memoises on — so every keyed
-cache (LP structures, ``splu`` factorisations, LP optima, the on-disk
-optimum store) keys a variant by *which perturbation of which base* it
-is.  The digest is deterministic across processes, and the originating
-``(base, delta)`` pair stays attached as ``variant._dynamics_delta``.
+cache (LP structures, ``splu`` factorisations, LP optima) keys a variant
+by *which perturbation of which base* it is.  The digest is deterministic
+across processes, and the originating ``(base, delta)`` pair stays
+attached as ``variant._dynamics_delta``.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class NetworkDelta:
             name=f"{base.name}~dyn",
         )
         # Delta fingerprint: every KeyedLRU cache (LP structures, splu
-        # factorisations, optima, the on-disk optimum store) keys this
-        # variant by (base structure, perturbation) instead of re-digesting
-        # it as an unrelated topology — deterministic across processes.
+        # factorisations, optima) keys this variant by (base structure,
+        # perturbation) instead of re-digesting it as an unrelated
+        # topology — deterministic across processes.
         from repro.flows.lp import network_fingerprint
 
         stamp = hashlib.sha256(

@@ -25,7 +25,16 @@ environment; this package is the from-scratch substitute:
 from repro.rl.env import Env
 from repro.rl.spaces import Box
 from repro.rl.buffer import RolloutBuffer
-from repro.rl.ppo import PPO, PPOConfig
+from repro.rl.ppo import PPO, PPOConfig, TrainingDivergedError
 from repro.rl.vec_env import VecEnv, as_vec_env
 
-__all__ = ["Env", "Box", "RolloutBuffer", "PPO", "PPOConfig", "VecEnv", "as_vec_env"]
+__all__ = [
+    "Env",
+    "Box",
+    "RolloutBuffer",
+    "PPO",
+    "PPOConfig",
+    "TrainingDivergedError",
+    "VecEnv",
+    "as_vec_env",
+]

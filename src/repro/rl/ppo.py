@@ -25,6 +25,10 @@ from repro.utils.logging import RunLogger
 from repro.utils.seeding import SeedLike, rng_from_seed
 
 
+class TrainingDivergedError(RuntimeError):
+    """A PPO update produced a non-finite loss or gradient norm."""
+
+
 @dataclass
 class PPOConfig:
     """Hyperparameters (defaults follow stable-baselines PPO2).
@@ -212,7 +216,15 @@ class PPO:
 
                 self.optimizer.zero_grad()
                 loss.backward()
-                clip_grad_norm(self.optimizer.parameters, cfg.max_grad_norm)
+                grad_norm = clip_grad_norm(self.optimizer.parameters, cfg.max_grad_norm)
+                # A NaN norm never exceeds the clip, so Adam would write NaN
+                # into every parameter; stop before the step instead.
+                loss_value = float(loss.numpy())
+                if not (np.isfinite(loss_value) and np.isfinite(grad_norm)):
+                    raise TrainingDivergedError(
+                        f"PPO update diverged (loss {loss_value}, gradient norm "
+                        f"{grad_norm}); the parameters keep their last finite values"
+                    )
                 self.optimizer.step()
 
                 policy_losses.append(float(policy_loss.numpy()))

@@ -7,8 +7,7 @@ private :class:`~repro.flows.lp.LinearProgramCache` (constraint structures
 and persistent solver models), private
 :class:`~repro.engine.backend.FactorisationCache` (per-destination ``splu``
 factors), and the rewarder's :class:`~repro.flows.lp.OptimalUtilisationCache`
-(LP optima per demand matrix, backed by the on-disk optimum store when
-``$REPRO_LP_STORE`` is set).  After that, :meth:`evaluate_batch` answers a
+(LP optima per demand matrix).  After that, :meth:`evaluate_batch` answers a
 whole coalesced tick of requests with RHS-only LP re-solves and cached
 back-substitutions.
 
@@ -147,13 +146,7 @@ class ServiceEngine:
         if not demands:
             return
         with default_backend(self.backend):
-            warm_lp_cache(
-                self.network,
-                sequences,
-                self.rewarder,
-                self.memory_length,
-                workers=self.spec.scenario.evaluation.lp_workers,
-            )
+            warm_lp_cache(self.network, sequences, self.rewarder, self.memory_length)
             first = np.stack(demands[:1])
             for kind, obj in self.entries.values():
                 if kind == "strategy" and isinstance(obj, DestinationRouting):
@@ -198,76 +191,51 @@ class ServiceEngine:
                 ]
                 if not idxs:
                     continue
-                if kind == "strategy":
-                    self._strategy_tick(label, obj, requests, idxs, entries, errors)
-                else:
-                    self._policy_tick(label, obj, requests, idxs, entries, errors)
+                tick = self._strategy_tick if kind == "strategy" else self._policy_tick
+                for i, achieved in zip(idxs, tick(label, obj, [requests[i] for i in idxs])):
+                    if isinstance(achieved, Exception):
+                        errors[i] = achieved
+                        continue
+                    try:
+                        ratio, optimal = self.rewarder.ratio_from_achieved(
+                            self.network, achieved, requests[i].demand
+                        )
+                        entries[i].append(RouteEntry(label, ratio, achieved, optimal))
+                    except Exception as exc:
+                        errors[i] = exc
         return [
             errors[i] if errors[i] is not None else entries[i]
             for i in range(len(requests))
         ]
 
-    def _entry(self, label: str, achieved: float, demand: np.ndarray) -> RouteEntry:
-        """Ratio + optimal from an achieved ``U_max``, rewarder semantics.
-
-        All-zero demand has the defined ratio 1.0 and a 0.0 optimal,
-        matching :meth:`RewardComputer.ratio_from_achieved`.
-        """
-        if not np.any(demand > 0.0):
-            return RouteEntry(label, 1.0, float(achieved), 0.0)
-        ratio = self.rewarder.ratio_from_achieved(self.network, achieved, demand)
-        optimal = self.rewarder.cache.peek(self.network, demand)
-        return RouteEntry(label, float(ratio), float(achieved), float(optimal))
-
-    def _strategy_tick(self, label, strategy, requests, idxs, entries, errors):
+    def _strategy_tick(self, label, strategy, requests) -> list:
+        """Each request's achieved ``U_max`` under a fixed strategy (or its error)."""
         if isinstance(strategy, DestinationRouting):
-            stacked = np.stack([requests[i].demand for i in idxs])
+            stacked = np.stack([request.demand for request in requests])
             try:
                 loads = destination_link_loads_sequence(
                     self.network, strategy.destination_table(), stacked
                 )
             except Exception as exc:
-                for i in idxs:
-                    errors[i] = exc
-                return
-            utilisations = (loads / self.network.capacities).max(axis=1)
-            for i, utilisation in zip(idxs, utilisations):
-                try:
-                    entries[i].append(
-                        self._entry(label, float(utilisation), requests[i].demand)
-                    )
-                except Exception as exc:
-                    errors[i] = exc
-            return
-        for i in idxs:
-            demand = requests[i].demand
-            try:
-                achieved = (
-                    max_link_utilisation(self.network, strategy, demand)
-                    if np.any(demand > 0.0)
-                    else 0.0
-                )
-                entries[i].append(self._entry(label, achieved, demand))
-            except Exception as exc:
-                errors[i] = exc
+                return [exc] * len(requests)
+            return [float(u) for u in (loads / self.network.capacities).max(axis=1)]
+        return [
+            _or_error(max_link_utilisation, self.network, strategy, request.demand)
+            for request in requests
+        ]
 
-    def _policy_tick(self, label, entry, requests, idxs, entries, errors):
+    def _policy_tick(self, label, entry, requests) -> list:
+        """Each request's achieved ``U_max`` under a learned policy (or its error)."""
         policy, iterative = entry
         if iterative:
             exc = SpecValidationError(
                 f"policy {label!r} is iterative (one edge per sub-step) and "
                 "cannot answer per-request evaluation; use the /run endpoint"
             )
-            for i in idxs:
-                errors[i] = exc
-            return
-        for i in idxs:
-            try:
-                entries[i].append(self._policy_entry(label, policy, requests[i]))
-            except Exception as exc:
-                errors[i] = exc
+            return [exc] * len(requests)
+        return [_or_error(self._policy_achieved, policy, request) for request in requests]
 
-    def _policy_entry(self, label, policy, request: RouteRequest) -> RouteEntry:
+    def _policy_achieved(self, policy, request: RouteRequest) -> float:
         n = self.network.num_nodes
         history = request.history
         if history is None:
@@ -283,13 +251,7 @@ class ServiceEngine:
         routing = self.rewarder.routing_from_weights(
             self.network, weights, self.softmin_gamma
         )
-        demand = request.demand
-        achieved = (
-            max_link_utilisation(self.network, routing, demand)
-            if np.any(demand > 0.0)
-            else 0.0
-        )
-        return self._entry(label, achieved, demand)
+        return max_link_utilisation(self.network, routing, request.demand)
 
     # -- full runs -----------------------------------------------------
 
@@ -355,6 +317,14 @@ class ServiceEngine:
                 "optima": counters(self.rewarder.cache),
             },
         }
+
+
+def _or_error(function, *args):
+    """``function(*args)``, or the exception it raised (errors stay per request)."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return exc
 
 
 __all__ = ["ServiceEngine"]

@@ -3,8 +3,8 @@
 Two disciplines several subsystems repeat — the in-memory keyed LRU behind
 the engine's ``FactorisationCache`` and the LP layer's structure/optimum
 caches, and the on-disk layout behind ``repro.api.store.ResultStore`` and
-the LP optimum store — live here once, so a fix to eviction or atomic-write
-semantics applies everywhere.
+the distributed task queue — live here once, so a fix to eviction or
+atomic-write semantics applies everywhere.
 """
 
 from __future__ import annotations

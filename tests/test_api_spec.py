@@ -203,46 +203,14 @@ class TestSpecValidation:
         spec = api.get_scenario("fig6").with_updates({"evaluation.backend": "dense"})
         assert spec.evaluation.backend == "dense"
 
-    def test_lp_workers_defaults_to_one(self):
-        assert api.EvaluationSpec().lp_workers == 1
-
-    def test_lp_workers_coerces_integral_values(self):
-        spec = api.EvaluationSpec(lp_workers=np.int64(4))
-        assert spec.lp_workers == 4 and type(spec.lp_workers) is int
-        json.dumps(spec.to_dict())
-
-    @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "two", None])
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "two", None, 1, 2])
     def test_invalid_lp_workers_rejected(self, bad):
-        with pytest.raises(api.SpecValidationError, match="evaluation.lp_workers"):
-            api.EvaluationSpec(lp_workers=bad)
-
-    def test_default_lp_workers_omitted_from_dict_form(self):
-        # Same hash-stability contract as ``backend``: the default must
-        # serialise exactly as before the field existed, so existing
-        # ResultStore entries and sweep resume stay valid.
-        assert "lp_workers" not in api.EvaluationSpec().to_dict()
-        assert api.EvaluationSpec(lp_workers=3).to_dict()["lp_workers"] == 3
-        spec = api.ScenarioSpec(name="lw", routing={"strategies": ["shortest_path"]})
-        assert '"lp_workers"' not in spec.canonical_json()
-        explicit = api.ScenarioSpec(
-            name="lw",
-            routing={"strategies": ["shortest_path"]},
-            evaluation={"metrics": ["utilisation_ratio"], "seeds": [0], "lp_workers": 1},
-        )
-        assert explicit.spec_hash() == spec.spec_hash()
-
-    def test_lp_workers_roundtrips(self):
-        spec = api.ScenarioSpec(
-            name="lw",
-            routing={"strategies": ["shortest_path"]},
-            evaluation={"metrics": ["utilisation_ratio"], "seeds": [0], "lp_workers": 2},
-        )
-        assert roundtrip(spec) == spec
-        assert roundtrip(spec).evaluation.lp_workers == 2
-
-    def test_lp_workers_settable_via_dotted_override(self):
-        spec = api.get_scenario("fig6").with_updates({"evaluation.lp_workers": 2})
-        assert spec.evaluation.lp_workers == 2
+        # The LP warm-up has one serial path, so ``lp_workers`` is no field:
+        # an evaluation mapping carrying it fails whatever its value.
+        data = api.ScenarioSpec(name="lw", routing={"strategies": ["shortest_path"]}).to_dict()
+        data["evaluation"]["lp_workers"] = bad
+        with pytest.raises(api.SpecValidationError, match="lp_workers"):
+            api.ScenarioSpec.from_dict(data)
 
     def test_n_envs_defaults_to_one(self):
         assert api.TrainingSpec().n_envs == 1
@@ -253,7 +221,7 @@ class TestSpecValidation:
             api.TrainingSpec(n_envs=bad)
 
     def test_default_n_envs_omitted_from_dict_form(self):
-        # Same hash-stability contract as evaluation.backend/lp_workers:
+        # Same hash-stability contract as evaluation.backend:
         # the default must serialise exactly as before the field existed,
         # so existing ResultStore entries and sweep resume stay valid.
         assert "n_envs" not in api.TrainingSpec().to_dict()

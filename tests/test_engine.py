@@ -650,47 +650,6 @@ class TestBatchEvaluate:
         # a second warm pass performs no new solves
         assert warm_lp_cache(net, seqs, rewarder, memory_length=3) == solved
 
-    def test_warm_lp_cache_parallel_matches_serial(self):
-        net, seqs = self._setup()
-        serial = RewardComputer()
-        count = warm_lp_cache(net, seqs, serial, memory_length=3)
-        parallel = RewardComputer()
-        assert warm_lp_cache(net, seqs, parallel, memory_length=3, workers=2) == count
-        assert len(parallel.cache) == len(serial.cache)
-        for seq in seqs:
-            for step in range(3, len(seq)):
-                dm = seq.matrix(step)
-                if np.any(dm > 0.0):
-                    assert parallel.cache.optimal_max_utilisation(net, dm) == pytest.approx(
-                        serial.cache.optimal_max_utilisation(net, dm), abs=1e-12
-                    )
-        # already-warm caches skip the pool entirely but report the same count
-        assert warm_lp_cache(net, seqs, parallel, memory_length=3, workers=2) == count
-
-    def test_worker_chunk_solves_in_a_fresh_structure_cache(self):
-        from repro.engine.evaluate import _warm_solve_chunk
-        from repro.flows.lp import (
-            SHARED_LP_CACHE,
-            LinearProgramCache,
-            solve_optimal_max_utilisation,
-            use_lp_cache,
-        )
-
-        net, seqs = self._setup()
-        matrices = [seqs[0].matrix(step) for step in range(3, len(seqs[0]))]
-        with use_lp_cache(LinearProgramCache()):
-            expected = [solve_optimal_max_utilisation(net, dm).max_utilisation for dm in matrices]
-        before = SHARED_LP_CACHE.hits + SHARED_LP_CACHE.misses
-        payload = (net.num_nodes, net.edges, np.asarray(net.capacities).copy(), net.name)
-        assert _warm_solve_chunk(payload, matrices) == expected
-        assert SHARED_LP_CACHE.hits + SHARED_LP_CACHE.misses == before
-
-    def test_warm_lp_cache_rejects_bad_workers(self):
-        net, seqs = self._setup()
-        for bad in (0, -1, True, 1.5):
-            with pytest.raises(ValueError, match="workers"):
-                warm_lp_cache(net, seqs, RewardComputer(), memory_length=3, workers=bad)
-
 
 def _evaluation_policy(kind, network, memory, seed):
     if kind == "mlp":

@@ -49,8 +49,6 @@ from repro.faults import (
 from repro.flows.lp import (
     DIRECT_SOLVER_BREAKER,
     LinearProgramCache,
-    LPOptimumStore,
-    OptimalUtilisationCache,
     direct_solver_available,
     solve_optimal_max_utilisation,
     use_lp_cache,
@@ -255,7 +253,6 @@ class TestFaultMatrix:
             "lp.solve",
             "backend.factorise",
             "store.put",
-            "lp_store.put",
             "queue.claim",
             "queue.heartbeat",
             "queue.complete",
@@ -382,23 +379,6 @@ class TestFaultMatrix:
             assert store.hashes() == []  # the failed write left nothing
             store.put(spec, result)  # retry under the same plan lands
         assert_results_equal(store.get(spec), result)
-
-    def test_lp_store_put_error_degrades_to_best_effort_warning(self, tmp_path):
-        net = abilene()
-        demand = bimodal_matrix(net.num_nodes, seed=0)
-        cache = OptimalUtilisationCache(store=tmp_path / "lp")
-        with inject(FaultPlan.single("lp_store.put", kind="error", probability=1.0)):
-            with pytest.warns(RuntimeWarning, match="persist failed"):
-                value = finish_within(
-                    lambda: cache.optimal_max_utilisation(net, demand)
-                )
-            # The direct store API surfaces the typed error undisguised.
-            with pytest.raises(FaultInjected):
-                cache.store.put(net, demand, value)
-        assert cache.peek(net, demand) == value  # in-memory value survived
-        assert len(cache.store) == 0
-        cache.put(net, demand, value)  # disarmed retry persists
-        assert cache.store.get(net, demand) == value
 
     def test_queue_claim_error_is_retried_by_the_worker(self, tmp_path):
         queue = make_queue(tmp_path)

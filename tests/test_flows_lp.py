@@ -17,7 +17,6 @@ from repro.flows.lp import (
     InfeasibleRoutingError,
     LinearProgramCache,
     LinearProgramStructure,
-    LPOptimumStore,
     OptimalUtilisationCache,
     demand_destinations,
     direct_solver_available,
@@ -554,53 +553,3 @@ class TestFingerprintKeys:
         assert network_fingerprint(a) == network_fingerprint(triangle_network())
         assert network_fingerprint(a) != network_fingerprint(triangle_network(20.0))
         assert network_fingerprint(a) != network_fingerprint(line_network(3))
-
-
-class TestOptimumStore:
-    def test_roundtrip_and_cross_cache_reuse(self, tmp_path):
-        net = triangle_network()
-        dm = dm_single(3, 0, 2, 4.0)
-        first = OptimalUtilisationCache(store=tmp_path)
-        value = first.optimal_max_utilisation(net, dm)
-        assert first.misses == 1
-        # A brand-new cache over the same directory hits the store, not HiGHS.
-        second = OptimalUtilisationCache(store=tmp_path)
-        assert second.optimal_max_utilisation(net, dm) == value
-        assert second.misses == 0 and second.hits == 1
-
-    def test_store_keys_on_network_and_demand(self, tmp_path):
-        store = LPOptimumStore(tmp_path)
-        net = triangle_network()
-        dm = dm_single(3, 0, 2, 4.0)
-        store.put(net, dm, 0.5)
-        assert store.get(net, dm) == 0.5
-        assert store.get(net, 2.0 * dm) is None
-        assert store.get(triangle_network(20.0), dm) is None
-        assert len(store) == 1
-
-    def test_corrupt_entries_read_as_misses(self, tmp_path):
-        store = LPOptimumStore(tmp_path)
-        net = triangle_network()
-        dm = dm_single(3, 0, 2, 4.0)
-        path = store.put(net, dm, 0.5)
-        path.write_text("{not json")
-        assert store.get(net, dm) is None
-        path.write_text('{"format": 999, "optimum": 0.5}')
-        assert store.get(net, dm) is None
-        path.write_text('{"format": 1, "optimum": "half"}')
-        assert store.get(net, dm) is None
-        store.put(net, dm, 0.75)  # overwrites the corrupt entry
-        assert store.get(net, dm) == 0.75
-
-    def test_env_variable_configures_default_store(self, tmp_path, monkeypatch):
-        from repro.flows.lp import LP_STORE_ENV
-
-        monkeypatch.setenv(LP_STORE_ENV, str(tmp_path))
-        net = triangle_network()
-        dm = dm_single(3, 0, 2, 4.0)
-        writer = OptimalUtilisationCache()
-        value = writer.optimal_max_utilisation(net, dm)
-        reader = OptimalUtilisationCache()
-        assert reader.optimal_max_utilisation(net, dm) == value
-        assert reader.misses == 0
-        assert len(LPOptimumStore(tmp_path)) == 1

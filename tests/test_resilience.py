@@ -44,19 +44,17 @@ from repro.faults import FaultPlan, inject
 from repro.flows.lp import (
     DIRECT_SOLVER_BREAKER,
     InfeasibleRoutingError,
-    LPOptimumStore,
     direct_solver_available,
     solve_optimal_max_utilisation,
 )
 from repro.flows.simulator import RoutingLoopError
-from repro.graphs import Network, abilene
+from repro.graphs import Network
 from repro.service.server import (
     DeadlineExceededError,
     ServiceOverloadedError,
     TickTimeoutError,
     serve,
 )
-from repro.traffic import bimodal_matrix
 from repro.utils.resilience import CircuitBreaker
 from tests.helpers import triangle_network
 from tests.test_api_sweep import assert_results_equal
@@ -515,20 +513,6 @@ class TestQuarantine:
         with pytest.warns(RuntimeWarning, match="unsupported entry format"):
             assert store.get(spec) is None
         assert path.with_name(path.name + ".corrupt").is_file()
-
-    def test_corrupt_lp_store_entry_is_quarantined(self, tmp_path):
-        net = abilene()
-        demand = bimodal_matrix(net.num_nodes, seed=1)
-        store = LPOptimumStore(tmp_path / "lp")
-        path = store.put(net, demand, 2.5)
-        assert len(store) == 1
-        path.write_text("{not json")
-        with pytest.warns(RuntimeWarning, match="invalid JSON"):
-            assert store.get(net, demand) is None
-        assert path.with_name(path.name + ".corrupt").is_file()
-        assert store.hashes() == []
-        store.put(net, demand, 2.5)
-        assert store.get(net, demand) == 2.5
 
 
 # ---------------------------------------------------------------------------

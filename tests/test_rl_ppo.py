@@ -7,7 +7,7 @@ import pytest
 from repro.policies.base import ActorCriticPolicy
 from repro.rl.distributions import DiagonalGaussian
 from repro.rl.env import Env
-from repro.rl.ppo import PPO, PPOConfig
+from repro.rl.ppo import PPO, PPOConfig, TrainingDivergedError
 from repro.rl.spaces import Box
 from repro.tensor import Tensor
 from repro.tensor.nn import MLP
@@ -57,6 +57,14 @@ class TinyPolicy(ActorCriticPolicy):
         means = self.pi(x).reshape((-1,))
         values = self.vf(x).reshape((-1,))
         return means, values, np.repeat(np.arange(len(observations)), self.action_dim)
+
+
+class NaNValuePolicy(TinyPolicy):
+    """A diverged critic: the value head returns NaN for every observation."""
+
+    def _forward_batch(self, observations):
+        means, values, segments = super()._forward_batch(observations)
+        return means, values * float("nan"), segments
 
 
 class TestPPOMechanics:
@@ -137,6 +145,17 @@ class TestPPOMechanics:
             not np.array_equal(b, p.data) for b, p in zip(before, policy.parameters())
         )
         assert changed
+
+    def test_non_finite_update_raises_before_the_optimizer_step(self):
+        # clip_grad_norm's `total > max_norm` is False for a NaN norm, so
+        # without the check Adam writes NaN into every parameter silently.
+        policy = NaNValuePolicy()
+        before = [p.data.copy() for p in policy.parameters()]
+        ppo = PPO(policy, TargetEnv(), PPOConfig(n_steps=16, batch_size=8, n_epochs=1))
+        with pytest.raises(TrainingDivergedError, match="diverged"):
+            ppo.learn(16)
+        for old, param in zip(before, policy.parameters()):
+            np.testing.assert_array_equal(param.data, old)
 
 
 class TestPPOLearnability:
