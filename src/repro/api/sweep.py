@@ -20,14 +20,10 @@ under their spec hash as soon as they complete: repeated points are
 fetched instead of re-executed, identical sub-specs within one sweep run
 once, and an interrupted sweep resumes from whatever already landed.
 
-Execution is pluggable behind the ``executor`` seam: ``"local"`` drains
-the deduplicated job list through an in-process loop or a
-``ProcessPoolExecutor``; ``"queue"`` coordinates it through a
-:mod:`repro.distributed` filesystem work queue that any number of worker
-processes — on any host sharing the queue directory — drain via
-atomic-rename leases.  Both executors share job enumeration, dedup,
-incremental ``_record`` and ``merge_results``, so the bit-identity
-invariant holds per construction regardless of where sub-runs execute.
+With ``workers == 1`` the deduplicated job list runs in-process; with
+``workers > 1`` it drains through a ``ProcessPoolExecutor``.  Both paths
+share job enumeration, dedup, incremental ``_record`` and
+``merge_results``, so the bit-identity invariant holds per construction.
 Per-job failures never abort a drain mid-flight: everything that landed
 is recorded (and persisted, given a store), then one
 :class:`SweepExecutionError` names the failing spec hashes.
@@ -39,15 +35,12 @@ import itertools
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from repro.api.results import ScenarioResult, merge_results
 from repro.api.runner import run
 from repro.api.spec import ScenarioSpec, SpecValidationError
 from repro.api.store import ResultStore
-
-#: The execution backends ``sweep(executor=...)`` accepts.
-EXECUTORS = ("local", "queue")
 
 
 class SweepExecutionError(RuntimeError):
@@ -187,10 +180,6 @@ def sweep(
     store: Union[ResultStore, str, Path, None] = None,
     use_cache: bool = True,
     echo: bool = False,
-    executor: str = "local",
-    queue: Union[str, Path, None] = None,
-    queue_options: Optional[Mapping] = None,
-    on_event: Optional[Callable] = None,
 ) -> SweepResult:
     """Run a scenario (or a grid of variants) as parallel single-seed sub-runs.
 
@@ -203,63 +192,24 @@ def sweep(
         Optional ``{dotted.path: [values]}`` sweep axes (the ``--set``
         paths), expanded by :func:`expand_grid`.
     workers:
-        Process count.  With the local executor, ``1`` executes in-process
-        (still through the same serialise → run → deserialise pipeline as
-        the pool, so results are representation-identical) and ``> 1``
-        fans sub-runs out over a
-        :class:`~concurrent.futures.ProcessPoolExecutor`.  With the queue
-        executor it is the number of *local* worker processes to spawn;
-        ``0`` spawns none and relies entirely on externally launched
-        ``runner worker`` processes (other hosts).
+        Process count.  ``1`` executes in-process (still through the same
+        serialise → run → deserialise pipeline as the pool, so results are
+        representation-identical) and ``> 1`` fans sub-runs out over a
+        :class:`~concurrent.futures.ProcessPoolExecutor`.
     store:
         Optional :class:`ResultStore` (or a directory path for one).
         Completed sub-runs persist as soon as they finish, keyed by spec
-        hash, and later sweeps reuse them.  Required by the queue
-        executor — results travel between hosts through the store.
+        hash, and later sweeps reuse them.
     use_cache:
         When ``False``, skip store lookups (every sub-run executes) but
         still write fresh results back — a forced refresh.
     echo:
         Forwarded to :func:`repro.api.run` in each sub-run.
-    executor:
-        ``"local"`` (default) or ``"queue"`` — see the module docstring.
-    queue:
-        The shared queue directory for the queue executor (required with
-        ``executor="queue"``); workers on any host sharing this path can
-        join the drain via ``runner worker <dir>``.
-    queue_options:
-        Optional queue-executor knobs forwarded to
-        :func:`repro.distributed.coordinator.run_queue_sweep`
-        (``lease_seconds``, ``max_attempts``, ``backoff_seconds``,
-        ``poll_interval``, ``timeout``, ``lost_grace``).
-    on_event:
-        Optional callback receiving JSON-ready progress events
-        (``task_done`` / ``task_failed`` from any executor, plus the queue
-        executor's ``enqueued`` / ``progress`` / ``drained`` stream) — the
-        hook behind ``runner sweep --watch``.
     """
     if not isinstance(spec, ScenarioSpec):
         spec = ScenarioSpec.from_dict(spec)
-    if executor not in EXECUTORS:
-        raise SpecValidationError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    min_workers = 0 if executor == "queue" else 1
-    if not isinstance(workers, int) or workers < min_workers:
-        raise SpecValidationError(
-            f"workers must be an int >= {min_workers} for the {executor!r} "
-            f"executor, got {workers!r}"
-        )
-    if executor == "queue":
-        if queue is None:
-            raise SpecValidationError("executor='queue' requires a queue directory")
-        if store is None:
-            raise SpecValidationError(
-                "executor='queue' requires a result store — distributed "
-                "workers hand results back through it"
-            )
-    elif queue is not None:
-        raise SpecValidationError("queue directory given but executor is 'local'")
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise SpecValidationError(f"workers must be an int >= 1, got {workers!r}")
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
 
@@ -283,54 +233,25 @@ def sweep(
         else:
             pending.setdefault(digest, []).append(job_index)
 
-    def _emit(event: dict) -> None:
-        if on_event is not None:
-            on_event(event)
-
-    def _record(digest: str, result: ScenarioResult, *, persist: bool = True) -> None:
+    def _record(digest: str, result_dict: dict) -> None:
         job_indices = pending[digest]
-        if store is not None and persist:
+        result = ScenarioResult.from_dict(result_dict)
+        if store is not None:
             store.put(jobs[job_indices[0]][2], result)
         for job_index in job_indices:
             results[job_index] = result
 
     failures: dict[str, str] = {}
-
-    def _record_dict(digest: str, result_dict: dict) -> None:
-        _record(digest, ScenarioResult.from_dict(result_dict))
-        _emit({"event": "task_done", "hash": digest})
-
     if not pending:
         pass
-    elif executor == "queue":
-        from repro.distributed.coordinator import run_queue_sweep
-
-        failures = run_queue_sweep(
-            queue,
-            store,
-            {digest: jobs[job_indices[0]][2] for digest, job_indices in pending.items()},
-            # Workers already persisted the result; recording must not
-            # rewrite the store entry it was just read from.
-            lambda digest, result: _record(digest, result, persist=False),
-            workers=workers,
-            on_event=on_event,
-            echo=echo,
-            progress_static={
-                "scenario": spec.name,
-                "total_jobs": len(jobs),
-                "cached_jobs": sum(cached),
-            },
-            **dict(queue_options or {}),
-        )
     elif workers == 1:
         for digest, job_indices in pending.items():
             try:
                 result_dict = _execute(jobs[job_indices[0]][2].to_dict(), echo)
             except Exception as exc:  # noqa: BLE001 - collected, raised after drain
                 failures[digest] = f"{type(exc).__name__}: {exc}"
-                _emit({"event": "task_failed", "hash": digest, "error": failures[digest]})
                 continue
-            _record_dict(digest, result_dict)
+            _record(digest, result_dict)
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
             futures = {
@@ -350,15 +271,8 @@ def sweep(
                         result_dict = future.result()
                     except Exception as exc:  # noqa: BLE001 - collected below
                         failures[digest] = f"{type(exc).__name__}: {exc}"
-                        _emit(
-                            {
-                                "event": "task_failed",
-                                "hash": digest,
-                                "error": failures[digest],
-                            }
-                        )
                         continue
-                    _record_dict(digest, result_dict)
+                    _record(digest, result_dict)
 
     if failures:
         raise SweepExecutionError(failures)
@@ -384,7 +298,6 @@ def sweep(
 
 
 __all__ = [
-    "EXECUTORS",
     "SweepExecutionError",
     "SweepPointResult",
     "SweepResult",

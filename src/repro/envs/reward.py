@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flows.lp import OptimalUtilisationCache
-from repro.flows.simulator import max_link_utilisation
+from repro.flows.simulator import max_link_utilisation, ratio_to_optimum
 from repro.graphs.network import Network
 from repro.routing.softmin import softmin_routing
 from repro.routing.strategy import RoutingStrategy
@@ -106,17 +106,17 @@ class RewardComputer:
     ) -> tuple[float, float]:
         """``(U_agent / U_optimal, U_optimal)`` for an already-measured ``U_max``.
 
-        The one home of the zero-demand rule: an all-zero demand matrix has
-        the defined result ``(1.0, 0.0)`` (zero load is trivially optimal),
-        so sparse traffic sequences evaluate without aborting mid-batch.  A
-        zero optimum under positive demand raises ``ValueError``.
+        :func:`~repro.flows.simulator.ratio_to_optimum` with the optimum
+        read from this computer's cache: a wrong-shape demand matrix
+        raises, an all-zero one gives ``(1.0, 0.0)`` and a zero optimum
+        under positive demand raises ``ValueError``.
         """
-        if not np.any(np.asarray(demand_matrix) > 0.0):
-            return 1.0, 0.0
-        optimal = self.cache.optimal_max_utilisation(network, demand_matrix)
-        if optimal <= 0.0:
-            raise ValueError("reward undefined for a zero optimal utilisation")
-        return float(achieved) / optimal, optimal
+        return ratio_to_optimum(
+            network,
+            achieved,
+            demand_matrix,
+            lambda: self.cache.optimal_max_utilisation(network, demand_matrix),
+        )
 
     def reward(
         self,

@@ -14,12 +14,6 @@ Usage::
     python -m repro.experiments.runner sweep fig6 --grid traffic.model=bimodal,gravity \
         --grid evaluation.seeds=0,1,2 --workers 4 --store results/
 
-    # Coordinate the same sweep through a shared-filesystem work queue;
-    # any host that can see QUEUE/ joins the drain with 'runner worker'
-    python -m repro.experiments.runner sweep fig6 --grid evaluation.seeds=0,1,2,3 \
-        --executor queue --queue /shared/q --store /shared/results --workers 2 --watch
-    python -m repro.experiments.runner worker /shared/q --drain
-
     # Hold a deployment warm and answer evaluation requests over HTTP
     python -m repro.experiments.runner serve fig6 --preset quick --port 8047
 
@@ -48,7 +42,6 @@ from repro.api.runner import run as run_scenario
 from repro.api.spec import ScenarioSpec, SpecValidationError
 from repro.api.store import ResultStore
 from repro.api.sweep import SweepExecutionError, sweep as run_sweep
-from repro.distributed.queue import QueueError
 from repro.experiments.config import PRESETS
 from repro.experiments.reporting import format_scenario, format_sweep
 
@@ -146,88 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="as_json",
         help="print the resolved spec and grid as JSON and exit without running",
-    )
-    sweep_p.add_argument(
-        "--executor",
-        choices=["local", "queue"],
-        default="local",
-        help="'local' drains jobs in-process/ProcessPoolExecutor; 'queue' "
-        "coordinates them through a shared-filesystem work queue that "
-        "'runner worker' processes on any host drain (requires --queue "
-        "and --store; --workers N spawns N local workers, 0 spawns none)",
-    )
-    sweep_p.add_argument(
-        "--queue",
-        metavar="DIR",
-        default=None,
-        help="work-queue directory for --executor queue (must be visible "
-        "to every participating host)",
-    )
-    sweep_p.add_argument(
-        "--lease",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="queue lease duration before a silent worker's task is stolen "
-        "(default 30; keep generous on NFS)",
-    )
-    sweep_p.add_argument(
-        "--watch",
-        action="store_true",
-        help="stream JSON-lines progress events (enqueued/task_done/"
-        "task_failed/progress) to stdout while the sweep drains",
-    )
-
-    worker_p = sub.add_parser(
-        "worker",
-        help="drain tasks from a sweep work queue (run on any host sharing "
-        "the queue directory; see 'sweep --executor queue')",
-    )
-    worker_p.add_argument("queue", metavar="QUEUE_DIR", help="the shared queue directory")
-    worker_p.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="result-store override (default: the store recorded in the queue)",
-    )
-    worker_p.add_argument(
-        "--worker-id", default=None, help="stable identity (default: <host>-<pid>)"
-    )
-    worker_p.add_argument(
-        "--lease",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="override the queue's lease duration for this worker",
-    )
-    worker_p.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS", help="claim poll interval"
-    )
-    worker_p.add_argument(
-        "--max-tasks", type=int, default=None, metavar="N", help="exit after N tasks"
-    )
-    worker_p.add_argument(
-        "--drain",
-        action="store_true",
-        help="exit once the queue is sealed and nothing is pending or active",
-    )
-    worker_p.add_argument(
-        "--idle-exit",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="exit after this long without claiming anything",
-    )
-    worker_p.add_argument(
-        "--wait",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="wait up to this long for the queue to be created "
-        "(lets workers start before the coordinator)",
-    )
-    worker_p.add_argument(
-        "--echo", action="store_true", help="print per-task worker activity"
     )
 
     serve_p = sub.add_parser(
@@ -403,13 +314,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.as_json:
         print(json.dumps({"spec": spec.to_dict(), "grid": grid}, indent=2))
         return 0
-    queue_options = {"lease_seconds": args.lease} if args.lease is not None else None
-    on_event = None
-    if args.watch:
-
-        def on_event(event):
-            print(json.dumps(event), flush=True)
-
     result = run_sweep(
         spec,
         grid=grid,
@@ -417,37 +321,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         store=ResultStore(args.store) if args.store else None,
         use_cache=not args.no_cache,
         echo=args.echo,
-        executor=args.executor,
-        queue=args.queue,
-        queue_options=queue_options,
-        on_event=on_event,
     )
     print(format_sweep(result, store_dir=args.store))
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.distributed.worker import run_worker
-
-    # run_worker installs SIGTERM/SIGINT handlers (we are on the main
-    # thread here): the in-flight task is requeued without burning an
-    # attempt and the worker exits 0 after printing its summary.
-    print(f"worker watching {args.queue}", flush=True)
-    stats = run_worker(
-        args.queue,
-        store=args.store,
-        worker_id=args.worker_id,
-        lease_seconds=args.lease,
-        poll_interval=args.poll,
-        max_tasks=args.max_tasks,
-        drain=args.drain,
-        idle_exit=args.idle_exit,
-        wait_for_queue=args.wait,
-        echo=args.echo,
-        log=print if args.echo else None,
-        handle_signals=True,
-    )
-    print(stats.summary(), flush=True)
     return 0
 
 
@@ -545,8 +420,6 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "list":
@@ -557,10 +430,7 @@ def main(argv=None) -> int:
         return 2
     except SweepExecutionError as exc:
         # Partial failure: everything that landed is persisted; the message
-        # names the poisoned spec hashes so a re-run resumes cleanly.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except QueueError as exc:
+        # names the failed spec hashes so a re-run resumes cleanly.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

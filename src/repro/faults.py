@@ -2,7 +2,7 @@
 
 The reproduction pins *correctness* with bit-identity tests; this module
 pins *resilience* the same way.  A :class:`FaultPlan` maps named fault
-sites (``"lp.solve"``, ``"queue.claim"``, ...) to a :class:`FaultRule`
+sites (``"lp.solve"``, ``"store.put"``, ...) to a :class:`FaultRule`
 describing what goes wrong there — a raised error, an added delay, or a
 hard process crash — and exactly when, driven either by a 0-based call
 ``schedule`` or by a seeded per-site PRNG ``probability``.  The same plan
@@ -64,9 +64,6 @@ FAULT_SITES: Tuple[str, ...] = (
     "lp.solve",
     "backend.factorise",
     "store.put",
-    "queue.claim",
-    "queue.heartbeat",
-    "queue.complete",
     "service.tick",
 )
 
@@ -225,9 +222,8 @@ class _Armed:
             }
 
 
-# Deliberately a module global, not thread-local: service batcher threads
-# and worker heartbeat threads must observe a plan armed from a test's
-# main thread.  Disarmed fast path == one global read + None check.
+# Deliberately a module global, not thread-local: service batcher and tick
+# threads must observe a plan armed from a test's main thread.  Disarmed fast path == one global read + None check.
 _ACTIVE: Optional[_Armed] = None
 
 

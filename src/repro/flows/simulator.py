@@ -21,7 +21,7 @@ once.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "RoutingLoopError",
     "link_loads",
     "max_link_utilisation",
+    "ratio_to_optimum",
     "utilisation_ratio",
 ]
 
@@ -94,6 +95,31 @@ def max_link_utilisation(
     return float((loads / network.capacities).max())
 
 
+def ratio_to_optimum(
+    network: Network,
+    achieved: float,
+    demand_matrix: np.ndarray,
+    optimum: Callable[[], float],
+) -> tuple[float, float]:
+    """``(U_agent / U_optimal, U_optimal)`` for an already-measured ``U_max``.
+
+    The one home of the ratio rule.  The demand matrix is validated against
+    ``network`` first, so a wrong-shape matrix raises whatever its values.
+    An all-zero demand matrix then has the defined result ``(1.0, 0.0)`` —
+    zero load on every link is trivially optimal — without calling
+    ``optimum``, so sparse traffic sequences evaluate without aborting
+    mid-batch.  A non-positive optimum under positive demand is
+    inconsistent and raises ``ValueError``.
+    """
+    demand = _checked_demand(network, demand_matrix)
+    if not np.any(demand > 0.0):
+        return 1.0, 0.0
+    optimal = optimum()
+    if optimal <= 0.0:
+        raise ValueError("utilisation ratio undefined for zero optimal utilisation")
+    return float(achieved) / optimal, optimal
+
+
 def utilisation_ratio(
     network: Network,
     routing: RoutingStrategy,
@@ -103,21 +129,16 @@ def utilisation_ratio(
     """``U_agent / U_optimal`` — the paper's headline metric (≥ 1, lower is better).
 
     Computes the LP optimum on the fly when ``optimal_utilisation`` is not
-    supplied.  An all-zero demand matrix has the defined result 1.0 — zero
-    load on every link is trivially optimal — so batch evaluation over
-    sparse traffic sequences never aborts mid-batch.  A non-positive
-    ``optimal_utilisation`` combined with positive demand is inconsistent
-    and raises ``ValueError``.
+    supplied.  Zero demand and a zero optimum follow
+    :func:`ratio_to_optimum`.
     """
-    if not np.any(np.asarray(demand_matrix) > 0.0):
-        return 1.0
-    if optimal_utilisation is None:
+
+    def optimum() -> float:
+        if optimal_utilisation is not None:
+            return optimal_utilisation
         from repro.flows.lp import solve_optimal_max_utilisation
 
-        optimal_utilisation = solve_optimal_max_utilisation(
-            network, demand_matrix
-        ).max_utilisation
-    if optimal_utilisation <= 0.0:
-        raise ValueError("utilisation ratio undefined for zero optimal utilisation")
+        return solve_optimal_max_utilisation(network, demand_matrix).max_utilisation
+
     achieved = max_link_utilisation(network, routing, demand_matrix)
-    return achieved / optimal_utilisation
+    return ratio_to_optimum(network, achieved, demand_matrix, optimum)[0]

@@ -2,8 +2,8 @@
 
 Two disciplines several subsystems repeat — the in-memory keyed LRU behind
 the engine's ``FactorisationCache`` and the LP layer's structure/optimum
-caches, and the on-disk layout behind ``repro.api.store.ResultStore`` and
-the distributed task queue — live here once, so a fix to eviction or
+caches, and the sharded atomic on-disk layout behind
+``repro.api.store.ResultStore`` — live here once, so a fix to eviction or
 atomic-write semantics applies everywhere.
 """
 

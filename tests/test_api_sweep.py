@@ -50,6 +50,11 @@ def strategies_spec(name="sweep-fast", seeds=(0, 1), model="bimodal") -> api.Sce
     )
 
 
+def sub_spec(seed=0, **kwargs) -> api.ScenarioSpec:
+    """A cheap, training-free single-seed sub-spec (one sweep job)."""
+    return decompose(strategies_spec(seeds=(seed,), **kwargs))[0][1]
+
+
 def assert_results_equal(a: ScenarioResult, b: ScenarioResult) -> None:
     """Bit-equality across every field ``run``/``sweep`` can populate."""
     assert set(a.policies) == set(b.policies)
@@ -163,8 +168,10 @@ class TestSweepRunEquivalence:
             fanned.result
 
     def test_bad_workers_rejected(self):
-        with pytest.raises(api.SpecValidationError, match="workers"):
-            sweep(strategies_spec(), workers=0)
+        # A bool is an int subclass: True would silently run in-process.
+        for workers in (0, True, 1.5):
+            with pytest.raises(api.SpecValidationError, match="workers"):
+                sweep(strategies_spec(), workers=workers)
 
 
 class TestResultRoundTrip:

@@ -510,14 +510,7 @@ class TestRunAndSweep:
     def test_sweep_matches_run_for_a_dynamic_scenario(self, tmp_path):
         spec = tiny_flap_spec(seeds=(0, 1))
         direct = api.run(spec)
-        fanned = sweep(
-            spec,
-            executor="queue",
-            queue=tmp_path / "q",
-            store=tmp_path / "store",
-            workers=2,
-            queue_options={"poll_interval": 0.1, "timeout": 240},
-        )
+        fanned = sweep(spec, workers=2, store=tmp_path / "store")
         assert fanned.executions == 2
         for label in direct.strategies:
             assert fanned.result.strategies[label].ratios == direct.strategies[label].ratios

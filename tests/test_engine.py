@@ -506,6 +506,20 @@ class TestZeroDemandBehaviour:
         routing = softmin_routing(net, np.ones(net.num_edges), gamma=2.0)
         assert RewardComputer().utilisation_ratio(net, routing, np.zeros((3, 3))) == 1.0
 
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 3, 4)])
+    @pytest.mark.parametrize(
+        "ratio",
+        [
+            lambda net, dm: utilisation_ratio(net, shortest_path_routing(net), dm),
+            lambda net, dm: RewardComputer().ratio_from_achieved(net, 0.0, dm),
+        ],
+        ids=["utilisation_ratio", "ratio_from_achieved"],
+    )
+    def test_wrong_shape_zero_demand_raises(self, ratio, shape):
+        # The DM is validated before the zero-demand rule applies.
+        with pytest.raises(ValueError, match="demand.matrix"):
+            ratio(abilene(), np.zeros(shape))
+
     def test_sparse_sequence_with_zero_matrix_does_not_abort(self):
         net = abilene()
         n = net.num_nodes

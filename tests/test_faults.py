@@ -25,8 +25,6 @@ import pytest
 
 from repro import api
 from repro.api.store import ResultStore
-from repro.distributed.queue import TaskQueue
-from repro.distributed.worker import execute_task, run_worker
 from repro.engine.backend import (
     SPLU_BREAKER,
     FactorisationCache,
@@ -57,8 +55,7 @@ from repro.graphs import abilene
 from repro.graphs.dynamics import NetworkDelta
 from repro.traffic import bimodal_matrix
 from tests.helpers import triangle_network
-from tests.test_api_sweep import assert_results_equal
-from tests.test_distributed import enqueue, make_queue, sub_spec
+from tests.test_api_sweep import assert_results_equal, strategies_spec, sub_spec
 
 
 @pytest.fixture(autouse=True)
@@ -253,9 +250,6 @@ class TestFaultMatrix:
             "lp.solve",
             "backend.factorise",
             "store.put",
-            "queue.claim",
-            "queue.heartbeat",
-            "queue.complete",
             "service.tick",
         )
 
@@ -380,110 +374,49 @@ class TestFaultMatrix:
             store.put(spec, result)  # retry under the same plan lands
         assert_results_equal(store.get(spec), result)
 
-    def test_queue_claim_error_is_retried_by_the_worker(self, tmp_path):
-        queue = make_queue(tmp_path)
-        digest = enqueue(queue, sub_spec())
-        queue.seal([digest])
-        with inject(FaultPlan.single("queue.claim", kind="error", schedule=(0,))):
-            stats = finish_within(
-                lambda: run_worker(tmp_path / "q", drain=True, poll_interval=0.05)
-            )
-        assert stats.executed == 1
-        assert queue.state_of(digest) == "done"
-
-    def test_queue_claim_error_exhaustion_is_typed(self, tmp_path):
-        queue = make_queue(tmp_path)
-        enqueue(queue, sub_spec())
-        with inject(FaultPlan.single("queue.claim", kind="error", probability=1.0)):
-            with pytest.raises(FaultInjected):
-                finish_within(
-                    lambda: run_worker(
-                        tmp_path / "q",
-                        drain=True,
-                        poll_interval=0.01,
-                        max_claim_errors=3,
-                    )
-                )
-
-    def test_queue_heartbeat_error_is_a_missed_beat_not_a_failure(self, tmp_path):
-        queue = make_queue(tmp_path, lease_seconds=0.3)
-        store = ResultStore(tmp_path / "store")
-        spec = sub_spec()
-        enqueue(queue, spec)
-        with inject(FaultPlan.single("queue.heartbeat", kind="error", probability=1.0)):
-            task = queue.claim()
-            with pytest.raises(FaultInjected):  # typed at the protocol layer
-                queue.heartbeat(task)
-            assert queue.requeue(task)
-            # The worker's heartbeat thread swallows every beat's fault as
-            # a missed renewal; the task still executes and records.
-            state, error, _ = finish_within(
-                lambda: execute_task(queue, store, queue.claim())
-            )
-        assert state == "done" and error is None
-        assert_results_equal(store.get(spec), api.run(spec))
-
-    def test_queue_complete_error_requeues_then_lands(self, tmp_path):
-        queue = make_queue(tmp_path, backoff_seconds=0.0)
-        store = ResultStore(tmp_path / "store")
-        spec = sub_spec()
-        enqueue(queue, spec)
-        with inject(FaultPlan.single("queue.complete", kind="error", schedule=(0,))):
-            state, error, _ = finish_within(
-                lambda: execute_task(queue, store, queue.claim())
-            )
-            assert state == "pending"
-            assert "FaultInjected" in error
-            retry = queue.claim()
-            assert retry.attempts == 1
-            state, error, _ = finish_within(lambda: execute_task(queue, store, retry))
-        assert state == "done" and error is None
-        assert_results_equal(store.get(spec), api.run(spec))
 
 
 class TestCrashRecovery:
-    def test_worker_crash_inside_store_put_is_stolen_bit_identical(self, tmp_path):
-        """The satellite scenario: kill -9 between execution and the store
-        write.  No partial entry may exist, the lease must expire, and the
-        rescuer's result must be bit-identical to ``api.run(spec)``."""
-        spec = sub_spec()
-        queue = TaskQueue.create(
-            tmp_path / "q",
-            tmp_path / "store",
-            lease_seconds=0.5,
-            backoff_seconds=0.0,
-            worker_id="doomed",
-        )
-        digest = enqueue(queue, spec)
-        queue.seal([digest])
-        plan = FaultPlan.single("store.put", kind="crash", schedule=(0,))
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments.runner",
-                "worker",
-                str(tmp_path / "q"),
-                "--drain",
-                "--poll",
-                "0.05",
-            ],
-            env={**os.environ, FAULT_PLAN_ENV: plan.to_json()},
+    def test_sweep_crash_inside_store_put_resumes_bit_identical(self, tmp_path):
+        """A sweep killed in its second store write leaves no partial entry.
+
+        Seed 0's entry is complete, seed 1's temp file is gone, and a
+        re-run executes only seed 1 and matches ``api.run(spec)``.
+        """
+        spec = strategies_spec(seeds=(0, 1))
+        target = tmp_path / "scenario.json"
+        target.write_text(spec.to_json())
+        store_dir = tmp_path / "store"
+        argv = [
+            sys.executable,
+            "-m",
+            "repro.experiments.runner",
+            "sweep",
+            str(target),
+            "--store",
+            str(store_dir),
+        ]
+        clean_env = {k: v for k, v in os.environ.items() if k != FAULT_PLAN_ENV}
+        plan = FaultPlan.single("store.put", kind="crash", schedule=(1,))
+        crashed = subprocess.run(
+            argv,
+            env={**clean_env, FAULT_PLAN_ENV: plan.to_json()},
             capture_output=True,
             text=True,
             timeout=300,
         )
-        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
-        store = ResultStore(tmp_path / "store")
-        assert store.hashes() == []
-        assert not list(store.directory.rglob("*.json"))  # no partial entry
-        assert queue.state_of(digest) == "active"  # dead lease, not done
-        stats = finish_within(
-            lambda: run_worker(
-                tmp_path / "q", worker_id="rescuer", drain=True, poll_interval=0.05
-            ),
-            timeout=240,
+        assert crashed.returncode == CRASH_EXIT_CODE, crashed.stderr
+        store = ResultStore(store_dir)
+        first = sub_spec(0)
+        assert store.hashes() == [first.spec_hash()]
+        assert_results_equal(store.get(first), api.run(first))
+        stored_files = [p for p in store_dir.rglob("*") if p.is_file()]
+        assert stored_files == [store.path_for(first)]  # no .tmp-* or partial
+        resumed = subprocess.run(
+            argv, env=clean_env, capture_output=True, text=True, timeout=300
         )
-        assert stats.executed == 1 and stats.recovered == 1
-        assert queue.state_of(digest) == "done"
-        assert_results_equal(store.get(spec), api.run(spec))
+        assert resumed.returncode == 0, resumed.stderr
+        assert "2 total, 1 cached, 1 executed" in resumed.stdout
+        cached = api.sweep(spec, store=store)
+        assert cached.executions == 0
+        assert_results_equal(cached.result, api.run(spec))

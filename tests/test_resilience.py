@@ -1,4 +1,4 @@
-"""End-to-end resilience: retries, deadlines, shedding, breakers, drains.
+"""End-to-end resilience: retries, deadlines, shedding, breakers, quarantine.
 
 Four layers, one promise — a fault ends in a retried-identical answer or a
 documented typed error, never a hang and never a silent wrong answer:
@@ -11,17 +11,13 @@ documented typed error, never a hang and never a silent wrong answer:
 * **Circuit breakers**: closed/open/half-open lifecycle on an injected
   clock, and the rule that legitimate typed outcomes (infeasible LPs,
   routing loops) never count as failures.
-* **Stores and workers**: corrupt-entry quarantine, graceful requeue on
-  shutdown, and the CLI worker's SIGTERM drain.
+* **Stores**: corrupt-entry quarantine.
 """
 
 import http.client
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-import signal
 import socket
-import subprocess
-import sys
 import threading
 import time
 
@@ -37,7 +33,6 @@ from repro.api.client import (
 )
 from repro.api.service import RouteRequest, ServiceSpec
 from repro.api.store import STORE_FORMAT, ResultStore
-from repro.distributed.worker import WorkerShutdown, run_worker
 from repro.engine.backend import SPLU_BREAKER, default_backend
 from repro.engine.simulator_batch import destination_link_loads
 from repro.faults import FaultPlan, inject
@@ -57,8 +52,7 @@ from repro.service.server import (
 )
 from repro.utils.resilience import CircuitBreaker
 from tests.helpers import triangle_network
-from tests.test_api_sweep import assert_results_equal
-from tests.test_distributed import enqueue, make_queue, sub_spec
+from tests.test_api_sweep import assert_results_equal, sub_spec
 from tests.test_faults import finish_within
 from tests.test_service import _scenario
 
@@ -513,92 +507,3 @@ class TestQuarantine:
         with pytest.warns(RuntimeWarning, match="unsupported entry format"):
             assert store.get(spec) is None
         assert path.with_name(path.name + ".corrupt").is_file()
-
-
-# ---------------------------------------------------------------------------
-# Worker shutdown and requeue
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerShutdown:
-    def test_worker_shutdown_is_a_base_exception(self):
-        # The execution path catches Exception to requeue *failures*; a
-        # graceful drain must not burn one of the task's attempts.
-        assert issubclass(WorkerShutdown, BaseException)
-        assert not issubclass(WorkerShutdown, Exception)
-
-    def test_requeue_hands_back_without_attempt_bump_or_backoff(self, tmp_path):
-        queue = make_queue(tmp_path)
-        digest = enqueue(queue, sub_spec())
-        task = queue.claim(now=1000.0)
-        assert queue.requeue(task, now=1001.0)
-        assert queue.state_of(digest) == "pending"
-        again = queue.claim(now=1001.0)  # immediately claimable: no backoff
-        assert again.digest == digest and again.attempts == 0
-
-    def test_requeue_refused_after_steal_or_completion(self, tmp_path):
-        queue = make_queue(tmp_path, lease_seconds=5.0, worker_id="w1")
-        from repro.distributed.queue import TaskQueue
-
-        digest = enqueue(queue, sub_spec())
-        task = queue.claim(now=1000.0)
-        thief = TaskQueue.open(tmp_path / "q", worker_id="w2")
-        thief.recover(now=1010.0)
-        stolen = thief.claim(now=1010.0)
-        assert not queue.requeue(task, now=1011.0)  # lease belongs to w2 now
-        thief.complete(stolen, now=1012.0)
-        assert not thief.requeue(stolen, now=1013.0)  # done is terminal
-        assert queue.state_of(digest) == "done"
-
-    def test_shutdown_mid_task_requeues_the_in_flight_task(
-        self, tmp_path, monkeypatch
-    ):
-        queue = make_queue(tmp_path)
-        digest = enqueue(queue, sub_spec())
-
-        def interrupted(*_args, **_kwargs):
-            raise WorkerShutdown(signal.SIGTERM)
-
-        monkeypatch.setattr("repro.distributed.worker.execute_task", interrupted)
-        stats = finish_within(
-            lambda: run_worker(tmp_path / "q", drain=True, poll_interval=0.05)
-        )
-        assert stats.interrupted and stats.requeued == 1
-        assert "drained on signal" in stats.summary()
-        assert queue.state_of(digest) == "pending"
-        assert queue.claim().attempts == 0  # the drain burned no attempt
-
-    def test_cli_worker_sigterm_drains_cleanly(self, tmp_path):
-        queue = make_queue(tmp_path)
-        spec = sub_spec()
-        digest = enqueue(queue, spec)
-        # Unsealed queue: the worker finishes the task and keeps polling
-        # until the signal arrives.
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments.runner",
-                "worker",
-                str(tmp_path / "q"),
-                "--poll",
-                "0.05",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            deadline = time.time() + 240
-            while queue.state_of(digest) != "done":
-                assert proc.poll() is None, proc.stdout.read()
-                assert time.time() < deadline, "worker never finished the task"
-                time.sleep(0.1)
-            proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-        assert proc.returncode == 0
-        assert "drained on signal" in out
-        assert spec in ResultStore(tmp_path / "store")
