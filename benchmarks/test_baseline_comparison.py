@@ -3,7 +3,9 @@
 Contextualises the learned policies by measuring every non-learned
 strategy in the repository on identical held-out demand: single-path
 shortest path, ECMP, capacity-proportional, LP-oblivious, and the
-predict-then-optimise pipeline with three predictors (§II's strawman).
+predict-then-optimise pipeline with three predictors (§II's strawman):
+forecast the next DM from the observed window, then route it by the LP
+optimum for the forecast (:func:`repro.routing.lp_derived_routing`).
 The cyclic predictor with a window covering the period is a *perfect*
 forecast on cyclical workloads and must sit at ratio ≈ 1.0 — the
 upper bound any learned policy is chasing.
@@ -12,25 +14,16 @@ upper bound any learned policy is chasing.
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    CyclicPredictor,
-    HistoryMeanPredictor,
-    LastValuePredictor,
-    prediction_based_routing,
-)
 from repro.envs.reward import RewardComputer
 from repro.graphs import abilene
 from repro.routing import (
     capacity_proportional_routing,
     ecmp_routing,
+    lp_derived_routing,
     oblivious_routing,
     shortest_path_routing,
 )
 from repro.traffic import cyclical_sequence
-
-# Full experiment runs: excluded from tier-1 (see pyproject addopts);
-# run with `pytest benchmarks -m ''` or the nightly benchmark workflow.
-pytestmark = pytest.mark.slow
 
 CYCLE = 5
 MEMORY = 5  # window covers exactly one period -> cyclic predictor is exact
@@ -48,10 +41,11 @@ def test_baseline_ladder(benchmark):
         "capacity proportional": capacity_proportional_routing(net),
         "oblivious (uniform LP)": oblivious_routing(net),
     }
+    # Forecasts of the next DM from the observed window (MEMORY, n, n).
     predictors = {
-        "predict: last value": LastValuePredictor(),
-        "predict: history mean": HistoryMeanPredictor(),
-        "predict: cyclic (perfect)": CyclicPredictor(CYCLE),
+        "predict: last value": lambda history: history[-1],
+        "predict: history mean": lambda history: history.mean(axis=0),
+        "predict: cyclic (perfect)": lambda history: history[-CYCLE],
     }
 
     def run_ladder():
@@ -62,7 +56,7 @@ def test_baseline_ladder(benchmark):
                 results[name].append(rewarder.utilisation_ratio(net, routing, dm))
             history = seq.history(step - 1, MEMORY)
             for name, predictor in predictors.items():
-                routing = prediction_based_routing(net, history, predictor)
+                routing = lp_derived_routing(net, predictor(history))
                 results[name].append(rewarder.utilisation_ratio(net, routing, dm))
         return {name: float(np.mean(r)) for name, r in results.items()}
 

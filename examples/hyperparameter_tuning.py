@@ -1,9 +1,9 @@
 """Hyperparameter tuning before training (the paper's OpenTuner pass).
 
 §VIII-C: "Before training, the hyperparameters were tuned using OpenTuner
-with a custom script."  This example reproduces that workflow with the
-in-repo tuner: successive halving over PPO's learning rate, the softmin γ
-and the policy's latent width, scored by mean episode reward after a short
+with a custom script."  This example reproduces that workflow with a
+successive-halving search over PPO's learning rate, the softmin γ and the
+policy's latent width, scored by mean episode reward after a short
 training run on Abilene.
 
 Run:  python examples/hyperparameter_tuning.py [--configs 6]
@@ -11,10 +11,37 @@ Run:  python examples/hyperparameter_tuning.py [--configs 6]
 
 import argparse
 
+import numpy as np
+
 from repro import GNNPolicy, PPO, PPOConfig, RoutingEnv, abilene
 from repro.envs import RewardComputer
 from repro.traffic import train_test_sequences
-from repro.tuning import Choice, LogUniform, SearchSpace, Uniform, successive_halving
+from repro.utils import rng_from_seed
+
+
+def sample_config(rng):
+    """One random configuration: log-uniform rate, uniform γ, latent choice."""
+    return {
+        "learning_rate": float(np.exp(rng.uniform(np.log(1e-4), np.log(3e-3)))),
+        "softmin_gamma": float(rng.uniform(1.0, 6.0)),
+        "latent": (8, 16)[int(rng.integers(0, 2))],
+    }
+
+
+def successive_halving(objective, configs):
+    """Start wide and cheap, finish narrow and deep.
+
+    Every config is scored at budget 1; the better half advance with twice
+    the budget until one remains.  Returns its ``(config, score, budget)``.
+    """
+    budget = 1
+    trials = [(config, objective(config, budget)) for config in configs]
+    while len(trials) > 1:
+        trials.sort(key=lambda trial: trial[1], reverse=True)
+        budget *= 2
+        trials = [(config, objective(config, budget)) for config, _ in trials[: len(trials) // 2]]
+    config, score = trials[0]
+    return config, score, budget
 
 
 def main():
@@ -22,18 +49,14 @@ def main():
     parser.add_argument("--configs", type=int, default=6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.configs < 2:
+        parser.error("--configs must be at least 2")
 
     network = abilene()
     train_seqs, _ = train_test_sequences(
         network.num_nodes, num_train=3, num_test=1, length=16, cycle_length=4, seed=args.seed
     )
     rewarder = RewardComputer()  # share LP solves across all trials
-
-    space = SearchSpace(
-        learning_rate=LogUniform(1e-4, 3e-3),
-        softmin_gamma=Uniform(1.0, 6.0),
-        latent=Choice([8, 16]),
-    )
 
     def objective(config, budget):
         env = RoutingEnv(
@@ -53,7 +76,7 @@ def main():
         )
         ppo = PPO(policy, env, ppo_config, seed=args.seed)
         ppo.learn(64 * budget)
-        score = ppo.stats.recent_mean_reward()
+        score = float(ppo.stats.recent_mean_reward())
         print(
             f"  trial lr={config['learning_rate']:.2e} gamma={config['softmin_gamma']:.2f} "
             f"latent={config['latent']} budget={budget:<2} -> mean episode reward {score:.2f}"
@@ -61,13 +84,13 @@ def main():
         return score
 
     print(f"Successive halving over {args.configs} configurations:")
-    best = successive_halving(
-        space, objective, num_configs=args.configs, min_budget=1, eta=2, seed=args.seed
-    )
+    rng = rng_from_seed(args.seed)
+    configs = [sample_config(rng) for _ in range(args.configs)]
+    config, score, budget = successive_halving(objective, configs)
     print("\nBest configuration:")
-    for key, value in best.config.items():
+    for key, value in config.items():
         print(f"  {key} = {value}")
-    print(f"  final score = {best.score:.2f} at budget {best.budget}")
+    print(f"  final score = {score:.2f} at budget {budget}")
 
 
 if __name__ == "__main__":

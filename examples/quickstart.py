@@ -17,7 +17,6 @@ from repro import (
     ecmp_routing,
     shortest_path_routing,
     train_test_sequences,
-    utilisation_ratio,
 )
 from repro.envs import RewardComputer
 from repro.routing import oblivious_routing
@@ -31,6 +30,7 @@ def main():
         network.num_nodes, num_train=3, num_test=1, length=20, cycle_length=5, seed=0
     )
     demand = test_seqs[0].matrix(0)
+    rewarder = RewardComputer()  # scores U_agent / U_optimal, caching LP optima
 
     # 2. Classical baselines vs the LP optimum ---------------------------
     print("\nMax-utilisation ratio vs LP optimum on one demand matrix:")
@@ -39,11 +39,10 @@ def main():
         ("ECMP", ecmp_routing(network)),
         ("oblivious (LP for uniform demand)", oblivious_routing(network)),
     ]:
-        ratio = utilisation_ratio(network, routing, demand)
+        ratio = rewarder.utilisation_ratio(network, routing, demand)
         print(f"  {label:<34} {ratio:.3f}")
 
     # 3. Train a GNN agent with PPO ---------------------------------------
-    rewarder = RewardComputer()  # shared LP cache
     env = RoutingEnv(network, train_seqs, memory_length=3, reward_computer=rewarder, seed=1)
     policy = GNNPolicy(memory_length=3, latent=16, hidden=32, num_processing_steps=3, seed=1)
 
@@ -56,7 +55,7 @@ def main():
     result = batch_evaluate(
         policy, network, test_seqs, memory_length=3, reward_computer=rewarder
     )
-    sp_ratio = utilisation_ratio(network, shortest_path_routing(network), demand)
+    sp_ratio = rewarder.utilisation_ratio(network, shortest_path_routing(network), demand)
     print(f"GNN agent on held-out demand:  {result.mean:.3f}")
     print(f"shortest path on the same DM:  {sp_ratio:.3f}")
     print("(1.0 = optimal multicommodity-flow routing; lower is better)")

@@ -19,7 +19,6 @@ Subpackage map (bottom-up):
                     many DMs/seeds/topologies per call)
 ``repro.envs``      the GDDR routing environments (one-shot / iterative)
 ``repro.policies``  MLP baseline, one-shot GNN, iterative GNN policies
-``repro.tuning``    random-search hyperparameter tuner (OpenTuner subst.)
 ``repro.api``       declarative scenario layer: registry-backed
                     ScenarioSpec + run(spec), JSON in/out
 ``repro.experiments`` scale presets, CLI runner, text reports
@@ -30,7 +29,7 @@ __version__ = "1.0.0"
 
 from repro.graphs import Network, abilene, nsfnet
 from repro.traffic import cyclical_sequence, train_test_sequences
-from repro.flows import solve_optimal_max_utilisation, max_link_utilisation, utilisation_ratio
+from repro.flows import solve_optimal_max_utilisation, max_link_utilisation
 from repro.routing import softmin_routing, shortest_path_routing, ecmp_routing
 from repro.engine.backend import FactorisationCache, default_backend, select_backend
 from repro.engine.evaluate import batch_evaluate, batch_evaluate_routing
@@ -54,7 +53,6 @@ __all__ = [
     "train_test_sequences",
     "solve_optimal_max_utilisation",
     "max_link_utilisation",
-    "utilisation_ratio",
     "softmin_routing",
     "shortest_path_routing",
     "ecmp_routing",

@@ -31,7 +31,7 @@ from repro.engine.backend import (
     shared_factorisation_cache,
     use_factorisation_cache,
 )
-from repro.engine.softmin_batch import batch_prune_by_distance, batch_softmin_ratios
+from repro.engine.softmin_batch import batch_softmin_ratios
 from repro.graphs.kernels import batch_distances_to_targets
 from repro.engine.simulator_batch import (
     RoutingLoopError,
@@ -52,7 +52,6 @@ __all__ = [
     "shared_factorisation_cache",
     "use_factorisation_cache",
     "batch_distances_to_targets",
-    "batch_prune_by_distance",
     "batch_softmin_ratios",
     "RoutingLoopError",
     "destination_link_loads",

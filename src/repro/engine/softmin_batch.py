@@ -4,7 +4,9 @@ All destinations at once, from the :mod:`repro.graphs.kernels` pipeline:
 
 1. the ``(n, n)`` distances ``D[t, v] = dist(v, t)`` from one multi-source
    Dijkstra;
-2. the strictly-decreasing-distance DAG masks as one ``(n, e)`` array;
+2. the strictly-decreasing-distance DAG masks as one ``(n, e)`` array
+   (:func:`~repro.graphs.kernels.decreasing_distance_mask`, the one home
+   of the ``distance`` pruner's rule);
 3. the per-vertex softmin over out-edge scores ``w[e] + D[t, head(e)]``
    (:func:`masked_softmin_ratios`, which the per-flow ``frontier`` pruner
    reuses over stacked (source, target) rows).
@@ -25,16 +27,6 @@ from repro.graphs.kernels import (
 )
 from repro.graphs.network import Network
 from repro.utils.validation import check_gamma
-
-
-def batch_prune_by_distance(network: Network, weights: np.ndarray) -> np.ndarray:
-    """Strictly-decreasing-distance DAG masks for every destination.
-
-    Row ``t`` equals :func:`repro.routing.dag.prune_by_distance` for target
-    ``t``: keep edge ``(u, v)`` iff both endpoints reach ``t`` and
-    ``dist(u, t) > dist(v, t)``.  Shape ``(num_nodes, num_edges)``.
-    """
-    return decreasing_distance_mask(network, batch_distances_to_targets(network, weights))
 
 
 def masked_softmin_ratios(

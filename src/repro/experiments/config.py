@@ -32,7 +32,7 @@ class ExperimentScale:
     learning_rate: float = 3e-4
     # Per-agent tuned hyperparameters (the paper tuned each agent with
     # OpenTuner before training, §VIII-C; these values come from the
-    # equivalent repro.tuning pass).  The MLP baseline needs a gentler
+    # equivalent pass in examples/hyperparameter_tuning.py).  The MLP baseline needs a gentler
     # schedule than the GNN to stay stable at reduced training scale.
     mlp_learning_rate: float = 1e-4
     mlp_initial_log_std: float = -1.2

@@ -25,11 +25,7 @@ from repro.flows.lp import (
     solve_optimal_max_utilisation,
     use_lp_cache,
 )
-from repro.flows.simulator import (
-    link_loads,
-    max_link_utilisation,
-    utilisation_ratio,
-)
+from repro.flows.simulator import link_loads, max_link_utilisation
 
 __all__ = [
     "OptimalRouting",
@@ -44,5 +40,4 @@ __all__ = [
     "use_lp_cache",
     "link_loads",
     "max_link_utilisation",
-    "utilisation_ratio",
 ]

@@ -72,7 +72,7 @@ from repro.graphs.network import Network
 from repro.utils.ambient import Ambient
 from repro.utils.caching import KeyedLRU
 from repro.utils.resilience import CircuitBreaker
-from repro.utils.validation import check_square_matrix
+from repro.utils.validation import check_demand_matrix
 
 # The HiGHS bindings scipy vendors for linprog (scipy >= 1.15).  Probed
 # defensively: any missing symbol downgrades to the linprog fallback rather
@@ -147,12 +147,7 @@ class InfeasibleRoutingError(RuntimeError):
 
 
 def _validate_inputs(network: Network, demand_matrix: np.ndarray) -> np.ndarray:
-    demand = check_square_matrix("demand_matrix", demand_matrix)
-    if demand.shape[0] != network.num_nodes:
-        raise ValueError(
-            f"demand matrix is {demand.shape[0]}x{demand.shape[0]} but network has "
-            f"{network.num_nodes} nodes"
-        )
+    demand = check_demand_matrix(demand_matrix, network.num_nodes)
     if np.any(demand < 0.0):
         raise ValueError("demands must be non-negative")
     if np.any(np.diag(demand) != 0.0):

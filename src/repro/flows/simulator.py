@@ -21,7 +21,7 @@ once.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -32,25 +32,14 @@ from repro.engine.simulator_batch import (
 )
 from repro.graphs.network import Network
 from repro.routing.strategy import DestinationRouting, RoutingStrategy
-from repro.utils.validation import check_square_matrix
+from repro.utils.validation import check_demand_matrix
 
 __all__ = [
     "RoutingLoopError",
     "link_loads",
     "max_link_utilisation",
     "ratio_to_optimum",
-    "utilisation_ratio",
 ]
-
-
-def _checked_demand(network: Network, demand_matrix: np.ndarray) -> np.ndarray:
-    demand = check_square_matrix("demand_matrix", demand_matrix)
-    if demand.shape[0] != network.num_nodes:
-        raise ValueError(
-            f"demand matrix size {demand.shape[0]} does not match network "
-            f"({network.num_nodes} nodes)"
-        )
-    return demand
 
 
 def link_loads(
@@ -66,7 +55,7 @@ def link_loads(
     positive-demand flows, on the calling thread's bound balance-system
     backend (:func:`repro.engine.backend.default_backend`).
     """
-    demand = _checked_demand(network, demand_matrix)
+    demand = check_demand_matrix(demand_matrix, network.num_nodes)
     if isinstance(routing, DestinationRouting):
         return destination_link_loads(network, routing.destination_table(), demand)
     flows = [
@@ -88,7 +77,7 @@ def max_link_utilisation(
     An all-zero demand matrix loads no link, so it returns 0.0 without
     simulating.
     """
-    demand = _checked_demand(network, demand_matrix)
+    demand = check_demand_matrix(demand_matrix, network.num_nodes)
     if not np.any(demand > 0.0):
         return 0.0
     loads = link_loads(network, routing, demand)
@@ -111,34 +100,10 @@ def ratio_to_optimum(
     mid-batch.  A non-positive optimum under positive demand is
     inconsistent and raises ``ValueError``.
     """
-    demand = _checked_demand(network, demand_matrix)
+    demand = check_demand_matrix(demand_matrix, network.num_nodes)
     if not np.any(demand > 0.0):
         return 1.0, 0.0
     optimal = optimum()
     if optimal <= 0.0:
         raise ValueError("utilisation ratio undefined for zero optimal utilisation")
     return float(achieved) / optimal, optimal
-
-
-def utilisation_ratio(
-    network: Network,
-    routing: RoutingStrategy,
-    demand_matrix: np.ndarray,
-    optimal_utilisation: Optional[float] = None,
-) -> float:
-    """``U_agent / U_optimal`` — the paper's headline metric (≥ 1, lower is better).
-
-    Computes the LP optimum on the fly when ``optimal_utilisation`` is not
-    supplied.  Zero demand and a zero optimum follow
-    :func:`ratio_to_optimum`.
-    """
-
-    def optimum() -> float:
-        if optimal_utilisation is not None:
-            return optimal_utilisation
-        from repro.flows.lp import solve_optimal_max_utilisation
-
-        return solve_optimal_max_utilisation(network, demand_matrix).max_utilisation
-
-    achieved = max_link_utilisation(network, routing, demand_matrix)
-    return ratio_to_optimum(network, achieved, demand_matrix, optimum)[0]

@@ -21,8 +21,6 @@ supported via the ``capacity`` argument).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.graphs.kernels import undirected_links
 from repro.graphs.network import DEFAULT_CAPACITY, Network
 
@@ -124,21 +122,3 @@ def topology(name: str, capacity: float = DEFAULT_CAPACITY) -> Network:
         capacity,
         name=name,
     )
-
-
-def zoo_mixture(
-    capacity: float = DEFAULT_CAPACITY, names: Optional[Sequence[str]] = None
-) -> list[Network]:
-    """The graph mixture used by the generalisation experiments (Fig. 8).
-
-    By default returns every embedded topology whose size lies between half
-    and double the size of Abilene, matching the paper's selection rule.
-    """
-    names = list(names) if names is not None else list(TOPOLOGY_NAMES)
-    lower, upper = ABILENE_NODES // 2, ABILENE_NODES * 2
-    chosen = []
-    for name in names:
-        net = topology(name, capacity)
-        if lower <= net.num_nodes <= upper:
-            chosen.append(net)
-    return chosen

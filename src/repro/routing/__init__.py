@@ -23,7 +23,7 @@ from repro.routing.strategy import (
 )
 from repro.routing.shortest_path import ecmp_routing, shortest_path_routing
 from repro.routing.softmin import softmin, softmin_routing
-from repro.routing.dag import prune_by_distance, prune_graph_frontier
+from repro.routing.dag import prune_graph_frontier
 from repro.routing.oblivious import lp_derived_routing, oblivious_routing
 from repro.routing.proportional import capacity_proportional_routing, inverse_weight_routing
 
@@ -37,7 +37,6 @@ __all__ = [
     "ecmp_routing",
     "softmin",
     "softmin_routing",
-    "prune_by_distance",
     "prune_graph_frontier",
     "lp_derived_routing",
     "oblivious_routing",

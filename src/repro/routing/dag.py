@@ -3,31 +3,33 @@
 Softmin routing (paper §VI) can create routing loops, so the graph must be
 converted to a DAG per flow before splitting ratios are assigned, *without*
 collapsing to a single shortest path (multipath must survive for load
-balancing).  Two pruners are provided:
+balancing).  Two pruners exist:
 
-* :func:`prune_by_distance` — keep edge ``(u, v)`` iff ``dist(u, t) >
-  dist(v, t)`` under the agent's weights.  Strictly decreasing distance
-  makes the kept subgraph acyclic, every vertex that can reach ``t`` keeps
-  at least one outgoing edge (its shortest-path edge), and all
-  distance-reducing detours survive, preserving multipath.  Because it only
-  depends on the destination it is shared across sources.  This is the
-  library default: one row of the kernel keep mask
-  (:func:`repro.graphs.kernels.decreasing_distance_mask`).
+* ``distance`` (the library default) — keep edge ``(u, v)`` iff
+  ``dist(u, t) > dist(v, t)`` under the agent's weights.  Strictly
+  decreasing distance makes the kept subgraph acyclic, every vertex that
+  can reach ``t`` keeps at least one outgoing edge (its shortest-path
+  edge), and all distance-reducing detours survive, preserving multipath.
+  Because it only depends on the destination it is shared across sources
+  and runs for every destination at once:
+  :func:`repro.graphs.kernels.decreasing_distance_mask` over
+  :func:`repro.graphs.kernels.batch_distances_to_targets`.
 
-* :func:`prune_graph_frontier` — a faithful implementation of the paper's
-  Figure 3 algorithm: Dijkstra from the source recording ``frontier_meets``
-  (non-tree edges where the search met an already-explored vertex), a
-  back-trace from the sink marking the shortest path, then stitching in an
-  alternative path across each frontier meet whose endpoints' first on-path
-  ancestors sit at different distances from the sink.  The pseudocode in the
-  paper leaves corner cases open; whenever the stitched graph would contain
-  a cycle or lose ``s``→``t`` reachability this implementation skips the
-  offending stitch, so its output is always a valid routing DAG.
+* ``frontier`` — :func:`prune_graph_frontier`, a faithful implementation
+  of the paper's Figure 3 algorithm: Dijkstra from the source recording
+  ``frontier_meets`` (non-tree edges where the search met an
+  already-explored vertex), a back-trace from the sink marking the
+  shortest path, then stitching in an alternative path across each
+  frontier meet whose endpoints' first on-path ancestors sit at different
+  distances from the sink.  The pseudocode in the paper leaves corner
+  cases open; whenever the stitched graph would contain a cycle or lose
+  ``s``→``t`` reachability this implementation skips the offending
+  stitch, so its output is always a valid routing DAG.
 
-Both return a boolean mask over ``network.edges`` (True = edge kept) and
-reject vertex ids outside ``0..num_nodes-1``.  :func:`_dijkstra_with_meets`
-is the library's one heap search: its Fig. 3 bookkeeping needs the paper's
-tie order, not csgraph's.
+:func:`prune_graph_frontier` returns a boolean mask over ``network.edges``
+(True = edge kept) and rejects vertex ids outside ``0..num_nodes-1``.
+:func:`_dijkstra_with_meets` is the library's one heap search: its Fig. 3
+bookkeeping needs the paper's tie order, not csgraph's.
 """
 
 from __future__ import annotations
@@ -37,33 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graphs.kernels import decreasing_distance_mask
 from repro.graphs.network import Network
 from repro.utils.validation import check_node
-
-
-def prune_by_distance(
-    network: Network, weights: np.ndarray, target: int
-) -> np.ndarray:
-    """Keep edges strictly decreasing in weighted distance-to-target.
-
-    Parameters
-    ----------
-    network:
-        Topology.
-    weights:
-        Positive per-edge weights (the agent's action after mapping).
-    target:
-        Flow destination ``t``.
-
-    Returns
-    -------
-    Boolean mask over edges.  The kept subgraph is a DAG in which every
-    vertex with finite distance to ``target`` has an outgoing edge, so a
-    routing defined on it always delivers.
-    """
-    distances = network.shortest_path_distances(weights, target=target)
-    return decreasing_distance_mask(network, distances[np.newaxis])[0]
 
 
 def _dijkstra_with_meets(

@@ -35,6 +35,8 @@ class DemandSequence:
         demands = np.asarray(self.demands, dtype=np.float64)
         if demands.ndim != 3 or demands.shape[1] != demands.shape[2]:
             raise ValueError(f"demands must be (T, n, n), got {demands.shape}")
+        if not np.isfinite(demands).all():
+            raise ValueError("demands must be finite")
         if np.any(demands < 0.0):
             raise ValueError("demands must be non-negative")
         object.__setattr__(self, "demands", demands)

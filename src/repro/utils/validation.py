@@ -51,3 +51,20 @@ def check_square_matrix(name: str, matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
     return matrix
+
+
+def check_demand_matrix(matrix: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Require a finite ``(num_nodes, num_nodes)`` demand matrix; return it as float64.
+
+    NaN and infinity are rejected: NaN fails every ``> 0`` demand filter
+    and would be scored as zero demand, and infinity has no finite optimum.
+    """
+    demand = check_square_matrix("demand_matrix", matrix)
+    if demand.shape[0] != num_nodes:
+        raise ValueError(
+            f"demand matrix size {demand.shape[0]} does not match network "
+            f"({num_nodes} nodes)"
+        )
+    if not np.isfinite(demand).all():
+        raise ValueError("demand matrix entries must be finite")
+    return demand

@@ -18,7 +18,6 @@ from repro.engine import (
     SPARSE_MIN_NODES,
     FactorisationCache,
     batch_distances_to_targets,
-    batch_prune_by_distance,
     batch_softmin_ratios,
     default_backend,
     destination_link_loads,
@@ -38,8 +37,10 @@ from repro.engine.evaluate import (
     _group_timeline,
 )
 from repro.envs.reward import RewardComputer
-from repro.flows.simulator import RoutingLoopError, link_loads, utilisation_ratio
+from repro.flows.lp import solve_optimal_max_utilisation
+from repro.flows.simulator import RoutingLoopError, link_loads, max_link_utilisation
 from repro.graphs import Network, abilene, random_connected_network
+from repro.graphs.kernels import decreasing_distance_mask
 from repro.api.registry import DYNAMICS
 from repro.policies import GNNPolicy, IterativeGNNPolicy, MLPPolicy
 from repro.routing.shortest_path import shortest_path_routing
@@ -90,7 +91,7 @@ class TestBatchPrune:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scalar_masks(self, seed):
         net, weights = random_case(seed)
-        batched = batch_prune_by_distance(net, weights)
+        batched = decreasing_distance_mask(net, batch_distances_to_targets(net, weights))
         for t in range(net.num_nodes):
             np.testing.assert_array_equal(batched[t], reference_prune_by_distance(net, weights, t))
 
@@ -497,9 +498,11 @@ class TestFactorisationCache:
 
 class TestZeroDemandBehaviour:
     def test_utilisation_ratio_defined(self):
+        # Zero demand is scored 1.0 without solving (or caching) an LP.
         net = triangle_network()
-        routing = softmin_routing(net, np.ones(net.num_edges), gamma=2.0)
-        assert utilisation_ratio(net, routing, np.zeros((3, 3))) == 1.0
+        rewarder = RewardComputer()
+        assert rewarder.utilisation_ratio(net, shortest_path_routing(net), np.zeros((3, 3))) == 1.0
+        assert rewarder.cache.misses == 0
 
     def test_reward_computer_defined(self):
         net = triangle_network()
@@ -510,7 +513,7 @@ class TestZeroDemandBehaviour:
     @pytest.mark.parametrize(
         "ratio",
         [
-            lambda net, dm: utilisation_ratio(net, shortest_path_routing(net), dm),
+            lambda net, dm: RewardComputer().utilisation_ratio(net, shortest_path_routing(net), dm),
             lambda net, dm: RewardComputer().ratio_from_achieved(net, 0.0, dm),
         ],
         ids=["utilisation_ratio", "ratio_from_achieved"],
@@ -530,6 +533,34 @@ class TestZeroDemandBehaviour:
         )
         assert result.combined.count == 3
         assert result.combined.ratios[1] == 1.0
+
+
+class TestNonFiniteDemand:
+    """NaN or infinite demand raises; NaN used to fail every ``> 0`` filter
+    and be scored as zero demand (ratio 1.0)."""
+
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda net, dm: max_link_utilisation(net, shortest_path_routing(net), dm),
+            lambda net, dm: RewardComputer().utilisation_ratio(net, shortest_path_routing(net), dm),
+            lambda net, dm: solve_optimal_max_utilisation(net, dm),
+        ],
+        ids=["max_link_utilisation", "reward_computer", "lp"],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_scoring_rejects(self, score, value):
+        dm = np.zeros((11, 11))
+        dm[0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            score(abilene(), dm)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_demand_sequence_rejects(self, value):
+        demands = np.stack([bimodal_matrix(11, seed=0)] * 2)
+        demands[1, 0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            DemandSequence(demands)
 
 
 class TestEmptyEvaluationResult:

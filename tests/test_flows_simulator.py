@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.envs.reward import RewardComputer
 from repro.flows.simulator import (
     RoutingLoopError,
     link_loads,
     max_link_utilisation,
-    utilisation_ratio,
+    ratio_to_optimum,
 )
 from repro.routing.strategy import DestinationRouting, FlowRouting
 from tests.helpers import line_network, square_network, triangle_network
@@ -123,7 +124,7 @@ class TestUtilisation:
         ratios = np.zeros(net.num_edges)
         ratios[net.edge_index[(0, 2)]] = 1.0
         routing = make_flow_routing(net, {(0, 2): ratios})
-        ratio = utilisation_ratio(net, routing, single_flow_dm(4, 0, 2, 9.0))
+        ratio = RewardComputer().utilisation_ratio(net, routing, single_flow_dm(4, 0, 2, 9.0))
         assert ratio == pytest.approx(3.0)  # 0.9 achieved vs 0.3 optimal
 
     def test_utilisation_ratio_optimal_routing_is_one(self):
@@ -133,7 +134,7 @@ class TestUtilisation:
         ratios[net.edge_index[(0, 1)]] = 0.5
         ratios[net.edge_index[(1, 2)]] = 1.0
         routing = make_flow_routing(net, {(0, 2): ratios})
-        ratio = utilisation_ratio(net, routing, single_flow_dm(3, 0, 2, 10.0))
+        ratio = RewardComputer().utilisation_ratio(net, routing, single_flow_dm(3, 0, 2, 10.0))
         assert ratio == pytest.approx(1.0, rel=1e-6)
 
     def test_utilisation_ratio_zero_demand_is_defined(self):
@@ -141,16 +142,18 @@ class TestUtilisation:
         # traffic sequences must not abort mid-batch.
         net = triangle_network()
         routing = make_flow_routing(net, {})
-        assert utilisation_ratio(net, routing, np.zeros((3, 3))) == 1.0
-        assert utilisation_ratio(net, routing, np.zeros((3, 3)), optimal_utilisation=0.0) == 1.0
+        assert RewardComputer().utilisation_ratio(net, routing, np.zeros((3, 3))) == 1.0
+        assert ratio_to_optimum(net, 0.0, np.zeros((3, 3)), lambda: 0.0) == (1.0, 0.0)
 
     def test_utilisation_ratio_rejects_zero_optimal_with_demand(self):
         net = triangle_network()
         ratios = np.zeros(net.num_edges)
         ratios[net.edge_index[(0, 2)]] = 1.0
         routing = make_flow_routing(net, {(0, 2): ratios})
+        dm = single_flow_dm(3, 0, 2, 1.0)
+        achieved = max_link_utilisation(net, routing, dm)
         with pytest.raises(ValueError, match="zero optimal"):
-            utilisation_ratio(net, routing, single_flow_dm(3, 0, 2, 1.0), optimal_utilisation=0.0)
+            ratio_to_optimum(net, achieved, dm, lambda: 0.0)
 
     def test_explicit_optimal_is_used(self):
         net = line_network(3, capacity=8.0)
@@ -159,4 +162,6 @@ class TestUtilisation:
         ratios[net.edge_index[(1, 2)]] = 1.0
         routing = make_flow_routing(net, {(0, 2): ratios})
         dm = single_flow_dm(3, 0, 2, 4.0)
-        assert utilisation_ratio(net, routing, dm, optimal_utilisation=0.25) == pytest.approx(2.0)
+        achieved = max_link_utilisation(net, routing, dm)
+        ratio, optimal = ratio_to_optimum(net, achieved, dm, lambda: 0.25)
+        assert (ratio, optimal) == (pytest.approx(2.0), 0.25)

@@ -22,7 +22,7 @@ from repro.graphs import (
     waxman_network,
 )
 from repro.graphs.generators import different_graphs_pool, random_spanning_tree
-from repro.graphs.zoo import ABILENE_LINKS, NSFNET_LINKS, zoo_mixture
+from repro.graphs.zoo import ABILENE_LINKS, NSFNET_LINKS
 from tests.helpers import line_network, square_network, triangle_network
 
 
@@ -227,10 +227,6 @@ class TestZoo:
 
     def test_synthetic_topologies_deterministic(self):
         assert topology("geant-like") == topology("geant-like")
-
-    def test_zoo_mixture_size_window(self):
-        for net in zoo_mixture():
-            assert 5 <= net.num_nodes <= 22
 
     def test_custom_capacity(self):
         assert abilene(capacity=123.0).capacities[0] == 123.0

@@ -27,9 +27,10 @@ from hypothesis import given, settings, strategies as st
 from repro.flows.lp import solve_optimal_max_utilisation
 from repro.flows.simulator import link_loads, max_link_utilisation
 from repro.graphs.generators import random_connected_network
+from repro.graphs.kernels import batch_distances_to_targets, decreasing_distance_mask
 from repro.graphs.modifications import removable_links, remove_random_edge
 from repro.graphs.network import Network
-from repro.routing.dag import prune_by_distance, prune_graph_frontier
+from repro.routing.dag import prune_graph_frontier
 from repro.routing.oblivious import lp_derived_routing
 from repro.routing.proportional import capacity_proportional_routing, inverse_weight_routing
 from repro.routing.shortest_path import ecmp_routing, shortest_path_routing
@@ -152,8 +153,8 @@ class TestDagProperties:
         net, weights = data
         import networkx as nx
 
-        for target in range(net.num_nodes):
-            mask = prune_by_distance(net, weights, target)
+        masks = decreasing_distance_mask(net, batch_distances_to_targets(net, weights))
+        for target, mask in enumerate(masks):
             g = nx.DiGraph()
             g.add_nodes_from(range(net.num_nodes))
             g.add_edges_from(net.edges[e] for e in range(net.num_edges) if mask[e])

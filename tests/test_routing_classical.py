@@ -1,19 +1,22 @@
-"""Tests for shortest-path/ECMP and the LP-derived oblivious baselines."""
+"""Tests for the classical baselines: shortest-path/ECMP, LP-derived
+oblivious, and the proportional translations."""
 
 import numpy as np
 import pytest
 
+from repro.envs.reward import RewardComputer
 from repro.flows.lp import solve_optimal_max_utilisation
-from repro.flows.simulator import link_loads, max_link_utilisation, utilisation_ratio
+from repro.flows.simulator import link_loads, max_link_utilisation
 from repro.graphs import abilene
 from repro.routing.oblivious import cancel_flow_cycles, lp_derived_routing, oblivious_routing
+from repro.routing.proportional import capacity_proportional_routing, inverse_weight_routing
 from repro.routing.shortest_path import (
     ecmp_routing,
     inverse_capacity_weights,
     shortest_path_routing,
 )
 from repro.routing.strategy import validate_routing
-from repro.traffic import bimodal_matrix
+from repro.traffic import bimodal_matrix, cyclical_sequence
 from tests.helpers import line_network, square_network, triangle_network
 
 
@@ -116,7 +119,7 @@ class TestObliviousRouting:
     def test_oblivious_reasonable_on_unseen_demand(self):
         net = abilene()
         dm = bimodal_matrix(net.num_nodes, seed=9)
-        ratio = utilisation_ratio(net, oblivious_routing(net), dm)
+        ratio = RewardComputer().utilisation_ratio(net, oblivious_routing(net), dm)
         assert 1.0 - 1e-9 <= ratio < 2.0
 
     def test_cancel_flow_cycles_removes_circulation(self):
@@ -143,3 +146,52 @@ def _dm(net, s, t, d):
     dm = np.zeros((net.num_nodes, net.num_nodes))
     dm[s, t] = d
     return dm
+
+
+@pytest.fixture(scope="module")
+def workload():
+    net = abilene()
+    seq = cyclical_sequence(net.num_nodes, 20, 4, seed=0)
+    return net, seq
+
+
+class TestProportionalTranslations:
+    def test_inverse_weight_routing_valid(self, workload):
+        net, seq = workload
+        weights = np.random.default_rng(0).uniform(0.2, 5.0, net.num_edges)
+        routing = inverse_weight_routing(net, weights)
+        for s in range(net.num_nodes):
+            for t in range(net.num_nodes):
+                if s != t:
+                    validate_routing(routing, s, t)
+
+    def test_inverse_weight_prefers_cheap_edges(self):
+        from repro.graphs import Network
+
+        net = Network.from_undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        weights = np.ones(net.num_edges)
+        weights[net.edge_index[(0, 1)]] = 4.0  # same DAG, pricier branch
+        routing = inverse_weight_routing(net, weights)
+        vector = routing.ratios(0, 2)
+        assert vector[net.edge_index[(0, 3)]] > vector[net.edge_index[(0, 1)]]
+
+    def test_capacity_proportional_valid_and_tracks_capacity(self, workload):
+        net, seq = workload
+        routing = capacity_proportional_routing(net)
+        for s in range(net.num_nodes):
+            for t in range(net.num_nodes):
+                if s != t:
+                    validate_routing(routing, s, t)
+        ratio = RewardComputer().utilisation_ratio(net, routing, seq.matrix(5))
+        assert np.isfinite(ratio) and ratio >= 1.0 - 1e-6
+
+    def test_translations_comparable_to_softmin(self, workload):
+        """All translations on uniform weights should land in the same league."""
+        from repro.routing.softmin import softmin_routing
+
+        net, seq = workload
+        weights = np.ones(net.num_edges)
+        dm = seq.matrix(5)
+        u_soft = max_link_utilisation(net, softmin_routing(net, weights, gamma=2.0), dm)
+        u_inv = max_link_utilisation(net, inverse_weight_routing(net, weights), dm)
+        assert u_inv <= 2.0 * u_soft

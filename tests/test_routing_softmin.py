@@ -6,7 +6,8 @@ import pytest
 from repro.engine.softmin_batch import batch_softmin_ratios
 from repro.flows.simulator import link_loads, max_link_utilisation
 from repro.graphs import Network, abilene, random_connected_network
-from repro.routing.dag import prune_by_distance, prune_graph_frontier
+from repro.graphs.kernels import batch_distances_to_targets, decreasing_distance_mask
+from repro.routing.dag import prune_graph_frontier
 from repro.routing.shortest_path import shortest_path_routing
 from repro.routing.softmin import softmin, softmin_routing
 from repro.routing.strategy import DestinationRouting, FlowRouting, validate_routing
@@ -16,6 +17,11 @@ from tests.helpers import square_network, triangle_network
 
 def all_pairs(net):
     return [(s, t) for s in range(net.num_nodes) for t in range(net.num_nodes) if s != t]
+
+
+def distance_masks(net, weights):
+    """The ``distance`` pruner's DAG mask for every destination (row t)."""
+    return decreasing_distance_mask(net, batch_distances_to_targets(net, weights))
 
 
 def is_acyclic(net, mask):
@@ -77,14 +83,12 @@ class TestPruneByDistance:
     def test_mask_is_acyclic(self):
         net = abilene()
         weights = np.random.default_rng(0).uniform(0.5, 2.0, net.num_edges)
-        for t in range(net.num_nodes):
-            assert is_acyclic(net, prune_by_distance(net, weights, t))
+        for mask in distance_masks(net, weights):
+            assert is_acyclic(net, mask)
 
     def test_every_vertex_keeps_an_out_edge(self):
         net = abilene()
-        weights = np.ones(net.num_edges)
-        for t in range(net.num_nodes):
-            mask = prune_by_distance(net, weights, t)
+        for t, mask in enumerate(distance_masks(net, np.ones(net.num_edges))):
             for v in range(net.num_nodes):
                 if v == t:
                     continue
@@ -94,20 +98,22 @@ class TestPruneByDistance:
         net = square_network()
         weights = np.ones(net.num_edges)
         distances = net.shortest_path_distances(weights, target=2)
-        mask = prune_by_distance(net, weights, 2)
+        mask = distance_masks(net, weights)[2]
         for e, (u, v) in enumerate(net.edges):
             assert mask[e] == (distances[u] > distances[v])
 
     @pytest.mark.parametrize("target", [-1, 4])
     def test_rejects_out_of_range_target(self, target):
+        # -1 must not wrap to the last destination's row.
         net = square_network()
-        with pytest.raises(ValueError, match=r"target must be in 0\.\.3"):
-            prune_by_distance(net, np.ones(net.num_edges), target)
+        routing = softmin_routing(net, np.ones(net.num_edges), gamma=1.0)
+        with pytest.raises(ValueError, match="out of range for 4 nodes"):
+            routing.ratios(0, target)
 
     def test_multipath_preserved(self):
         # Square without diagonal: both 0->1->2 and 0->3->2 survive to t=2.
         net = Network.from_undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        mask = prune_by_distance(net, np.ones(net.num_edges), 2)
+        mask = distance_masks(net, np.ones(net.num_edges))[2]
         assert mask[net.edge_index[(0, 1)]]
         assert mask[net.edge_index[(0, 3)]]
 
