@@ -301,36 +301,32 @@ def test_lp_phase_speedup_meets_target():
 
 
 # ---------------------------------------------------------------------------
-# Vectorized training stack: batched rollouts over a VecEnv.
+# Training: planned rollouts, PPO updates and the quick learning curve.
 # ---------------------------------------------------------------------------
-
-
-TRAINING_N_ENVS = 4
 
 
 def _training_scenario():
     """The gated training workload: the quick-preset GNN curve on NSFNet.
 
-    ``n_envs=4`` with the quick preset's ``n_steps=64`` collects exactly
-    ``total_timesteps=256`` environment steps in one vectorized rollout —
-    the same steps and the same number of minibatch updates as the
-    sequential loop, gathered with 4x fewer policy forward passes.
+    The quick preset's ``n_steps=64`` collects ``total_timesteps=256``
+    environment steps in four rollouts; the one-shot environment is a
+    contextual bandit, so each rollout is planned and forwarded once.
     """
     return {
         "name": "bench-training",
         "topology": {"name": "nsfnet"},
         "routing": {"policies": ["gnn"]},
-        "training": {"preset": "quick", "n_envs": TRAINING_N_ENVS},
+        "training": {"preset": "quick"},
         "evaluation": {"metrics": ["learning_curve"], "seeds": [0]},
     }
 
 
 @pytest.fixture(scope="module")
 def training_setup():
-    """A warm PPO trainer over 4 lockstep envs (LP caches primed)."""
+    """A warm PPO trainer (LP caches primed)."""
     from repro import api
     from repro.api.runner import _build_policy, _ppo_config, _SeedRun
-    from repro.rl.ppo import PPO, PPOConfig  # noqa: F401 (PPOConfig re-exported use)
+    from repro.rl.ppo import PPO
 
     spec = api.ScenarioSpec.from_dict(_training_scenario())
     seed_run = _SeedRun(spec, 0, False)
@@ -338,38 +334,36 @@ def training_setup():
     policy, iterative = _build_policy(
         pspec, seed_run.train_graphs + seed_run.test_graphs, seed_run.scale, 0
     )
-    vec = seed_run._training_env(iterative, 1)
-    ppo = PPO(policy, vec, _ppo_config(seed_run.scale, pspec.ppo), seed=1)
+    env = seed_run._train_env(iterative, 1)
+    ppo = PPO(policy, env, _ppo_config(seed_run.scale, pspec.ppo), seed=1)
     ppo.learn(seed_run.scale.total_timesteps)  # warm every reward-path cache
     return ppo
 
 
 @pytest.mark.benchmark(group="training")
 def test_training_rollout_step(benchmark, training_setup):
-    """One lockstep timestep: a batched forward + 4 env steps (warm caches)."""
+    """One timestep: a forward of one observation + one env step (warm caches)."""
     ppo = training_setup
 
     def step():
-        observations = ppo._last_observations
-        actions, log_probs, values = ppo.policy.act_batch(observations, ppo.rng)
-        next_observations, rewards, dones, _ = ppo.vec_env.step(actions)
-        ppo._last_observations = next_observations
-        return rewards
+        actions, _, _ = ppo.policy.act_batch([ppo._last_observation], ppo.rng)
+        ppo._last_observation, reward, done, _ = ppo.env.step(actions[0])
+        if done:
+            ppo._last_observation = ppo.env.reset()
+        return reward
 
-    rewards = benchmark(step)
-    assert rewards.shape == (TRAINING_N_ENVS,)
+    reward = benchmark(step)
+    assert np.isfinite(reward)
 
 
 @pytest.mark.benchmark(group="training")
 def test_training_minibatch_update(benchmark, training_setup):
-    """One full PPO update pass (n_epochs x minibatches) over a 256-sample rollout."""
+    """One full PPO update pass (n_epochs x minibatches) over a 64-step rollout."""
     from repro.rl.buffer import RolloutBuffer
 
     ppo = training_setup
     cfg = ppo.config
-    buffer = RolloutBuffer(
-        cfg.n_steps, gamma=cfg.gamma, gae_lambda=cfg.gae_lambda, n_envs=ppo.vec_env.num_envs
-    )
+    buffer = RolloutBuffer(cfg.n_steps, gamma=cfg.gamma, gae_lambda=cfg.gae_lambda)
     ppo.collect_rollout(buffer)
     diagnostics = benchmark(ppo.update, buffer)
     assert np.isfinite(diagnostics["policy_loss"])

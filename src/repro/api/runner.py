@@ -30,7 +30,6 @@ from repro.experiments.config import ExperimentScale
 from repro.flows.lp import network_fingerprint
 from repro.graphs.network import Network
 from repro.rl.ppo import PPO, PPOConfig
-from repro.rl.vec_env import VecEnv
 from repro.traffic.sequences import train_test_sequences
 from repro.utils.logging import RunLogger
 
@@ -191,6 +190,7 @@ class _SeedRun:
     # -- training ------------------------------------------------------
 
     def _train_env(self, iterative: bool, seed: int):
+        """The environment a policy trains on, its sequence draws seeded by ``seed``."""
         scale = self.scale
         options = dict(
             iterative=iterative,
@@ -203,20 +203,6 @@ class _SeedRun:
         if not self.single:
             return MultiGraphRoutingEnv(list(zip(self.train_graphs, self.train_groups)), **options)
         return make_routing_env(self.train_graphs[0], self.train_seqs, **options)
-
-    def _training_env(self, iterative: bool, seed: int):
-        """The lockstep ``VecEnv`` stack PPO trains on.
-
-        Slot 0 always receives ``seed`` itself so ``n_envs=1`` is the
-        sequential path, bit for bit; extra slots get seeds derived with a
-        large odd stride so no two slots (or training runs) collide.  All
-        slots share this run's :class:`RewardComputer`, so LP denominators
-        solved for one slot's traffic are cache hits for every other.
-        """
-        n_envs = self.spec.training.n_envs
-        return VecEnv(
-            [self._train_env(iterative, seed + 1000003 * j) for j in range(n_envs)]
-        )
 
     def train_policies(self) -> dict[str, tuple[object, bool, LearningCurve]]:
         """Train every policy in spec order; returns label -> (policy, iterative, curve)."""
@@ -243,7 +229,7 @@ class _SeedRun:
             )
             train_seed = self.seed + 1 + i
             logger = RunLogger(echo=self.echo)
-            env = self._training_env(iterative, train_seed)
+            env = self._train_env(iterative, train_seed)
             PPO(policy, env, _ppo_config(self.scale, pspec.ppo), seed=train_seed, logger=logger)\
                 .learn(self.scale.total_timesteps)
             curve = LearningCurve(
@@ -310,7 +296,7 @@ class _SeedRun:
             )
             ppo = PPO(
                 policy,
-                self._training_env(iterative, self.seed),
+                self._train_env(iterative, self.seed),
                 _ppo_config(scale, pspec.ppo),
                 seed=self.seed,
             )

@@ -277,19 +277,10 @@ class RoutingSpec:
 
 @dataclass(frozen=True)
 class TrainingSpec:
-    """The training axis: an :class:`ExperimentScale` preset plus overrides.
-
-    ``n_envs`` runs that many environment copies in lockstep through one
-    :class:`repro.rl.VecEnv` during training, batching the policy forward
-    passes (one call per vector step instead of one per env).  ``1`` (the
-    default) is bit-identical to the historical sequential loop; ``n_envs``
-    does not change the total number of environment steps collected, only
-    how they are gathered.
-    """
+    """The training axis: an :class:`ExperimentScale` preset plus overrides."""
 
     preset: str = "quick"
     overrides: dict = field(default_factory=dict)
-    n_envs: int = 1
 
     def __post_init__(self):
         if self.preset not in PRESETS:
@@ -297,7 +288,6 @@ class TrainingSpec:
                 f"unknown training preset {self.preset!r}; choose from {sorted(PRESETS)}"
             )
         object.__setattr__(self, "overrides", _check_params("training", self.overrides))
-        object.__setattr__(self, "n_envs", _coerce_int("training.n_envs", self.n_envs, 1))
         try:
             self.scale()
         except ValueError as exc:
@@ -311,11 +301,7 @@ class TrainingSpec:
         return scaled(self.preset, **overrides)
 
     def to_dict(self) -> dict:
-        data = {"preset": self.preset, "overrides": dict(self.overrides)}
-        # Emitted only off-default so historical spec hashes are unchanged.
-        if self.n_envs != 1:
-            data["n_envs"] = self.n_envs
-        return data
+        return {"preset": self.preset, "overrides": dict(self.overrides)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TrainingSpec":

@@ -32,12 +32,11 @@ from repro.envs.reward import (
     gamma_from_action,
     weights_from_action,
 )
-from repro.envs.routing_env import demand_normaliser
+from repro.envs.routing_env import WorkloadEnv
 from repro.graphs.network import Network
-from repro.rl.env import Env
 from repro.rl.spaces import Box
 from repro.traffic.sequences import DemandSequence
-from repro.utils.seeding import SeedLike, rng_from_seed
+from repro.utils.seeding import SeedLike
 from repro.utils.validation import check_gamma
 
 
@@ -55,7 +54,7 @@ def set_edge_weight(
     set_flags[edge] = 1.0
 
 
-class IterativeRoutingEnv(Env):
+class IterativeRoutingEnv(WorkloadEnv):
     """One-edge-per-action routing environment (see module docstring).
 
     Parameters mirror :class:`~repro.envs.routing_env.RoutingEnv`; the
@@ -73,31 +72,13 @@ class IterativeRoutingEnv(Env):
         sample_sequences: bool = True,
         seed: SeedLike = None,
     ):
-        if not sequences:
-            raise ValueError("need at least one demand sequence")
-        for seq in sequences:
-            if seq.num_nodes != network.num_nodes:
-                raise ValueError(
-                    f"sequence over {seq.num_nodes} nodes does not match network "
-                    f"({network.num_nodes})"
-                )
-            if len(seq) <= memory_length:
-                raise ValueError(
-                    f"sequence length {len(seq)} too short for memory {memory_length}"
-                )
+        super().__init__(network, sequences, memory_length, sample_sequences, seed)
         low, high = (check_gamma(bound) for bound in gamma_range)
         if not 0.0 < low < high:
             raise ValueError(f"gamma_range needs 0 < low < high, got {gamma_range}")
-        self.network = network
-        self.sequences = list(sequences)
-        self.memory_length = int(memory_length)
         self.weight_scale = float(weight_scale)
         self.gamma_range = (low, high)
         self.rewarder = reward_computer or RewardComputer()
-        self.sample_sequences = bool(sample_sequences)
-        self._rng = rng_from_seed(seed)
-        self._round_robin = 0
-        self.demand_scale = demand_normaliser(self.sequences)
 
         self.action_space = Box(-np.inf, np.inf, (2,))
         self.observation_space = None  # object observations (variable content)
@@ -111,13 +92,6 @@ class IterativeRoutingEnv(Env):
         self._history: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def _select_sequence(self) -> DemandSequence:
-        if self.sample_sequences:
-            return self.sequences[int(self._rng.integers(0, len(self.sequences)))]
-        sequence = self.sequences[self._round_robin % len(self.sequences)]
-        self._round_robin += 1
-        return sequence
-
     def _observation(self, target_edge: Optional[int]) -> GraphObservation:
         step = min(self._step_index, len(self._sequence))
         if self._history_step != step:

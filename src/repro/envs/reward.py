@@ -38,7 +38,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flows.lp import OptimalUtilisationCache
-from repro.flows.simulator import max_link_utilisation, ratio_to_optimum
+from repro.flows.simulator import (
+    checked_ratio_to_optimum,
+    max_link_utilisation,
+    ratio_to_optimum,
+)
 from repro.graphs.network import Network
 from repro.routing.softmin import softmin_routing
 from repro.routing.strategy import RoutingStrategy
@@ -98,8 +102,7 @@ class RewardComputer:
         self, network: Network, routing: RoutingStrategy, demand_matrix: np.ndarray
     ) -> float:
         """``U_agent / U_optimal`` for one DM (≥ 1 up to LP tolerance)."""
-        achieved = max_link_utilisation(network, routing, demand_matrix)
-        return self.ratio_from_achieved(network, achieved, demand_matrix)[0]
+        return self._ratio(network, routing, demand_matrix)[0]
 
     def ratio_from_achieved(
         self, network: Network, achieved: float, demand_matrix: np.ndarray
@@ -118,6 +121,18 @@ class RewardComputer:
             lambda: self.cache.optimal_max_utilisation(network, demand_matrix),
         )
 
+    def _ratio(
+        self, network: Network, routing: RoutingStrategy, demand_matrix: np.ndarray
+    ) -> tuple[float, float]:
+        """:meth:`ratio_from_achieved` of ``routing``'s ``U_max``, validating the DM once."""
+        # max_link_utilisation has validated the DM, so the rule reads it as is.
+        achieved = max_link_utilisation(network, routing, demand_matrix)
+        return checked_ratio_to_optimum(
+            achieved,
+            np.asarray(demand_matrix, dtype=np.float64),
+            lambda: self.cache.optimal_max_utilisation(network, demand_matrix),
+        )
+
     def reward(
         self,
         network: Network,
@@ -127,6 +142,5 @@ class RewardComputer:
     ) -> tuple[float, dict]:
         """Equation 2: returns ``(reward, info)`` for one timestep."""
         routing = self.routing_from_weights(network, weights, gamma)
-        achieved = max_link_utilisation(network, routing, demand_matrix)
-        ratio, optimal = self.ratio_from_achieved(network, achieved, demand_matrix)
+        ratio, optimal = self._ratio(network, routing, demand_matrix)
         return -ratio, {"utilisation_ratio": ratio, "optimal_utilisation": optimal}

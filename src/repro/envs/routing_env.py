@@ -48,7 +48,52 @@ def demand_normaliser(sequences: Sequence[DemandSequence]) -> float:
     return scale if scale > 0.0 else 1.0
 
 
-class RoutingEnv(Env):
+class WorkloadEnv(Env):
+    """The demand workload both single-topology routing environments walk.
+
+    Checks that every sequence matches ``network`` and outlasts the history
+    window, picks each episode's sequence (drawn from the environment's RNG,
+    or round-robin with ``sample_sequences=False``) and fixes the scale
+    observations are normalised by.
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        sequences: Sequence[DemandSequence],
+        memory_length: int,
+        sample_sequences: bool,
+        seed: SeedLike,
+    ):
+        if not sequences:
+            raise ValueError("need at least one demand sequence")
+        for seq in sequences:
+            if seq.num_nodes != network.num_nodes:
+                raise ValueError(
+                    f"sequence over {seq.num_nodes} nodes does not match network "
+                    f"({network.num_nodes})"
+                )
+            if len(seq) <= memory_length:
+                raise ValueError(
+                    f"sequence length {len(seq)} too short for memory {memory_length}"
+                )
+        self.network = network
+        self.sequences = list(sequences)
+        self.memory_length = int(memory_length)
+        self.sample_sequences = bool(sample_sequences)
+        self._rng = rng_from_seed(seed)
+        self._round_robin = 0
+        self.demand_scale = demand_normaliser(self.sequences)
+
+    def _select_sequence(self) -> DemandSequence:
+        if self.sample_sequences:
+            return self.sequences[int(self._rng.integers(0, len(self.sequences)))]
+        sequence = self.sequences[self._round_robin % len(self.sequences)]
+        self._round_robin += 1
+        return sequence
+
+
+class RoutingEnv(WorkloadEnv):
     """Fixed-topology data-driven routing environment.
 
     Parameters
@@ -94,18 +139,7 @@ class RoutingEnv(Env):
         seed: SeedLike = None,
         dynamics: Optional[NetworkTimeline] = None,
     ):
-        if not sequences:
-            raise ValueError("need at least one demand sequence")
-        for seq in sequences:
-            if seq.num_nodes != network.num_nodes:
-                raise ValueError(
-                    f"sequence over {seq.num_nodes} nodes does not match network "
-                    f"({network.num_nodes})"
-                )
-            if len(seq) <= memory_length:
-                raise ValueError(
-                    f"sequence length {len(seq)} too short for memory {memory_length}"
-                )
+        super().__init__(network, sequences, memory_length, sample_sequences, seed)
         if check_gamma(softmin_gamma) <= 0.0:
             raise ValueError("softmin_gamma must be positive")
         if dynamics is not None:
@@ -118,16 +152,9 @@ class RoutingEnv(Env):
                         f"of length {len(dynamics)}"
                     )
         self.dynamics = dynamics
-        self.network = network
-        self.sequences = list(sequences)
-        self.memory_length = int(memory_length)
         self.softmin_gamma = float(softmin_gamma)
         self.weight_scale = float(weight_scale)
         self.rewarder = reward_computer or RewardComputer()
-        self.sample_sequences = bool(sample_sequences)
-        self._rng = rng_from_seed(seed)
-        self._round_robin = 0
-        self.demand_scale = demand_normaliser(self.sequences)
 
         m = network.num_edges
         self.action_space = Box(-1.0, 1.0, (m,))
@@ -140,13 +167,6 @@ class RoutingEnv(Env):
         self._step_index = 0
 
     # ------------------------------------------------------------------
-    def _select_sequence(self) -> DemandSequence:
-        if self.sample_sequences:
-            return self.sequences[int(self._rng.integers(0, len(self.sequences)))]
-        sequence = self.sequences[self._round_robin % len(self.sequences)]
-        self._round_robin += 1
-        return sequence
-
     def network_at(self, step: int) -> Network:
         """The network in force at ``step`` (the base network when static)."""
         if self.dynamics is None:

@@ -36,6 +36,7 @@ from repro.utils.validation import check_demand_matrix
 
 __all__ = [
     "RoutingLoopError",
+    "checked_ratio_to_optimum",
     "link_loads",
     "max_link_utilisation",
     "ratio_to_optimum",
@@ -53,9 +54,12 @@ def link_loads(
     routings are simulated with one batched solve over all active
     destinations and per-flow routings with one batched solve over all
     positive-demand flows, on the calling thread's bound balance-system
-    backend (:func:`repro.engine.backend.default_backend`).
+    backend (:func:`repro.engine.backend.default_backend`).  An all-zero
+    demand matrix loads no link, so it returns zeros without simulating.
     """
     demand = check_demand_matrix(demand_matrix, network.num_nodes)
+    if not np.any(demand > 0.0):
+        return np.zeros(network.num_edges)
     if isinstance(routing, DestinationRouting):
         return destination_link_loads(network, routing.destination_table(), demand)
     flows = [
@@ -74,13 +78,10 @@ def max_link_utilisation(
 ) -> float:
     """The achieved ``U_max``: max over links of load / capacity.
 
-    An all-zero demand matrix loads no link, so it returns 0.0 without
-    simulating.
+    :func:`link_loads` validates the demand matrix, and an all-zero one
+    gives 0.0 without simulating.
     """
-    demand = check_demand_matrix(demand_matrix, network.num_nodes)
-    if not np.any(demand > 0.0):
-        return 0.0
-    loads = link_loads(network, routing, demand)
+    loads = link_loads(network, routing, demand_matrix)
     return float((loads / network.capacities).max())
 
 
@@ -92,15 +93,25 @@ def ratio_to_optimum(
 ) -> tuple[float, float]:
     """``(U_agent / U_optimal, U_optimal)`` for an already-measured ``U_max``.
 
-    The one home of the ratio rule.  The demand matrix is validated against
-    ``network`` first, so a wrong-shape matrix raises whatever its values.
-    An all-zero demand matrix then has the defined result ``(1.0, 0.0)`` —
-    zero load on every link is trivially optimal — without calling
-    ``optimum``, so sparse traffic sequences evaluate without aborting
-    mid-batch.  A non-positive optimum under positive demand is
-    inconsistent and raises ``ValueError``.
+    The demand matrix is validated against ``network`` first, so a
+    wrong-shape matrix raises whatever its values; then
+    :func:`checked_ratio_to_optimum` applies the rule.
     """
     demand = check_demand_matrix(demand_matrix, network.num_nodes)
+    return checked_ratio_to_optimum(achieved, demand, optimum)
+
+
+def checked_ratio_to_optimum(
+    achieved: float, demand: np.ndarray, optimum: Callable[[], float]
+) -> tuple[float, float]:
+    """:func:`ratio_to_optimum` for a demand matrix its caller has validated.
+
+    The one home of the ratio rule.  An all-zero demand matrix has the
+    defined result ``(1.0, 0.0)`` — zero load on every link is trivially
+    optimal — without calling ``optimum``, so sparse traffic sequences
+    evaluate without aborting mid-batch.  A non-positive optimum under
+    positive demand is inconsistent and raises ``ValueError``.
+    """
     if not np.any(demand > 0.0):
         return 1.0, 0.0
     optimal = optimum()

@@ -1,23 +1,18 @@
 """Rollout storage and Generalised Advantage Estimation.
 
-The buffer stores ``n_envs`` lockstep trajectories of ``n_steps`` transitions
-each, in ``(n_envs, n_steps)`` float arrays (observations and actions remain
-Python objects: numpy arrays on fixed topologies, graph observations on
-mixtures).  :meth:`RolloutBuffer.compute_returns_and_advantages` implements
-GAE(λ) exactly as in PPO2, bootstrapping each environment's trajectory from
-the value of its state after the final stored transition; the backward
-recursion runs over all environments at once as ``(n_envs,)`` vector steps.
-
-With ``n_envs=1`` every array op reduces to the scalar recursion the
-pre-vectorised buffer ran (same IEEE operations in the same order), and the
-flattened sample order seen by :meth:`minibatches` is the plain time order —
-so single-env training is bit-identical to the sequential implementation.
+The buffer stores one trajectory of ``n_steps`` transitions in 1-D float
+arrays (observations and actions remain Python objects: numpy arrays on
+fixed topologies, graph observations on mixtures).
+:meth:`RolloutBuffer.compute_returns_and_advantages` implements GAE(λ)
+exactly as in PPO2, bootstrapping from the value of the state after the
+final stored transition, and :meth:`RolloutBuffer.minibatches` shuffles the
+transitions, in time order, with one permutation per pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -37,52 +32,38 @@ class Minibatch:
 
 
 class RolloutBuffer:
-    """Fixed-capacity on-policy rollout storage for lockstep environments.
+    """Fixed-capacity on-policy rollout storage.
 
     Parameters
     ----------
     n_steps:
-        Number of transitions stored per environment (PPO's ``n_steps``).
+        Number of transitions stored (PPO's ``n_steps``).
     gamma / gae_lambda:
         Discount and GAE smoothing parameters.
-    n_envs:
-        Number of lockstep environments; total capacity is
-        ``n_envs * n_steps``.
     """
 
-    def __init__(
-        self,
-        n_steps: int,
-        gamma: float = 0.99,
-        gae_lambda: float = 0.95,
-        n_envs: int = 1,
-    ):
+    def __init__(self, n_steps: int, gamma: float = 0.99, gae_lambda: float = 0.95):
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if n_envs < 1:
-            raise ValueError("n_envs must be >= 1")
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {gamma}")
         if not 0.0 <= gae_lambda <= 1.0:
             raise ValueError(f"gae_lambda must be in [0, 1], got {gae_lambda}")
         self.n_steps = n_steps
-        self.n_envs = n_envs
-        self.capacity = n_envs * n_steps
         self.gamma = float(gamma)
         self.gae_lambda = float(gae_lambda)
         self.reset()
 
     def reset(self) -> None:
         """Empty the buffer for the next rollout."""
-        # observations[t][e] / actions[t][e]: one column (all envs) per step.
-        self.observations: list[list] = []
-        self.actions: list[list] = []
-        self.rewards = np.zeros((self.n_envs, self.n_steps))
-        self.dones = np.zeros((self.n_envs, self.n_steps), dtype=bool)
-        self.values = np.zeros((self.n_envs, self.n_steps))
-        self.log_probs = np.zeros((self.n_envs, self.n_steps))
-        self.advantages = np.zeros((self.n_envs, self.n_steps))
-        self.returns = np.zeros((self.n_envs, self.n_steps))
+        self.observations: list = []
+        self.actions: list = []
+        self.rewards = np.zeros(self.n_steps)
+        self.dones = np.zeros(self.n_steps, dtype=bool)
+        self.values = np.zeros(self.n_steps)
+        self.log_probs = np.zeros(self.n_steps)
+        self.advantages = np.zeros(self.n_steps)
+        self.returns = np.zeros(self.n_steps)
         self.position = 0
         self._finalised = False
 
@@ -99,111 +80,65 @@ class RolloutBuffer:
         value: float,
         log_prob: float,
     ) -> None:
-        """Append one single-env transition (``n_envs == 1`` convenience)."""
-        if self.n_envs != 1:
-            raise RuntimeError("add() requires n_envs == 1; use add_batch()")
-        self.add_batch(
-            [observation],
-            [action],
-            np.array([reward]),
-            np.array([done], dtype=bool),
-            np.array([value]),
-            np.array([log_prob]),
-        )
-
-    def add_batch(
-        self,
-        observations: Sequence[Any],
-        actions: Sequence[Any],
-        rewards: np.ndarray,
-        dones: np.ndarray,
-        values: np.ndarray,
-        log_probs: np.ndarray,
-    ) -> None:
-        """Append one lockstep transition for every environment.
-
-        Each argument carries one entry per environment, in slot order.
-        Raises when the buffer is already full.
-        """
+        """Append one transition; raises when the buffer is already full."""
         if self.full:
             raise RuntimeError("rollout buffer is full; call reset() first")
-        if len(observations) != self.n_envs:
-            raise ValueError(f"expected {self.n_envs} observations, got {len(observations)}")
-        self.observations.append(list(observations))
-        self.actions.append(list(actions))
-        self.rewards[:, self.position] = rewards
-        self.dones[:, self.position] = dones
-        self.values[:, self.position] = values
-        self.log_probs[:, self.position] = log_probs
+        self.observations.append(observation)
+        self.actions.append(action)
+        self.rewards[self.position] = reward
+        self.dones[self.position] = done
+        self.values[self.position] = value
+        self.log_probs[self.position] = log_prob
         self.position += 1
 
-    def compute_returns_and_advantages(
-        self, last_values: np.ndarray | float, last_dones: np.ndarray | bool
-    ) -> None:
+    def compute_returns_and_advantages(self, last_value: float, last_done: bool) -> None:
         """GAE(λ): fill :attr:`advantages` and :attr:`returns`.
 
         Parameters
         ----------
-        last_values:
-            Per-environment value estimate of the observation *after* the
-            final stored transition (a scalar is accepted for ``n_envs=1``).
-        last_dones:
-            Whether each environment's final transition ended an episode.
+        last_value:
+            Value estimate of the observation *after* the final stored
+            transition.
+        last_done:
+            Whether the final transition ended an episode.
         """
         if not self.full:
             raise RuntimeError("buffer must be full before computing advantages")
-        last_values = np.broadcast_to(np.asarray(last_values, dtype=np.float64), (self.n_envs,))
-        last_dones = np.broadcast_to(np.asarray(last_dones, dtype=bool), (self.n_envs,))
-        gae = np.zeros(self.n_envs)
+        gae = 0.0
         for step in reversed(range(self.n_steps)):
             if step == self.n_steps - 1:
-                next_non_terminal = np.where(last_dones, 0.0, 1.0)
-                next_values = last_values
+                next_non_terminal = 0.0 if last_done else 1.0
+                next_value = last_value
             else:
-                next_non_terminal = np.where(self.dones[:, step], 0.0, 1.0)
-                next_values = self.values[:, step + 1]
+                next_non_terminal = 0.0 if self.dones[step] else 1.0
+                next_value = self.values[step + 1]
             delta = (
-                self.rewards[:, step]
-                + self.gamma * next_values * next_non_terminal
-                - self.values[:, step]
+                self.rewards[step]
+                + self.gamma * next_value * next_non_terminal
+                - self.values[step]
             )
             gae = delta + self.gamma * self.gae_lambda * next_non_terminal * gae
-            self.advantages[:, step] = gae
+            self.advantages[step] = gae
         self.returns = self.advantages + self.values
         self._finalised = True
-
-    def _flat_objects(self, per_step: list[list]) -> list:
-        """Flatten ``[t][e]`` object storage env-major (matches ``reshape(-1)``)."""
-        return [per_step[t][e] for e in range(self.n_envs) for t in range(self.n_steps)]
 
     def minibatches(
         self, batch_size: int, rng: SeedLike = None
     ) -> Iterator[Minibatch]:
-        """Yield shuffled minibatches covering the whole rollout once.
-
-        Samples are flattened env-major (flat index ``e * n_steps + t``, the
-        C order of the ``(n_envs, n_steps)`` arrays) before shuffling, so for
-        ``n_envs=1`` the permutation stream matches the sequential buffer.
-        """
+        """Yield shuffled minibatches covering the whole rollout once."""
         if not self._finalised:
             raise RuntimeError("call compute_returns_and_advantages before minibatches")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        observations = self._flat_objects(self.observations)
-        actions = self._flat_objects(self.actions)
-        log_probs = self.log_probs.reshape(-1)
-        values = self.values.reshape(-1)
-        advantages = self.advantages.reshape(-1)
-        returns = self.returns.reshape(-1)
         rng = rng_from_seed(rng)
-        order = rng.permutation(self.capacity)
-        for start in range(0, self.capacity, batch_size):
+        order = rng.permutation(self.n_steps)
+        for start in range(0, self.n_steps, batch_size):
             idx = order[start : start + batch_size]
             yield Minibatch(
-                observations=[observations[i] for i in idx],
-                actions=[actions[i] for i in idx],
-                old_log_probs=log_probs[idx],
-                old_values=values[idx],
-                advantages=advantages[idx],
-                returns=returns[idx],
+                observations=[self.observations[i] for i in idx],
+                actions=[self.actions[i] for i in idx],
+                old_log_probs=self.log_probs[idx],
+                old_values=self.values[idx],
+                advantages=self.advantages[idx],
+                returns=self.returns[idx],
             )

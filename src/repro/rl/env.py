@@ -84,27 +84,23 @@ class EpisodeStats:
     """Tracks per-episode reward/length across ``step`` calls.
 
     PPO uses this to produce the learning curves of the paper's Figure 7
-    (mean total reward per episode over training).  With ``num_envs > 1``
-    one accumulator per lockstep environment keeps interleaved trajectories
-    separate; completed episodes are appended in ``(step, env)`` order.
+    (mean total reward per episode over training).
     """
 
-    def __init__(self, num_envs: int = 1):
-        if num_envs < 1:
-            raise ValueError("num_envs must be >= 1")
+    def __init__(self):
         self.episode_rewards: list[float] = []
         self.episode_lengths: list[int] = []
-        self._current_rewards = [0.0] * num_envs
-        self._current_lengths = [0] * num_envs
+        self._current_reward = 0.0
+        self._current_length = 0
 
-    def record(self, reward: float, done: bool, env_id: int = 0) -> None:
-        self._current_rewards[env_id] += reward
-        self._current_lengths[env_id] += 1
+    def record(self, reward: float, done: bool) -> None:
+        self._current_reward += reward
+        self._current_length += 1
         if done:
-            self.episode_rewards.append(self._current_rewards[env_id])
-            self.episode_lengths.append(self._current_lengths[env_id])
-            self._current_rewards[env_id] = 0.0
-            self._current_lengths[env_id] = 0
+            self.episode_rewards.append(self._current_reward)
+            self.episode_lengths.append(self._current_length)
+            self._current_reward = 0.0
+            self._current_length = 0
 
     @property
     def num_episodes(self) -> int:

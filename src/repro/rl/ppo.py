@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.env import Env, EpisodeStats
-from repro.rl.vec_env import VecEnv, as_vec_env
 from repro.tensor import Tensor, maximum, minimum
 from repro.tensor.optim import Adam, clip_grad_norm
 from repro.utils.logging import RunLogger
@@ -88,13 +87,10 @@ class PPO:
     policy:
         Any :class:`repro.policies.base.ActorCriticPolicy`.
     env:
-        Environment following :class:`repro.rl.env.Env`, or a
-        :class:`~repro.rl.vec_env.VecEnv` of lockstep environments.  A bare
-        environment is wrapped into a one-member ``VecEnv``.  Rollouts run
-        one batched ``policy.act_batch`` per timestep across all members,
-        or — when every member is a contextual bandit, like the one-shot
-        routing envs — one per rollout over all ``n_steps × n_envs``
-        planned observations.
+        Environment following :class:`repro.rl.env.Env`.  Rollouts run one
+        ``policy.act_batch`` per timestep, or — when the environment is a
+        contextual bandit, like the one-shot routing envs — one per rollout
+        over all ``n_steps`` planned observations.
     config:
         Hyperparameters; defaults are sensible for the GDDR experiments.
     seed:
@@ -109,69 +105,67 @@ class PPO:
     def __init__(
         self,
         policy,
-        env: Env | VecEnv,
+        env: Env,
         config: Optional[PPOConfig] = None,
         seed: SeedLike = None,
         logger: Optional[RunLogger] = None,
     ):
         self.policy = policy
         self.env = env
-        self.vec_env = as_vec_env(env)
         self.config = config or PPOConfig()
         self.rng = rng_from_seed(seed)
         self.logger = logger or RunLogger()
         self.optimizer = Adam(policy.parameters(), lr=self.config.learning_rate)
-        self.stats = EpisodeStats(self.vec_env.num_envs)
+        self.stats = EpisodeStats()
         self.num_timesteps = 0
-        self._last_observations = None
+        self._last_observation = None
 
     # ------------------------------------------------------------------
     # Rollout collection
     # ------------------------------------------------------------------
     def collect_rollout(self, buffer: RolloutBuffer) -> None:
-        """Fill ``buffer`` with ``n_steps`` lockstep transitions per env.
+        """Fill ``buffer`` with ``n_steps`` transitions.
 
         Each pass plans as many timesteps as the environment allows before
-        one batched forward: the rest of the rollout for contextual bandits
+        one batched forward: the rest of the rollout for a contextual bandit
         (every observation is known before any action is chosen), else one.
-        A pass samples its actions from the shared action RNG in timestep,
-        then slot, order — the order per-step forwards would draw them in —
-        and then scores the planned timesteps, or steps the :class:`VecEnv`.
+        An episode that ends is reset right after the step (or plan) that
+        ended it, so the environment draws its randomness in step order; the
+        pass's actions come from the action RNG in timestep order and are
+        then scored, or stepped.
         """
         buffer.reset()
-        if self._last_observations is None:
-            self._last_observations = self.vec_env.reset()
-        num_envs = self.vec_env.num_envs
-        planned = self.vec_env.contextual_bandit
+        env = self.env
+        if self._last_observation is None:
+            self._last_observation = env.reset()
+        planned = env.contextual_bandit
         while not buffer.full:
             horizon = buffer.n_steps - buffer.position if planned else 1
-            columns, plans = [], []
+            observations, plans = [], []
             for _ in range(horizon):
-                columns.append(self._last_observations)
+                observations.append(self._last_observation)
                 if planned:
-                    contexts, self._last_observations, dones = self.vec_env.plan()
-                    plans.append((contexts, dones))
-            actions, log_probs, values = self.policy.act_batch(
-                [observation for column in columns for observation in column], self.rng
-            )
-            for t, observations in enumerate(columns):
-                span = slice(t * num_envs, (t + 1) * num_envs)
+                    context, self._last_observation, done = env.plan()
+                    if done:
+                        self._last_observation = env.reset()
+                    plans.append((context, done))
+            actions, log_probs, values = self.policy.act_batch(observations, self.rng)
+            for t, observation in enumerate(observations):
                 if planned:
-                    contexts, dones = plans[t]
-                    rewards = self.vec_env.score(contexts, actions[span])
+                    context, done = plans[t]
+                    reward = env.score(context, actions[t])[0]
                 else:
-                    self._last_observations, rewards, dones, _ = self.vec_env.step(actions[span])
-                buffer.add_batch(
-                    observations, actions[span], rewards, dones, values[span], log_probs[span]
-                )
-                for i in range(num_envs):
-                    self.stats.record(float(rewards[i]), bool(dones[i]), i)
-                self.num_timesteps += num_envs
-        # Bootstrap values for the states after the last stored transitions.
+                    self._last_observation, reward, done, _ = env.step(actions[t])
+                    if done:
+                        self._last_observation = env.reset()
+                buffer.add(observation, actions[t], reward, done, values[t], log_probs[t])
+                self.stats.record(float(reward), bool(done))
+                self.num_timesteps += 1
+        # Bootstrap from the value of the state after the last stored transition.
         _, _, last_values = self.policy.act_batch(
-            self._last_observations, self.rng, deterministic=True
+            [self._last_observation], self.rng, deterministic=True
         )
-        buffer.compute_returns_and_advantages(last_values, last_dones=buffer.dones[:, -1])
+        buffer.compute_returns_and_advantages(last_values[0], last_done=buffer.dones[-1])
 
     # ------------------------------------------------------------------
     # Optimisation
@@ -257,12 +251,7 @@ class PPO:
         if total_timesteps < 1:
             raise ValueError("total_timesteps must be >= 1")
         cfg = self.config
-        buffer = RolloutBuffer(
-            cfg.n_steps,
-            gamma=cfg.gamma,
-            gae_lambda=cfg.gae_lambda,
-            n_envs=self.vec_env.num_envs,
-        )
+        buffer = RolloutBuffer(cfg.n_steps, gamma=cfg.gamma, gae_lambda=cfg.gae_lambda)
         start_timesteps = self.num_timesteps
         target = start_timesteps + total_timesteps
         while self.num_timesteps < target:

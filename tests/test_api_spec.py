@@ -212,41 +212,17 @@ class TestSpecValidation:
         with pytest.raises(api.SpecValidationError, match="lp_workers"):
             api.ScenarioSpec.from_dict(data)
 
-    def test_n_envs_defaults_to_one(self):
-        assert api.TrainingSpec().n_envs == 1
-
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "four", None])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "four", None, 1, 4])
     def test_invalid_n_envs_rejected(self, bad):
-        with pytest.raises(api.SpecValidationError, match="training.n_envs"):
-            api.TrainingSpec(n_envs=bad)
-
-    def test_default_n_envs_omitted_from_dict_form(self):
-        # Same hash-stability contract as evaluation.backend:
-        # the default must serialise exactly as before the field existed,
-        # so existing ResultStore entries and sweep resume stay valid.
-        assert "n_envs" not in api.TrainingSpec().to_dict()
-        assert api.TrainingSpec(n_envs=4).to_dict()["n_envs"] == 4
-        spec = api.ScenarioSpec(name="ne", routing={"strategies": ["shortest_path"]})
-        assert '"n_envs"' not in spec.canonical_json()
-        explicit = api.ScenarioSpec(
-            name="ne",
-            routing={"strategies": ["shortest_path"]},
-            training={"preset": "quick", "n_envs": 1},
-        )
-        assert explicit.spec_hash() == spec.spec_hash()
-
-    def test_n_envs_roundtrips(self):
-        spec = api.ScenarioSpec(
-            name="ne",
-            routing={"strategies": ["shortest_path"]},
-            training={"preset": "quick", "n_envs": 4},
-        )
-        assert roundtrip(spec) == spec
-        assert roundtrip(spec).training.n_envs == 4
-
-    def test_n_envs_settable_via_dotted_override(self):
-        spec = api.get_scenario("fig6").with_updates({"training.n_envs": 4})
-        assert spec.training.n_envs == 4
+        # PPO trains on one environment, so ``n_envs`` is no field: a
+        # training mapping carrying it fails whatever its value, from a
+        # dict and from a ``--set`` override alike.
+        data = api.ScenarioSpec(name="ne", routing={"strategies": ["shortest_path"]}).to_dict()
+        data["training"]["n_envs"] = bad
+        with pytest.raises(api.SpecValidationError, match="n_envs"):
+            api.ScenarioSpec.from_dict(data)
+        with pytest.raises(api.SpecValidationError, match="n_envs"):
+            api.get_scenario("fig6").with_updates({"training.n_envs": bad})
 
     def test_large_topology_presets_pin_or_auto_select_sparse(self):
         assert api.get_scenario("zoo-large-sparse").evaluation.backend == "sparse"

@@ -563,6 +563,33 @@ class TestNonFiniteDemand:
             DemandSequence(demands)
 
 
+class TestDemandValidatedOnce:
+    """One reward validates its demand matrix once along the reward path."""
+
+    def test_reward_checks_the_demand_matrix_once(self, monkeypatch):
+        import repro.flows.lp as lp_module
+        import repro.flows.simulator as simulator_module
+        from repro.utils.validation import check_demand_matrix
+
+        calls = []
+
+        def counting(matrix, num_nodes):
+            calls.append(num_nodes)
+            return check_demand_matrix(matrix, num_nodes)
+
+        for module in (simulator_module, lp_module):
+            monkeypatch.setattr(module, "check_demand_matrix", counting)
+        net = abilene()
+        dm = bimodal_matrix(net.num_nodes, seed=0)
+        rewarder = RewardComputer()
+        weights = np.ones(net.num_edges)
+        rewarder.reward(net, weights, 2.0, dm)
+        assert len(calls) == 2  # the simulation, then the LP on its cache miss
+        calls.clear()
+        rewarder.reward(net, weights, 2.0, dm)
+        assert len(calls) == 1  # the optimum is cached: the simulation only
+
+
 class TestEmptyEvaluationResult:
     """Empty results (count == 0) are NaN, silently — never a RuntimeWarning."""
 

@@ -58,16 +58,6 @@ class TestEpisodeStats:
     def test_nan_when_no_episodes(self):
         assert np.isnan(EpisodeStats().recent_mean_reward())
 
-    def test_per_env_accumulators(self):
-        stats = EpisodeStats(num_envs=2)
-        # Env 0 runs one 2-step episode; env 1 a 1-step episode, interleaved.
-        stats.record(1.0, False, env_id=0)
-        stats.record(5.0, True, env_id=1)
-        stats.record(2.0, True, env_id=0)
-        assert stats.num_episodes == 2
-        assert stats.episode_rewards == [5.0, 3.0]
-        assert stats.episode_lengths == [1, 2]
-
 
 class TestDiagonalGaussian:
     def test_log_prob_matches_closed_form(self):
@@ -166,23 +156,23 @@ class TestRolloutBuffer:
         # future rewards - value.
         buffer = RolloutBuffer(3, gamma=1.0, gae_lambda=1.0)
         self._fill(buffer, [1.0, 1.0, 1.0], [False, False, True], [0.0, 0.0, 0.0])
-        buffer.compute_returns_and_advantages(last_values=99.0, last_dones=True)
-        np.testing.assert_allclose(buffer.advantages[0], [3.0, 2.0, 1.0])
-        np.testing.assert_allclose(buffer.returns[0], [3.0, 2.0, 1.0])
+        buffer.compute_returns_and_advantages(last_value=99.0, last_done=True)
+        np.testing.assert_allclose(buffer.advantages, [3.0, 2.0, 1.0])
+        np.testing.assert_allclose(buffer.returns, [3.0, 2.0, 1.0])
 
     def test_gae_bootstraps_when_not_done(self):
         buffer = RolloutBuffer(2, gamma=0.5, gae_lambda=1.0)
         self._fill(buffer, [0.0, 0.0], [False, False], [0.0, 0.0])
-        buffer.compute_returns_and_advantages(last_values=8.0, last_dones=False)
+        buffer.compute_returns_and_advantages(last_value=8.0, last_done=False)
         # delta_1 = 0 + 0.5*8 - 0 = 4; delta_0 = 0 + 0.5*0 - 0 = 0 -> adv_0 = 0 + 0.5*4 = 2
-        np.testing.assert_allclose(buffer.advantages[0], [2.0, 4.0])
+        np.testing.assert_allclose(buffer.advantages, [2.0, 4.0])
 
     def test_done_cuts_bootstrap(self):
         buffer = RolloutBuffer(2, gamma=0.9, gae_lambda=0.9)
         self._fill(buffer, [1.0, 1.0], [True, False], [0.5, 0.5])
-        buffer.compute_returns_and_advantages(last_values=10.0, last_dones=False)
+        buffer.compute_returns_and_advantages(last_value=10.0, last_done=False)
         # Step 0 terminal: delta_0 = 1 - 0.5 = 0.5, no flow from step 1.
-        assert buffer.advantages[0, 0] == pytest.approx(0.5)
+        assert buffer.advantages[0] == pytest.approx(0.5)
 
     def test_minibatches_cover_everything_once(self):
         buffer = RolloutBuffer(6)
@@ -215,8 +205,6 @@ class TestRolloutBuffer:
         with pytest.raises(ValueError):
             RolloutBuffer(0)
         with pytest.raises(ValueError):
-            RolloutBuffer(2, n_envs=0)
-        with pytest.raises(ValueError):
             RolloutBuffer(2, gamma=1.5)
         with pytest.raises(ValueError):
             RolloutBuffer(2, gae_lambda=-0.1)
@@ -225,72 +213,3 @@ class TestRolloutBuffer:
         buffer.compute_returns_and_advantages(0.0, False)
         with pytest.raises(ValueError):
             list(buffer.minibatches(0))
-
-
-class TestVectorisedRolloutBuffer:
-    """The ``(n_envs, n_steps)`` layout against per-env scalar references."""
-
-    def _fill_vec(self, buffer, rewards, dones, values):
-        # rewards/dones/values are (n_envs, n_steps); observations carry the
-        # (env, step) pair so flattening order is observable.
-        n_envs, n_steps = rewards.shape
-        for t in range(n_steps):
-            buffer.add_batch(
-                [(e, t) for e in range(n_envs)],
-                [(e, t) for e in range(n_envs)],
-                rewards[:, t],
-                dones[:, t],
-                values[:, t],
-                np.zeros(n_envs),
-            )
-
-    def test_add_requires_single_env(self):
-        buffer = RolloutBuffer(2, n_envs=2)
-        with pytest.raises(RuntimeError, match="add_batch"):
-            buffer.add(0, 0, 0.0, False, 0.0, 0.0)
-
-    def test_add_batch_checks_width(self):
-        buffer = RolloutBuffer(2, n_envs=3)
-        with pytest.raises(ValueError, match="expected 3"):
-            buffer.add_batch([0], [0], np.zeros(1), np.zeros(1, bool), np.zeros(1), np.zeros(1))
-
-    def test_gae_matches_per_env_scalar_buffers(self):
-        rng = np.random.default_rng(7)
-        n_envs, n_steps = 3, 5
-        rewards = rng.normal(size=(n_envs, n_steps))
-        dones = rng.random((n_envs, n_steps)) < 0.3
-        values = rng.normal(size=(n_envs, n_steps))
-        last_values = rng.normal(size=n_envs)
-        last_dones = np.array([False, True, False])
-
-        vec = RolloutBuffer(n_steps, gamma=0.97, gae_lambda=0.9, n_envs=n_envs)
-        self._fill_vec(vec, rewards, dones, values)
-        vec.compute_returns_and_advantages(last_values, last_dones)
-
-        for e in range(n_envs):
-            ref = RolloutBuffer(n_steps, gamma=0.97, gae_lambda=0.9)
-            for t in range(n_steps):
-                ref.add((e, t), (e, t), rewards[e, t], bool(dones[e, t]), values[e, t], 0.0)
-            ref.compute_returns_and_advantages(last_values[e], bool(last_dones[e]))
-            np.testing.assert_array_equal(vec.advantages[e], ref.advantages[0])
-            np.testing.assert_array_equal(vec.returns[e], ref.returns[0])
-
-    def test_minibatches_flatten_env_major(self):
-        n_envs, n_steps = 2, 3
-        buffer = RolloutBuffer(n_steps, n_envs=n_envs)
-        self._fill_vec(
-            buffer,
-            np.zeros((n_envs, n_steps)),
-            np.zeros((n_envs, n_steps), dtype=bool),
-            np.arange(n_envs * n_steps, dtype=float).reshape(n_envs, n_steps),
-        )
-        buffer.compute_returns_and_advantages(np.zeros(n_envs), np.zeros(n_envs, bool))
-        seen = {}
-        for batch in buffer.minibatches(2, rng=0):
-            for obs, value in zip(batch.observations, batch.old_values):
-                seen[obs] = value
-        # Flat index e * n_steps + t must line up across object and array
-        # storage: obs (e, t) was stored with value e * n_steps + t.
-        assert len(seen) == n_envs * n_steps
-        for (e, t), value in seen.items():
-            assert value == e * n_steps + t

@@ -1,9 +1,14 @@
-"""Tests for the PPO algorithm: mechanics plus a learnability check on a
-synthetic environment with a known optimal action."""
+"""Tests for the PPO algorithm: mechanics, a learnability check on a
+synthetic environment with a known optimal action, bit-identity with a
+step-by-step reference collector, and the RNG streams of planned one-shot
+rollouts."""
 
 import numpy as np
 import pytest
 
+from repro.envs import MultiGraphRoutingEnv, RoutingEnv
+from repro.graphs import abilene, random_connected_network
+from repro.policies import GNNPolicy
 from repro.policies.base import ActorCriticPolicy
 from repro.rl.distributions import DiagonalGaussian
 from repro.rl.env import Env
@@ -11,6 +16,8 @@ from repro.rl.ppo import PPO, PPOConfig, TrainingDivergedError
 from repro.rl.spaces import Box
 from repro.tensor import Tensor
 from repro.tensor.nn import MLP
+from repro.tensor.optim import Adam
+from repro.traffic import cyclical_sequence
 from repro.utils.logging import RunLogger
 from tests.helpers import reference_act
 
@@ -183,3 +190,175 @@ class TestPPOLearnability:
             policy, env.reset(), np.random.default_rng(0), deterministic=True
         )
         assert abs(value) < 1.0
+
+
+class SequentialReferencePPO(PPO):
+    """The step-by-step collection loop: one ``reference_act`` per step.
+
+    Act on the current observation, step the environment and reset it when
+    its episode ends.  :class:`TestSequentialReference` pins PPO's training
+    on a generic env to it bit for bit, and :class:`TestPlannedRollouts`
+    PPO's planned one-shot rollouts.
+    """
+
+    def collect_rollout(self, buffer):
+        buffer.reset()
+        env = self.env
+        if self._last_observation is None:
+            self._last_observation = env.reset()
+        observation = self._last_observation
+        while not buffer.full:
+            action, log_prob, value = reference_act(self.policy, observation, self.rng)
+            next_observation, reward, done, _ = env.step(action)
+            if done:
+                next_observation = env.reset()
+            buffer.add(observation, action, reward, done, value, log_prob)
+            self.stats.record(reward, done)
+            self.num_timesteps += 1
+            observation = next_observation
+        self._last_observation = observation
+        last_value = reference_act(self.policy, observation, self.rng, deterministic=True)[2]
+        buffer.compute_returns_and_advantages(last_value, buffer.dones[-1])
+
+
+def _train(ppo_cls, policy_seed, train_seed, total_timesteps=48):
+    policy = TinyPolicy(seed=policy_seed)
+    logger = RunLogger()
+    cfg = PPOConfig(n_steps=16, batch_size=8, n_epochs=2)
+    ppo_cls(policy, TargetEnv(), cfg, seed=train_seed, logger=logger).learn(total_timesteps)
+    return [p.data.copy() for p in policy.parameters()], logger
+
+
+class TestSequentialReference:
+    def test_training_bit_identical_to_sequential_reference(self):
+        params, log = _train(PPO, policy_seed=3, train_seed=5)
+        ref_params, ref_log = _train(SequentialReferencePPO, policy_seed=3, train_seed=5)
+        assert len(params) == len(ref_params)
+        for v, r in zip(params, ref_params):
+            np.testing.assert_array_equal(v, r)
+        assert log.column("mean_episode_reward") == ref_log.column("mean_episode_reward")
+
+
+class TestInPlaceOptimizer:
+    def test_adam_updates_parameter_arrays_in_place(self):
+        params = [Tensor(np.ones(3), requires_grad=True) for _ in range(2)]
+        optimizer = Adam(params, lr=0.1)
+        arrays = [p.data for p in params]
+        for _ in range(3):
+            for p in params:
+                p.grad = np.full(3, 0.5)
+            optimizer.step()
+        for p, original in zip(params, arrays):
+            assert p.data is original  # no reallocation across steps
+        assert not np.array_equal(params[0].data, np.ones(3))
+
+    def test_policy_parameter_identity_stable_across_ppo_updates(self):
+        policy = TinyPolicy(seed=0)
+        identities = [id(p.data) for p in policy.parameters()]
+        PPO(policy, TargetEnv(), PPOConfig(n_steps=16, batch_size=8, n_epochs=2)).learn(32)
+        assert [id(p.data) for p in policy.parameters()] == identities
+
+
+class _RecordingRollouts:
+    """Keeps every collected rollout's observations, dones and rewards."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rollouts = []
+
+    def collect_rollout(self, buffer):
+        super().collect_rollout(buffer)
+        self.rollouts.append(
+            (list(buffer.observations), buffer.dones.copy(), buffer.rewards.copy())
+        )
+
+
+class RecordingPPO(_RecordingRollouts, PPO):
+    pass
+
+
+class RecordingReferencePPO(_RecordingRollouts, SequentialReferencePPO):
+    pass
+
+
+def _one_shot_env(kind):
+    net = abilene()
+    sequences = [cyclical_sequence(net.num_nodes, 6, 3, seed=i) for i in range(3)]
+    if kind == "routing":
+        return RoutingEnv(net, sequences, memory_length=3, seed=11)
+    other = random_connected_network(9, 5, seed=2)
+    pairs = [
+        (net, sequences),
+        (other, [cyclical_sequence(other.num_nodes, 6, 3, seed=4 + i) for i in range(2)]),
+    ]
+    return MultiGraphRoutingEnv(pairs, memory_length=3, seed=11)
+
+
+def _env_rngs(env):
+    members = env.inner_envs if isinstance(env, MultiGraphRoutingEnv) else []
+    return [e._rng.bit_generator.state for e in [env, *members]]
+
+
+def _planned_training(ppo_cls, kind):
+    env = _one_shot_env(kind)
+    policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=3)
+    ppo = ppo_cls(policy, env, PPOConfig(n_steps=8, batch_size=8, n_epochs=2), seed=5)
+    ppo.learn(3 * 8)
+    return ppo
+
+
+class TestPlannedRollouts:
+    """One-shot envs plan a rollout before one forward: same RNG streams, and
+    (policy forwards being batch-invariant) the same training, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["routing", "multigraph"])
+    def test_matches_stepping_reference(self, kind):
+        planned = _planned_training(RecordingPPO, kind)
+        stepped = _planned_training(RecordingReferencePPO, kind)
+        assert planned.env.contextual_bandit
+        assert len(planned.rollouts) == len(stepped.rollouts) == 3
+        for (obs_a, dones_a, rewards_a), (obs_b, dones_b, rewards_b) in zip(
+            planned.rollouts, stepped.rollouts
+        ):
+            np.testing.assert_array_equal(dones_a, dones_b)
+            np.testing.assert_array_equal(rewards_a, rewards_b)
+            for a, b in zip(obs_a, obs_b):
+                assert a.network.edges == b.network.edges
+                np.testing.assert_array_equal(a.history, b.history)
+        assert planned.stats.episode_lengths == stepped.stats.episode_lengths
+        assert planned.stats.episode_rewards == stepped.stats.episode_rewards
+        assert planned.stats.num_episodes > 1  # auto-resets drew sequences
+        assert _env_rngs(planned.env) == _env_rngs(stepped.env)
+        assert planned.rng.bit_generator.state == stepped.rng.bit_generator.state
+        for a, b in zip(planned.policy.parameters(), stepped.policy.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_one_forward_per_rollout(self, monkeypatch):
+        batch_sizes = []
+        original = GNNPolicy.act_batch
+
+        def counting(policy, observations, *args, **kwargs):
+            batch_sizes.append(len(observations))
+            return original(policy, observations, *args, **kwargs)
+
+        monkeypatch.setattr(GNNPolicy, "act_batch", counting)
+        _planned_training(RecordingPPO, "routing")
+        # Per rollout: 8 planned steps in one forward, then the bootstrap.
+        assert batch_sizes == [8, 1] * 3
+
+    def test_generic_envs_are_not_planned(self, monkeypatch):
+        batch_sizes = []
+        original = TinyPolicy.act_batch
+
+        def counting(policy, observations, *args, **kwargs):
+            batch_sizes.append(len(observations))
+            return original(policy, observations, *args, **kwargs)
+
+        monkeypatch.setattr(TinyPolicy, "act_batch", counting)
+        env = TargetEnv()
+        assert not env.contextual_bandit
+        with pytest.raises(NotImplementedError):
+            env.plan()
+        PPO(TinyPolicy(), env, PPOConfig(n_steps=8, batch_size=8, n_epochs=1)).learn(8)
+        # One forward per step, then the bootstrap.
+        assert batch_sizes == [1] * 9
