@@ -6,9 +6,10 @@ This is the engine's user-facing entry point.  The per-step hot path
 this module amortises it across whole evaluation workloads:
 
 * :func:`batch_evaluate` — score a policy deterministically on every
-  (network, demand-sequence) pair in one call, from batched forwards (one
-  per slice of test steps, one per edge and slice for the iterative
-  policy), LP-prewarming each network's distinct demand matrices first;
+  (network, demand-sequence) pair in one call, through PPO's planned
+  rollout loop (one forward per block of test steps, one per edge and
+  block for the iterative policy, and one stacked scoring call per
+  block), LP-prewarming each network's distinct demand matrices first;
 * :func:`batch_evaluate_routing` — evaluate a *fixed* routing (shortest
   path, ECMP, oblivious, ...) over entire demand sequences with one
   factorised multi-right-hand-side solve per destination;
@@ -31,11 +32,10 @@ import numpy as np
 from repro.engine.backend import default_backend
 from repro.engine.simulator_batch import destination_link_loads_sequence
 from repro.envs.factory import make_routing_env
-from repro.envs.iterative_env import set_edge_weight
-from repro.envs.observation import GraphObservation, demand_history, edge_markers
 from repro.envs.reward import RewardComputer
 from repro.graphs.dynamics import NetworkTimeline
 from repro.graphs.network import Network
+from repro.rl.env import act_on_chains
 from repro.routing.strategy import DestinationRouting, RoutingStrategy
 from repro.traffic.sequences import DemandSequence
 from repro.utils.seeding import SeedLike, rng_from_seed
@@ -157,9 +157,10 @@ def warm_lp_cache(
     return solved
 
 
-#: Test steps per forward in :func:`_rollout_policy`.  It bounds the
-#: demand histories held at once (``memory_length × n²`` floats per step);
-#: forwards are batch-invariant, so it never changes a result.
+#: Test DMs per planned block in :func:`_rollout_policy`.  It bounds the
+#: demand histories held at once (``memory_length × n²`` floats per DM);
+#: forwards are batch-invariant and the block scorer is exact, so it never
+#: changes a result.
 EVALUATION_BATCH = 256
 
 
@@ -178,15 +179,16 @@ def _rollout_policy(
 ) -> EvaluationResult:
     """Deterministically score the policy on every post-warm-up step.
 
-    No environment is stepped.  A one-shot observation is the demand
-    history alone, so the test steps' observations (round-robin sequence
-    order, each carrying the network in force at its step) go through one
-    ``act_batch`` per :data:`EVALUATION_BATCH` steps.  An iterative DM
-    depends only on its own sub-steps, so each slice of DMs walks the
-    ``num_edges`` sub-steps in lockstep: one forward per sub-step.  The
-    environment is still built — it validates the workload, owns the
-    normaliser, and scores each routing — and forwards are batch-invariant,
-    so results equal stepping it by hand bit for bit.
+    No environment is stepped.  Each test DM (round-robin sequence order,
+    each on the network in force at its step) is one chain of the
+    environment's, planned from a fresh start; every block of
+    :data:`EVALUATION_BATCH` chains runs through PPO's rollout loop,
+    :func:`~repro.rl.env.act_on_chains`, in lockstep wavefronts (one
+    forward for one-shot chains, ``num_edges`` for iterative ones) and is
+    scored by one stacked :meth:`~repro.envs.routing_env.WorkloadEnv.score_chains`
+    call.  The environment validates the workload, owns the normaliser and
+    builds and scores the chains; forwards are batch-invariant and the
+    block scorer exact, so results equal stepping it by hand bit for bit.
     """
     env = make_routing_env(
         network,
@@ -206,39 +208,10 @@ def _rollout_policy(
     ]
     ratios = []
     for start in range(0, len(steps), EVALUATION_BATCH):
-        chunk = steps[start : start + EVALUATION_BATCH]
-        histories = [
-            demand_history(sequence, step, memory_length, env.demand_scale)
-            for sequence, step in chunk
-        ]
-        if not iterative:
-            observations = [
-                GraphObservation(env.network_at(step), history)
-                for (_, step), history in zip(chunk, histories)
-            ]
-            actions, _, _ = policy.act_batch(observations, rng, deterministic=True)
-            scored = [
-                env.score((observation.network, sequence.matrix(step)), action)
-                for observation, (sequence, step), action in zip(observations, chunk, actions)
-            ]
-        else:
-            raw_weights = np.zeros((len(chunk), network.num_edges))
-            set_flags = np.zeros(network.num_edges)
-            for edge in range(network.num_edges):
-                observations = [
-                    GraphObservation(
-                        network, history, edge_state=edge_markers(raw, set_flags, edge)
-                    )
-                    for raw, history in zip(raw_weights, histories)
-                ]
-                actions, _, _ = policy.act_batch(observations, rng, deterministic=True)
-                set_edge_weight(raw_weights, set_flags, edge, [action[0] for action in actions])
-            # The last sub-step's outputs carry each DM's γ.
-            scored = [
-                env.routing_reward(sequence.matrix(step), raw, action[1])
-                for (sequence, step), raw, action in zip(chunk, raw_weights, actions)
-            ]
-        ratios.extend(info["utilisation_ratio"] for _, info in scored)
+        block = steps[start : start + EVALUATION_BATCH]
+        chains = [env.chain(sequence, step) for sequence, step in block]
+        act_on_chains(policy, chains, rng, deterministic=True)
+        ratios.extend((-env.score_chains(chains)).tolist())
     return EvaluationResult(tuple(ratios))
 
 
@@ -288,7 +261,8 @@ def batch_evaluate(
         network, a one-shot policy makes one ``act_batch(deterministic=True)``
         call per 256 test steps (``EVALUATION_BATCH``, which bounds the
         histories held in memory); the iterative policy makes one per edge
-        over each such slice of test DMs.
+        over each such block of test DMs.  Each block is scored by one
+        stacked call.
     networks:
         A single :class:`Network` or a sequence of them.
     traffic_sequences:

@@ -8,7 +8,9 @@ routing evaluated over many demand matrices the per-destination systems do
 not change, so :func:`destination_link_loads_sequence` factorises each
 system once and back-substitutes all timesteps as extra right-hand sides —
 the fast path behind ``repro.engine.batch_evaluate`` for classical
-baselines.
+baselines.  Many *different* routings scored together (a planned rollout's
+block) stack every step's systems into one solve with
+:func:`stacked_destination_link_loads`.
 
 Every solve runs on the calling thread's bound backend
 (:func:`~repro.engine.backend.default_backend`, ``"auto"`` when unbound;
@@ -216,6 +218,38 @@ def destination_link_loads(
         return np.zeros(network.num_edges)
     flows = _solve_batch(network, table[active], injections[active], active)
     return np.einsum("ke,ke->e", flows[:, network.senders], table[active])
+
+
+def stacked_destination_link_loads(
+    network: Network,
+    tables: np.ndarray,
+    demands: np.ndarray,
+) -> np.ndarray:
+    """:func:`destination_link_loads` for ``T`` (table, demand) pairs at once.
+
+    ``tables`` is ``(T, num_nodes, num_edges)`` and ``demands``
+    ``(T, n, n)``; the result is ``(T, num_edges)``, bit-identical to ``T``
+    separate calls.  Every step's active destinations join one stacked
+    solve; each step's loads are then its own ``einsum`` over its members.
+    """
+    demands = np.asarray(demands, dtype=np.float64)
+    n = network.num_nodes
+    # injections[step, t, v] = demands[step, v, t], zeroed at v == t.
+    injections = demands.transpose(0, 2, 1).copy()
+    injections[:, np.arange(n), np.arange(n)] = 0.0
+    active = injections.sum(axis=2) > 0.0
+    loads = np.zeros((len(demands), network.num_edges))
+    steps, targets = np.nonzero(active)
+    if steps.size == 0:
+        return loads
+    member_tables = tables[steps, targets]
+    flows = _solve_batch(network, member_tables, injections[steps, targets], targets)
+    sender_flows = flows[:, network.senders]
+    bounds = np.r_[0, np.cumsum(active.sum(axis=1))]
+    for step in np.flatnonzero(active.any(axis=1)):
+        members = slice(bounds[step], bounds[step + 1])
+        loads[step] = np.einsum("ke,ke->e", sender_flows[members], member_tables[members])
+    return loads
 
 
 def destination_link_loads_sequence(

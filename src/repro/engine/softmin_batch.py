@@ -13,6 +13,9 @@ All destinations at once, from the :mod:`repro.graphs.kernels` pipeline:
 
 The per-destination Python loops this replaced are the oracles in
 ``tests/helpers.py``; ``tests/test_engine.py`` pins the two to 1e-8.
+:func:`stacked_softmin_ratios` runs the same program for many routings of
+one topology at once (a planned rollout's block), bit-identical to one
+call per routing.
 """
 
 from __future__ import annotations
@@ -24,18 +27,21 @@ from repro.graphs.kernels import (
     decreasing_distance_mask,
     edge_segments,
     normalise_segments,
+    stacked_distances_to_targets,
 )
 from repro.graphs.network import Network
 from repro.utils.validation import check_gamma
 
 
 def masked_softmin_ratios(
-    network: Network, scores: np.ndarray, keep: np.ndarray, gamma: float
+    network: Network, scores: np.ndarray, keep: np.ndarray, gamma
 ) -> np.ndarray:
     """Per-(row, vertex) softmin (paper Equation 3) over the kept out-edges.
 
     ``scores`` and ``keep`` are ``(rows, num_edges)``; kept scores must be
-    finite.  Vertices with no kept out-edge get all-zero ratios.
+    finite.  ``gamma`` is one spread for every row, or a ``(rows, 1)``
+    column of per-row spreads.  Vertices with no kept out-edge get all-zero
+    ratios.
     """
     order, starts, seg_of_pos = edge_segments(network)
     scores_sorted = np.where(keep[:, order], scores[:, order], np.inf)
@@ -79,3 +85,24 @@ def batch_softmin_ratios(
     # (n, e); inf where the head vertex cannot reach the destination.
     scores = weights[np.newaxis, :] + distances[:, network.receivers]
     return masked_softmin_ratios(network, scores, keep, gamma)
+
+
+def stacked_softmin_ratios(
+    network: Network, weights: np.ndarray, gammas: np.ndarray
+) -> np.ndarray:
+    """:func:`batch_softmin_ratios` for ``T`` routings of one topology at once.
+
+    ``weights`` is ``(T, num_edges)`` and ``gammas`` ``(T,)``, both
+    validated by the caller; the result is ``(T, num_nodes, num_edges)``,
+    bit-identical to ``T`` separate calls.  The distances come from one
+    block-diagonal Dijkstra, and the ``T × num_nodes`` rows share one
+    segment softmin with a per-row γ.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    steps, n = len(weights), network.num_nodes
+    distances = stacked_distances_to_targets(network, weights).reshape(steps * n, n)
+    keep = decreasing_distance_mask(network, distances)
+    scores = np.repeat(weights, n, axis=0) + distances[:, network.receivers]
+    row_gammas = np.repeat(np.asarray(gammas, dtype=np.float64), n)[:, np.newaxis]
+    ratios = masked_softmin_ratios(network, scores, keep, row_gammas)
+    return ratios.reshape(steps, n, network.num_edges)

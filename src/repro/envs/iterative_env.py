@@ -14,6 +14,12 @@ demand history is computed once per matrix and cached across its sub-steps;
 the translation/simulation on the final sub-step runs on the vectorized
 batch engine via :class:`~repro.envs.reward.RewardComputer`.
 
+A DM's sub-steps depend only on each other, so each DM is a
+:class:`~repro.rl.env.Chain` (:class:`SubStepChain`): PPO plans a rollout
+window as chains and advances them in lockstep wavefronts, one forward per
+in-window sub-step rather than per timestep, and a chain the window cuts
+leaves its partial state here for the next window.
+
 The fixed 2-dimensional action is what makes this environment — and the
 policy trained on it — topology-agnostic.
 """
@@ -34,10 +40,18 @@ from repro.envs.reward import (
 )
 from repro.envs.routing_env import WorkloadEnv
 from repro.graphs.network import Network
+from repro.rl.env import Chain
 from repro.rl.spaces import Box
 from repro.traffic.sequences import DemandSequence
 from repro.utils.seeding import SeedLike
 from repro.utils.validation import check_gamma
+
+
+def _checked_action(action: np.ndarray) -> np.ndarray:
+    action = np.asarray(action, dtype=np.float64).reshape(-1)
+    if action.shape != (2,):
+        raise ValueError(f"action has shape {action.shape}, expected (2,)")
+    return action
 
 
 def set_edge_weight(
@@ -72,13 +86,14 @@ class IterativeRoutingEnv(WorkloadEnv):
         sample_sequences: bool = True,
         seed: SeedLike = None,
     ):
-        super().__init__(network, sequences, memory_length, sample_sequences, seed)
+        super().__init__(
+            network, sequences, memory_length, sample_sequences, seed, reward_computer
+        )
         low, high = (check_gamma(bound) for bound in gamma_range)
         if not 0.0 < low < high:
             raise ValueError(f"gamma_range needs 0 < low < high, got {gamma_range}")
         self.weight_scale = float(weight_scale)
         self.gamma_range = (low, high)
-        self.rewarder = reward_computer or RewardComputer()
 
         self.action_space = Box(-np.inf, np.inf, (2,))
         self.observation_space = None  # object observations (variable content)
@@ -92,7 +107,7 @@ class IterativeRoutingEnv(WorkloadEnv):
         self._history: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def _observation(self, target_edge: Optional[int]) -> GraphObservation:
+    def _current_history(self) -> np.ndarray:
         step = min(self._step_index, len(self._sequence))
         if self._history_step != step:
             # One DM spans num_edges sub-steps; normalise its history once.
@@ -100,25 +115,26 @@ class IterativeRoutingEnv(WorkloadEnv):
                 self._sequence, step, self.memory_length, self.demand_scale
             )
             self._history_step = step
+        return self._history
+
+    def _observation(self, target_edge: Optional[int]) -> GraphObservation:
         return GraphObservation(
             self.network,
-            self._history,
+            self._current_history(),
             edge_state=edge_markers(self._raw_weights, self._set_flags, target_edge),
         )
 
-    def routing_reward(
+    def routing(
         self, demand: np.ndarray, raw_weights: np.ndarray, gamma_output: float
-    ) -> tuple[float, dict]:
-        """Equation 2 once every edge of a DM is set.
+    ) -> tuple[Network, np.ndarray, float, np.ndarray]:
+        """``(network, weights, gamma, demand)`` once every edge of a DM is set.
 
         ``raw_weights`` are the clipped per-edge weight outputs and
         ``gamma_output`` the final sub-step's raw γ output.
         """
         gamma = gamma_from_action(gamma_output, self.gamma_range)
         weights = weights_from_action(raw_weights, self.weight_scale)
-        reward, info = self.rewarder.reward(self.network, weights, gamma, demand)
-        info["softmin_gamma"] = gamma
-        return reward, info
+        return self.network, weights, gamma, demand
 
     # ------------------------------------------------------------------
     def reset(self) -> GraphObservation:
@@ -131,30 +147,69 @@ class IterativeRoutingEnv(WorkloadEnv):
         self._history = None
         return self._observation(target_edge=0)
 
+    def observation(self) -> GraphObservation:
+        return self._observation(target_edge=self._edge_pointer)
+
+    def chain(self, sequence: DemandSequence, step: int) -> "SubStepChain":
+        """All sub-steps of ``sequence``'s demand matrix at ``step``, from no edge set."""
+        m = self.network.num_edges
+        history = demand_history(sequence, step, self.memory_length, self.demand_scale)
+        return SubStepChain(
+            self, history, sequence.matrix(step), np.zeros(m), np.zeros(m), 0, m
+        )
+
+    def plan_chain(self, budget: int) -> tuple["SubStepChain", bool]:
+        """The current DM's next ``budget`` sub-steps, or all it has left.
+
+        A cut chain shares the environment's partial-state arrays, so its
+        actions leave the DM half set for the next plan (or ``step``); a
+        complete one takes them along and the environment moves on to the
+        next DM.
+        """
+        if self._sequence is None:
+            raise RuntimeError("call reset() before step()")
+        m = self.network.num_edges
+        start = self._edge_pointer
+        stop = min(start + budget, m)
+        chain = SubStepChain(
+            self,
+            self._current_history(),
+            self._sequence.matrix(self._step_index),
+            self._raw_weights,
+            self._set_flags,
+            start,
+            stop,
+        )
+        self._edge_pointer = stop
+        if stop < m:
+            return chain, False
+        return chain, self._next_matrix()
+
+    def _next_matrix(self) -> bool:
+        """Move on to the next DM with no edge set; True when the episode ends."""
+        self._step_index += 1
+        self._edge_pointer = 0
+        self._raw_weights = np.zeros(self.network.num_edges)
+        self._set_flags = np.zeros(self.network.num_edges)
+        return self._step_index >= len(self._sequence)
+
     def step(self, action: np.ndarray) -> tuple[GraphObservation, float, bool, dict]:
         if self._sequence is None:
             raise RuntimeError("call reset() before step()")
-        action = np.asarray(action, dtype=np.float64).reshape(-1)
-        if action.shape != (2,):
-            raise ValueError(f"action has shape {action.shape}, expected (2,)")
-
-        edge = self._edge_pointer
-        set_edge_weight(self._raw_weights, self._set_flags, edge, action[0])
+        action = _checked_action(action)
+        set_edge_weight(self._raw_weights, self._set_flags, self._edge_pointer, action[0])
         self._edge_pointer += 1
 
         if self._edge_pointer < self.network.num_edges:
             return self._observation(target_edge=self._edge_pointer), 0.0, False, {}
 
         # Final sub-step: translate, evaluate, advance to the next DM.
-        reward, info = self.routing_reward(
+        routing = self.routing(
             self._sequence.matrix(self._step_index), self._raw_weights, action[1]
         )
-
-        self._step_index += 1
-        done = self._step_index >= len(self._sequence)
-        self._edge_pointer = 0
-        self._raw_weights = np.zeros(self.network.num_edges)
-        self._set_flags = np.zeros(self.network.num_edges)
+        reward, info = self.rewarder.reward(*routing)
+        info["softmin_gamma"] = routing[2]
+        done = self._next_matrix()
         return self._observation(target_edge=0), reward, done, info
 
     @property
@@ -163,3 +218,49 @@ class IterativeRoutingEnv(WorkloadEnv):
         return (min(len(seq) for seq in self.sequences) - self.memory_length) * (
             self.network.num_edges
         )
+
+
+class SubStepChain(Chain):
+    """One DM's sub-steps ``start .. stop - 1``: sub-step ``j`` sets edge ``j``.
+
+    ``raw_weights`` and ``set_flags`` are the DM's partial state, updated in
+    place as the chain acts; the DM is scored once its last edge is set.
+    """
+
+    action_size = 2
+
+    def __init__(
+        self,
+        env: IterativeRoutingEnv,
+        history: np.ndarray,
+        demand: np.ndarray,
+        raw_weights: np.ndarray,
+        set_flags: np.ndarray,
+        start: int,
+        stop: int,
+    ):
+        self._env = env
+        self._history = history
+        self._demand = demand
+        self._raw_weights = raw_weights
+        self._set_flags = set_flags
+        self._edge = start
+        self.length = stop - start
+        self.complete = stop == env.network.num_edges
+        self._gamma_output: Optional[float] = None
+
+    def observation(self) -> GraphObservation:
+        return GraphObservation(
+            self._env.network,
+            self._history,
+            edge_state=edge_markers(self._raw_weights, self._set_flags, self._edge),
+        )
+
+    def act(self, action: np.ndarray) -> None:
+        action = _checked_action(action)
+        set_edge_weight(self._raw_weights, self._set_flags, self._edge, action[0])
+        self._edge += 1
+        self._gamma_output = action[1]
+
+    def routing(self) -> tuple[Network, np.ndarray, float, np.ndarray]:
+        return self._env.routing(self._demand, self._raw_weights, self._gamma_output)

@@ -4,19 +4,22 @@ Wraps a pool of per-topology environments and draws one per episode.  Both
 one-shot and iterative inner environments are supported; for the one-shot
 case the action length follows the *current* topology's edge count, which
 only GNN policies can provide — exactly the paper's point about MLPs not
-being applicable in this setting.  A pool of one-shot environments is a
-contextual bandit like each of its members: :meth:`MultiGraphRoutingEnv.plan`
-tags each planned context with the member that scores it.
+being applicable in this setting.  Either pool is chained
+(:mod:`repro.rl.env`) like its members: the episode's member plans each
+chain, and a block of chains from several members — several topologies —
+is scored in one call.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.envs.factory import InnerEnv, make_routing_env
 from repro.envs.reward import RewardComputer
 from repro.graphs.network import Network
-from repro.rl.env import Env
+from repro.rl.env import Chain, Env
 from repro.traffic.sequences import DemandSequence
 from repro.utils.seeding import SeedLike, rng_from_seed
 
@@ -42,6 +45,8 @@ class MultiGraphRoutingEnv(Env):
         Controls both the episode-level topology draw and the inner
         sequence draws.
     """
+
+    chained = True
 
     def __init__(
         self,
@@ -74,8 +79,6 @@ class MultiGraphRoutingEnv(Env):
                 )
             )
         self._current: Optional[InnerEnv] = None
-        # A mixture of one-shot envs is a contextual bandit like each of them.
-        self.contextual_bandit = not self.iterative
         # Spaces vary per topology in the one-shot case; expose the
         # iterative fixed space when available.
         self.action_space = self.inner_envs[0].action_space if iterative else None
@@ -106,12 +109,12 @@ class MultiGraphRoutingEnv(Env):
     def step(self, action):
         return self._episode_env().step(action)
 
-    def plan(self):
-        """The current inner env's plan; its context names that env."""
-        env = self._episode_env()
-        context, observation, done = env.plan()
-        return (env, context), observation, done
+    def plan_chain(self, budget: int):
+        return self._episode_env().plan_chain(budget)
 
-    def score(self, context, action):
-        env, inner_context = context
-        return env.score(inner_context, action)
+    def score_chains(self, chains: Sequence[Chain]) -> np.ndarray:
+        """Each chain scored on its own member's network, in one call."""
+        return -self.rewarder.block_ratios([chain.routing() for chain in chains])
+
+    def observation(self):
+        return self._episode_env().observation()

@@ -7,7 +7,8 @@ normalised by the LP optimum for that matrix.  The optimum depends only on
 same matrices thousands of times.  The numerator side (softmin translation
 and flow simulation) runs on the vectorized batch engine
 (:mod:`repro.engine`), which processes all destinations in one stacked
-array program per step.
+array program per step, or — :meth:`RewardComputer.block_ratios`, for a
+planned rollout's block — all destinations of all steps at once.
 
 Dynamic scenarios pass a *different* network per step (the one a
 :class:`~repro.graphs.dynamics.NetworkTimeline` puts in force): both the
@@ -35,8 +36,12 @@ signature of a diverged policy — instead of letting them reach softmin.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.engine.simulator_batch import stacked_destination_link_loads
+from repro.engine.softmin_batch import stacked_softmin_ratios
 from repro.flows.lp import OptimalUtilisationCache
 from repro.flows.simulator import (
     checked_ratio_to_optimum,
@@ -44,11 +49,18 @@ from repro.flows.simulator import (
     ratio_to_optimum,
 )
 from repro.graphs.network import Network
-from repro.routing.softmin import softmin_routing
+from repro.routing.softmin import _validate_weights, softmin_routing
 from repro.routing.strategy import RoutingStrategy
+from repro.utils.validation import check_demand_matrix, check_gamma
 
 DEFAULT_WEIGHT_SCALE = 3.0
 DEFAULT_GAMMA_RANGE = (0.5, 10.0)
+
+#: Floats per stacked call of :meth:`RewardComputer.block_ratios`, counted
+#: as ``n³ + n·e`` per step (the dense balance systems plus the routing
+#: table).  It bounds the stacked arrays on large topologies; a block of
+#: 256 steps on Abilene or NSFNet fits in one call.
+BLOCK_FLOATS = 1 << 21
 
 
 class NonFiniteActionError(ValueError):
@@ -144,3 +156,52 @@ class RewardComputer:
         routing = self.routing_from_weights(network, weights, gamma)
         ratio, optimal = self._ratio(network, routing, demand_matrix)
         return -ratio, {"utilisation_ratio": ratio, "optimal_utilisation": optimal}
+
+    def block_ratios(
+        self, routings: Sequence[tuple[Network, np.ndarray, float, np.ndarray]]
+    ) -> np.ndarray:
+        """``U_agent / U_optimal`` of many ``(network, weights, gamma, demand)``.
+
+        The ratios :meth:`reward` would give one by one, bit for bit, from
+        one stacked softmin and one stacked balance solve per topology (per
+        :data:`BLOCK_FLOATS` worth of its steps).
+        Every entry is validated as :meth:`reward` validates it, in entry
+        order, before anything is built; the optimum lookups then run in
+        entry order too, so the LP cache sees the same sequence of solves.
+        """
+        checked = [
+            (
+                network,
+                _validate_weights(network, weights),
+                check_gamma(gamma),
+                check_demand_matrix(demand, network.num_nodes),
+            )
+            for network, weights, gamma, demand in routings
+        ]
+        groups: dict[int, list[int]] = {}
+        for index, (network, _, _, _) in enumerate(checked):
+            groups.setdefault(id(network), []).append(index)
+        achieved = np.empty(len(checked))
+        for members in groups.values():
+            network = checked[members[0]][0]
+            n = network.num_nodes
+            per_call = max(1, BLOCK_FLOATS // (n**3 + n * network.num_edges))
+            for start in range(0, len(members), per_call):
+                indices = members[start : start + per_call]
+                weights, gammas, demands = (
+                    np.stack([checked[i][part] for i in indices]) for part in (1, 2, 3)
+                )
+                tables = stacked_softmin_ratios(network, weights, gammas)
+                loads = stacked_destination_link_loads(network, tables, demands)
+                achieved[indices] = (loads / network.capacities).max(axis=1)
+        return np.array(
+            [
+                self._optimum_ratio(network, u, demand)
+                for u, (network, _, _, demand) in zip(achieved, checked)
+            ]
+        )
+
+    def _optimum_ratio(self, network: Network, achieved: float, demand: np.ndarray) -> float:
+        return checked_ratio_to_optimum(
+            achieved, demand, lambda: self.cache.optimal_max_utilisation(network, demand)
+        )[0]

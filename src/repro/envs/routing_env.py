@@ -13,10 +13,13 @@ The per-step translate + simulate work runs on the vectorized batch engine
 
 Since an observation is the demand history alone, the agent's action
 decides the reward but never the next state: the environment is a
-contextual bandit, and splits ``step`` into :meth:`RoutingEnv.plan` and
-:meth:`RoutingEnv.score`.  PPO plans a whole rollout before one batched
-forward, and :func:`repro.engine.batch_evaluate` scores every test step of
-a trained policy from one forward.
+contextual bandit.  ``step`` is :meth:`RoutingEnv.score` on the current
+context followed by :meth:`RoutingEnv.plan`, and each timestep is a
+one-step :class:`~repro.rl.env.Chain` (:class:`OneShotChain`), so PPO plans
+a whole rollout before one batched forward and one stacked scoring call
+(:meth:`WorkloadEnv.score_chains`), and
+:func:`repro.engine.batch_evaluate` scores each slice of test steps of a
+trained policy the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.envs.reward import (
 )
 from repro.graphs.dynamics import NetworkTimeline
 from repro.graphs.network import Network
-from repro.rl.env import Env
+from repro.rl.env import Chain, Env
 from repro.rl.spaces import Box
 from repro.traffic.sequences import DemandSequence
 from repro.utils.seeding import SeedLike, rng_from_seed
@@ -53,9 +56,13 @@ class WorkloadEnv(Env):
 
     Checks that every sequence matches ``network`` and outlasts the history
     window, picks each episode's sequence (drawn from the environment's RNG,
-    or round-robin with ``sample_sequences=False``) and fixes the scale
-    observations are normalised by.
+    or round-robin with ``sample_sequences=False``), fixes the scale
+    observations are normalised by, and scores planned chains: one chain
+    per demand matrix, whose ``routing()`` is the
+    ``(network, weights, gamma, demand)`` it set.
     """
+
+    chained = True
 
     def __init__(
         self,
@@ -64,6 +71,7 @@ class WorkloadEnv(Env):
         memory_length: int,
         sample_sequences: bool,
         seed: SeedLike,
+        reward_computer: Optional[RewardComputer],
     ):
         if not sequences:
             raise ValueError("need at least one demand sequence")
@@ -84,6 +92,11 @@ class WorkloadEnv(Env):
         self._rng = rng_from_seed(seed)
         self._round_robin = 0
         self.demand_scale = demand_normaliser(self.sequences)
+        self.rewarder = reward_computer or RewardComputer()
+
+    def score_chains(self, chains: Sequence[Chain]) -> np.ndarray:
+        """Equation 2 for every complete chain, from one stacked call."""
+        return -self.rewarder.block_ratios([chain.routing() for chain in chains])
 
     def _select_sequence(self) -> DemandSequence:
         if self.sample_sequences:
@@ -124,9 +137,6 @@ class RoutingEnv(WorkloadEnv):
         is the static environment, bit for bit.
     """
 
-    #: The observation is the demand history alone: actions never move it.
-    contextual_bandit = True
-
     def __init__(
         self,
         network: Network,
@@ -139,7 +149,9 @@ class RoutingEnv(WorkloadEnv):
         seed: SeedLike = None,
         dynamics: Optional[NetworkTimeline] = None,
     ):
-        super().__init__(network, sequences, memory_length, sample_sequences, seed)
+        super().__init__(
+            network, sequences, memory_length, sample_sequences, seed, reward_computer
+        )
         if check_gamma(softmin_gamma) <= 0.0:
             raise ValueError("softmin_gamma must be positive")
         if dynamics is not None:
@@ -154,7 +166,6 @@ class RoutingEnv(WorkloadEnv):
         self.dynamics = dynamics
         self.softmin_gamma = float(softmin_gamma)
         self.weight_scale = float(weight_scale)
-        self.rewarder = reward_computer or RewardComputer()
 
         m = network.num_edges
         self.action_space = Box(-1.0, 1.0, (m,))
@@ -194,6 +205,25 @@ class RoutingEnv(WorkloadEnv):
         self._step_index = self.memory_length
         return self._observation()
 
+    def observation(self) -> GraphObservation:
+        return self._observation()
+
+    def chain(self, sequence: DemandSequence, step: int) -> "OneShotChain":
+        """The one-step chain acting on ``sequence``'s demand matrix at ``step``."""
+        network = self.network_at(step)
+        history = demand_history(sequence, step, self.memory_length, self.demand_scale)
+        return OneShotChain(
+            self, GraphObservation(network, history), (network, sequence.matrix(step))
+        )
+
+    def plan_chain(self, budget: int) -> tuple["OneShotChain", bool]:
+        """:meth:`plan` as a one-step chain (one-shot chains fit any budget)."""
+        if self._sequence is None:
+            raise RuntimeError("call reset() first")
+        chain = self.chain(self._sequence, self._step_index)
+        self._step_index += 1
+        return chain, self._step_index >= len(self._sequence)
+
     def plan(self) -> tuple[tuple[Network, np.ndarray], GraphObservation, bool]:
         """Advance one step without an action.
 
@@ -207,6 +237,12 @@ class RoutingEnv(WorkloadEnv):
 
     def score(self, context: tuple[Network, np.ndarray], action: np.ndarray) -> tuple[float, dict]:
         """Equation 2 for ``action`` on a planned ``(network, demand)``."""
+        return self.rewarder.reward(*self.routing(context, action))
+
+    def routing(
+        self, context: tuple[Network, np.ndarray], action: np.ndarray
+    ) -> tuple[Network, np.ndarray, float, np.ndarray]:
+        """``(network, weights, gamma, demand)`` that ``action`` sets in ``context``."""
         network, demand = context
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (network.num_edges,):
@@ -214,7 +250,7 @@ class RoutingEnv(WorkloadEnv):
                 f"action has shape {action.shape}, expected ({network.num_edges},)"
             )
         weights = weights_from_action(action, self.weight_scale)
-        return self.rewarder.reward(network, weights, self.softmin_gamma, demand)
+        return network, weights, self.softmin_gamma, demand
 
     def step(self, action: np.ndarray) -> tuple[GraphObservation, float, bool, dict]:
         reward, info = self.score(self._context(), action)
@@ -225,3 +261,28 @@ class RoutingEnv(WorkloadEnv):
     def episode_length(self) -> int:
         """Steps per episode for the shortest configured sequence."""
         return min(len(seq) for seq in self.sequences) - self.memory_length
+
+
+class OneShotChain(Chain):
+    """One one-shot timestep: its observation is known before any action."""
+
+    length = 1
+    complete = True
+
+    def __init__(
+        self, env: RoutingEnv, observation: GraphObservation, context: tuple[Network, np.ndarray]
+    ):
+        self._env = env
+        self._observation = observation
+        self.context = context
+        self.action_size = context[0].num_edges
+        self.action: Optional[np.ndarray] = None
+
+    def observation(self) -> GraphObservation:
+        return self._observation
+
+    def act(self, action: np.ndarray) -> None:
+        self.action = action
+
+    def routing(self) -> tuple[Network, np.ndarray, float, np.ndarray]:
+        return self._env.routing(self.context, self.action)

@@ -79,16 +79,58 @@ def batch_distances_to_targets(
 
     ``targets`` defaults to every node, giving ``D[t, v] = dist(v, t)``.
     """
-    # dist(v, t) in the graph is dist(t, v) in its transpose.  Fill the
-    # cached pattern directly: the csr_matrix constructor re-validates it on
-    # every call, which costs more than Dijkstra itself on small graphs.
+    # dist(v, t) in the graph is dist(t, v) in its transpose.
     structure = _graph_structure(network)
-    transposed = csr_matrix.__new__(csr_matrix)
-    transposed.data = np.asarray(weights, dtype=np.float64)[structure.perm]
-    transposed.indices = structure.indices
-    transposed.indptr = structure.indptr
-    transposed._shape = (network.num_nodes, network.num_nodes)
+    data = np.asarray(weights, dtype=np.float64)[structure.perm]
+    transposed = _csr(data, structure.indices, structure.indptr, network.num_nodes)
     return dijkstra(transposed, directed=True, indices=targets)
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, size: int) -> csr_matrix:
+    """A square CSR matrix over an already canonical pattern.
+
+    The pattern is filled in directly: the ``csr_matrix`` constructor
+    re-validates it on every call, which costs more than Dijkstra itself on
+    small graphs.
+    """
+    matrix = csr_matrix.__new__(csr_matrix)
+    matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
+    matrix._shape = (size, size)
+    return matrix
+
+
+#: Nodes per block-diagonal Dijkstra in :func:`stacked_distances_to_targets`.
+#: Its output is dense ``(nodes, nodes)``, so this caps it at 2 MiB.
+STACKED_DIJKSTRA_NODES = 512
+
+
+def stacked_distances_to_targets(network, weights: np.ndarray) -> np.ndarray:
+    """:func:`batch_distances_to_targets` of every row of ``(T, num_edges)`` weights.
+
+    Returns ``(T, num_nodes, num_nodes)``, bit-identical to ``T`` separate
+    calls.  Up to :data:`STACKED_DIJKSTRA_NODES` nodes' worth of weight
+    vectors run as one Dijkstra over a block-diagonal graph of copies of the
+    topology, which on small topologies costs about half as much per copy
+    as one call each.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    structure = _graph_structure(network)
+    n, e = network.num_nodes, network.num_edges
+    per_call = max(1, STACKED_DIJKSTRA_NODES // n)
+    distances = np.empty((len(weights), n, n))
+    for start in range(0, len(weights), per_call):
+        block = weights[start : start + per_call]
+        copies = np.arange(len(block))
+        offsets = copies[:, np.newaxis]
+        graph = _csr(
+            block[:, structure.perm].ravel(),
+            (structure.indices + n * offsets).ravel().astype(np.int32),
+            np.r_[0, (structure.indptr[1:] + e * offsets).ravel()].astype(np.int32),
+            n * len(block),
+        )
+        full = dijkstra(graph, directed=True).reshape(len(block), n, len(block), n)
+        distances[start : start + len(block)] = full[copies, :, copies, :]
+    return distances
 
 
 def decreasing_distance_mask(network, distances: np.ndarray) -> np.ndarray:

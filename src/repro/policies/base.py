@@ -6,10 +6,11 @@ observations.  Two consumers share it:
 
 * :meth:`ActorCriticPolicy.act_batch` — numpy-only inference under
   ``no_grad``: samples (or, deterministically, copies) one action per
-  observation.  Rollout collection and evaluation call it with as many
-  observations as they know at once (a whole one-shot rollout, a slice
-  of test steps, or every test DM's current iterative sub-step); the
-  service passes one request's observation at a time.  The forward is
+  observation.  Rollout collection and evaluation call it once per
+  wavefront of a planned block (:func:`repro.rl.env.act_on_chains`: a
+  whole one-shot rollout or slice of test steps, or the current sub-step
+  of every iterative DM in the block); the service passes one request's
+  observation at a time.  The forward is
   batch-invariant (see :func:`repro.tensor.ops._affine`): an
   observation's action, log-prob and value are bit-identical alone or in
   any batch, so served answers equal offline evaluation;
@@ -26,7 +27,7 @@ each entry's sample id and the per-sample quantities are segment sums.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -57,12 +58,16 @@ class ActorCriticPolicy(Module):
         observations: Sequence[Any],
         rng: np.random.Generator,
         deterministic: bool = False,
+        noise: Optional[Sequence[np.ndarray]] = None,
     ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """Sample actions for a batch of observations (no gradients).
 
         Returns ``(actions, log_probs, values)`` with one entry per
         observation, actions sampled from the shared ``rng`` in slot order
-        (``deterministic`` returns the means).
+        (``deterministic`` returns the means).  ``noise`` supplies each
+        slot's standard-normal draw instead, shaped like its action: a
+        caller that drew a whole rollout's noise up front in timestep order
+        can then act on its timesteps in any order.
         """
         with no_grad():
             means_flat, values, sample_ids = self._forward_batch(observations)
@@ -71,6 +76,8 @@ class ActorCriticPolicy(Module):
         means = [flat[start:end] for start, end in zip([0, *ends], ends)]
         if deterministic:
             actions = [mean.copy() for mean in means]
+        elif noise is not None:
+            actions = [self.distribution.shift(mean, draw) for mean, draw in zip(means, noise)]
         else:
             actions = [self.distribution.sample(mean, rng) for mean in means]
         log_probs = self.distribution.log_prob_values(means, actions)

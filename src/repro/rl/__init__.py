@@ -7,7 +7,8 @@ environment; this package is the from-scratch substitute:
   (``reset``/``step``/``action_space``), with two generalisations GDDR
   needs: observations and actions may be arbitrary Python objects so that
   multi-topology training (variable |V|, |E|) fits the same interface, and
-  contextual bandits split ``step`` into ``plan`` and ``score``;
+  *chained* environments (timesteps grouped into independent chains, one
+  per demand matrix in GDDR) can be planned a window at a time;
 * :mod:`~repro.rl.distributions` — diagonal Gaussian action distribution
   with a shared, state-independent log-standard-deviation (shape-agnostic,
   so one parameter set serves every topology);
@@ -16,8 +17,8 @@ environment; this package is the from-scratch substitute:
 * :mod:`~repro.rl.ppo` — clipped-surrogate PPO matching the PPO2
   implementation the paper used (minibatch epochs, value clipping, entropy
   bonus, gradient-norm clipping), collecting rollouts from one environment
-  and planning a contextual bandit's whole rollout before one batched
-  policy forward.
+  and planning a chained environment's whole rollout window before one
+  batched policy forward per wavefront of its chains.
 """
 
 from repro.rl.env import Env

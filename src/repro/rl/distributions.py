@@ -54,7 +54,15 @@ class DiagonalGaussian:
 
     def sample(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw an action given the policy mean (no gradient)."""
-        return mean + self.std_value() * rng.standard_normal(mean.shape)
+        return self.shift(mean, rng.standard_normal(mean.shape))
+
+    def shift(self, mean: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """The action :meth:`sample` gives when ``rng`` draws ``noise``."""
+        if noise.shape != mean.shape:
+            raise ValueError(
+                f"noise has shape {noise.shape}, expected the action's {mean.shape}"
+            )
+        return mean + self.std_value() * noise
 
     def log_prob_values(
         self, means: list[np.ndarray], actions: list[np.ndarray]

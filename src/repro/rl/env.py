@@ -8,18 +8,31 @@ does the same for the in-repo PPO):
 * :meth:`Env.step` → ``(observation, reward, done, info)``
 * :attr:`Env.action_space` / :attr:`Env.observation_space`
 
-A *contextual bandit* (:attr:`Env.contextual_bandit`) is an environment
-whose actions decide the reward but never the next observation.  It splits
-``step`` in two, so callers can draw many observations before choosing any
-action:
+A *chained* environment (:attr:`Env.chained`) is one whose timesteps group
+into :class:`Chain` objects: runs of sub-steps whose observations depend
+only on the chain's own earlier actions, never on another chain's, whose
+reward comes on the chain's last sub-step (earlier sub-steps reward 0), and
+whose randomness (which chain comes next, episode ends, resets) never
+depends on an action.  GDDR's routing environments are chained: a chain is
+one demand matrix, one sub-step long in the one-shot environments and
+``num_edges`` sub-steps long in the iterative one (paper §VII-B).  Callers
+can then plan a whole window before choosing any action:
 
-* :meth:`Env.plan` → ``(context, observation, done)``: advance one
-  timestep without an action; ``context`` is what scoring needs;
-* :meth:`Env.score` → ``(reward, info)``: the reward of ``action`` in a
-  planned ``context``.
+* :meth:`Env.plan_chain` → ``(chain, done)``: advance up to ``budget``
+  timesteps without actions — the rest of the current chain, or, if the
+  budget ends first, its next ``budget`` sub-steps, whose partial state
+  stays in the environment;
+* :func:`act_on_chains`: advance every planned chain in lockstep
+  *wavefronts* — wavefront ``i`` is one ``policy.act_batch`` over the
+  ``i``-th in-window sub-step of each chain still running;
+* :meth:`Env.score_chains` → the rewards of the complete chains, from one
+  stacked scoring call for the whole block;
+* :meth:`Env.observation`: what the agent acts on next.
 
-``step(action)`` then equals ``score`` on the current context followed by
-``plan``.
+Planning a window, acting on it in wavefronts and scoring it draws the
+environment's randomness and yields the rewards that ``step`` would, one
+timestep at a time.  A chained environment with one-timestep chains is a
+contextual bandit: its actions never move the next observation.
 
 Observations and actions are *objects* — fixed-topology environments emit
 numpy arrays exactly like Gym, while multi-topology environments emit
@@ -29,7 +42,10 @@ the current graph.  Policies, not the algorithm, decide how to featurize.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from itertools import accumulate
+from typing import Any, Optional, Sequence
+
+import numpy as np
 
 from repro.rl.spaces import Box
 from repro.utils.seeding import SeedLike, rng_from_seed
@@ -55,21 +71,28 @@ class Env:
         """
         raise NotImplementedError
 
-    #: True when actions never influence the next observation; such
-    #: environments implement :meth:`plan` and :meth:`score`.
-    contextual_bandit: bool = False
+    #: True when timesteps group into independent chains (see the module
+    #: docstring); such environments implement :meth:`plan_chain`,
+    #: :meth:`score_chains` and :meth:`observation`.
+    chained: bool = False
 
-    def plan(self) -> tuple[Any, Any, bool]:
-        """Advance one timestep without an action (contextual bandits only).
+    def plan_chain(self, budget: int) -> tuple["Chain", bool]:
+        """Advance up to ``budget`` timesteps of one chain without actions.
 
-        Returns ``(context, observation, done)``: the context to
-        :meth:`score` this timestep's action in, then exactly what ``step``
-        would have returned as observation and done flag.
+        Returns ``(chain, done)``: the planned :class:`Chain`, and whether
+        the episode ended on its last sub-step (only a complete chain can
+        end one).  After ``done`` the caller must ``reset`` before planning
+        again.  A chain cut by the budget keeps its partial state in the
+        environment, which its actions fill in.
         """
         raise NotImplementedError
 
-    def score(self, context: Any, action: Any) -> tuple[float, dict]:
-        """``(reward, info)`` of ``action`` in a context from :meth:`plan`."""
+    def score_chains(self, chains: Sequence["Chain"]) -> np.ndarray:
+        """The rewards of complete chains, one entry each, in chain order."""
+        raise NotImplementedError
+
+    def observation(self) -> Any:
+        """The observation the agent acts on next (chained envs only)."""
         raise NotImplementedError
 
     def seed(self, seed: SeedLike = None) -> None:
@@ -78,6 +101,65 @@ class Env:
 
     def close(self) -> None:
         """Release resources (no-op by default)."""
+
+
+class Chain:
+    """One chain's sub-steps inside a planned window (see the module docstring).
+
+    ``length`` of its sub-steps lie in the window, each taking an action of
+    ``action_size`` entries; ``complete`` is True when the window reaches
+    its last sub-step, which :meth:`Env.score_chains` rewards.
+    """
+
+    length: int
+    action_size: int
+    complete: bool
+
+    def observation(self) -> Any:
+        """The observation before the chain's next sub-step."""
+        raise NotImplementedError
+
+    def act(self, action: np.ndarray) -> None:
+        """Take the next sub-step with ``action``."""
+        raise NotImplementedError
+
+
+def act_on_chains(
+    policy,
+    chains: Sequence[Chain],
+    rng: np.random.Generator,
+    deterministic: bool = False,
+    noise: Optional[Sequence[np.ndarray]] = None,
+) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Run every chain's in-window sub-steps, in lockstep wavefronts.
+
+    Wavefront ``i`` is one ``policy.act_batch`` over the ``i``-th sub-step
+    of every chain at least ``i + 1`` sub-steps long, so the window takes
+    as many forwards as its longest chain.  Timesteps are numbered chain by
+    chain, sub-step by sub-step; ``noise[t]``, when given, is timestep
+    ``t``'s standard-normal draw (see
+    :meth:`~repro.policies.base.ActorCriticPolicy.act_batch`).  Returns
+    ``(observations, actions, log_probs, values)`` in timestep order.
+    """
+    lengths = [chain.length for chain in chains]
+    starts = [0, *accumulate(lengths)]
+    total = starts.pop()
+    observations: list = [None] * total
+    actions: list = [None] * total
+    log_probs, values = np.empty(total), np.empty(total)
+    live = list(range(len(chains)))
+    for i in range(max(lengths, default=0)):
+        live = [k for k in live if lengths[k] > i]
+        slots = [starts[k] + i for k in live]
+        batch = [chains[k].observation() for k in live]
+        draws = None if noise is None else [noise[t] for t in slots]
+        chosen, log_probs[slots], values[slots] = policy.act_batch(
+            batch, rng, deterministic=deterministic, noise=draws
+        )
+        for k, t, observation, action in zip(live, slots, batch, chosen):
+            chains[k].act(action)
+            observations[t], actions[t] = observation, action
+    return observations, actions, log_probs, values
 
 
 class EpisodeStats:

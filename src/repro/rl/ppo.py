@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.rl.buffer import RolloutBuffer
-from repro.rl.env import Env, EpisodeStats
+from repro.rl.env import Env, EpisodeStats, act_on_chains
 from repro.tensor import Tensor, maximum, minimum
 from repro.tensor.optim import Adam, clip_grad_norm
 from repro.utils.logging import RunLogger
@@ -88,9 +88,9 @@ class PPO:
         Any :class:`repro.policies.base.ActorCriticPolicy`.
     env:
         Environment following :class:`repro.rl.env.Env`.  Rollouts run one
-        ``policy.act_batch`` per timestep, or — when the environment is a
-        contextual bandit, like the one-shot routing envs — one per rollout
-        over all ``n_steps`` planned observations.
+        ``policy.act_batch`` per timestep, or — when the environment is
+        chained, like every routing env — one per wavefront of a planned
+        window (see :meth:`collect_rollout`).
     config:
         Hyperparameters; defaults are sensible for the GDDR experiments.
     seed:
@@ -126,46 +126,82 @@ class PPO:
     def collect_rollout(self, buffer: RolloutBuffer) -> None:
         """Fill ``buffer`` with ``n_steps`` transitions.
 
-        Each pass plans as many timesteps as the environment allows before
-        one batched forward: the rest of the rollout for a contextual bandit
-        (every observation is known before any action is chosen), else one.
-        An episode that ends is reset right after the step (or plan) that
-        ended it, so the environment draws its randomness in step order; the
-        pass's actions come from the action RNG in timestep order and are
-        then scored, or stepped.
+        A chained environment (see :mod:`repro.rl.env`) is planned for the
+        whole window before any forward: chain after chain, each reset right
+        after the plan that ended its episode, so the environment draws its
+        randomness in timestep order.  The window's Gaussian noise is then
+        drawn in one call, in timestep order, and the chains advance in
+        lockstep wavefronts, one forward per in-window sub-step
+        (:func:`~repro.rl.env.act_on_chains`): one forward for one-shot
+        chains, at most ``num_edges`` for the iterative env.  Every chain the
+        window completes is scored by one stacked call, and a chain it cuts
+        keeps its partial state in the environment for the next window.  Any
+        other environment is stepped: one forward per timestep, with a reset
+        after each step that ends an episode.  Either way the action RNG and
+        the environment's RNG see the draws of stepping one timestep at a
+        time, and forwards are batch-invariant, so the rollout is the same
+        bit for bit.
         """
         buffer.reset()
         env = self.env
         if self._last_observation is None:
             self._last_observation = env.reset()
-        planned = env.contextual_bandit
-        while not buffer.full:
-            horizon = buffer.n_steps - buffer.position if planned else 1
-            observations, plans = [], []
-            for _ in range(horizon):
-                observations.append(self._last_observation)
-                if planned:
-                    context, self._last_observation, done = env.plan()
-                    if done:
-                        self._last_observation = env.reset()
-                    plans.append((context, done))
-            actions, log_probs, values = self.policy.act_batch(observations, self.rng)
-            for t, observation in enumerate(observations):
-                if planned:
-                    context, done = plans[t]
-                    reward = env.score(context, actions[t])[0]
-                else:
-                    self._last_observation, reward, done, _ = env.step(actions[t])
-                    if done:
-                        self._last_observation = env.reset()
-                buffer.add(observation, actions[t], reward, done, values[t], log_probs[t])
-                self.stats.record(float(reward), bool(done))
-                self.num_timesteps += 1
+        if env.chained:
+            self._collect_chains(buffer)
+        else:
+            while not buffer.full:
+                observation = self._last_observation
+                actions, log_probs, values = self.policy.act_batch([observation], self.rng)
+                self._last_observation, reward, done, _ = env.step(actions[0])
+                if done:
+                    self._last_observation = env.reset()
+                self._record(
+                    buffer, observation, actions[0], reward, done, values[0], log_probs[0]
+                )
         # Bootstrap from the value of the state after the last stored transition.
         _, _, last_values = self.policy.act_batch(
             [self._last_observation], self.rng, deterministic=True
         )
         buffer.compute_returns_and_advantages(last_values[0], last_done=buffer.dones[-1])
+
+    def _collect_chains(self, buffer: RolloutBuffer) -> None:
+        env = self.env
+        chains, dones = [], []
+        budget = buffer.n_steps
+        while budget:
+            chain, done = env.plan_chain(budget)
+            if done:
+                env.reset()
+            chains.append(chain)
+            dones.append(done)
+            budget -= chain.length
+        ends = np.cumsum([chain.action_size for chain in chains for _ in range(chain.length)])
+        noise = np.split(self.rng.standard_normal(ends[-1]), ends[:-1])
+        observations, actions, log_probs, values = act_on_chains(
+            self.policy, chains, self.rng, noise=noise
+        )
+        rewards = iter(env.score_chains([chain for chain in chains if chain.complete]))
+        t = 0
+        for chain, done in zip(chains, dones):
+            for i in range(chain.length):
+                last = chain.complete and i == chain.length - 1
+                reward = next(rewards) if last else 0.0
+                self._record(
+                    buffer,
+                    observations[t],
+                    actions[t],
+                    reward,
+                    done and last,
+                    values[t],
+                    log_probs[t],
+                )
+                t += 1
+        self._last_observation = env.observation()
+
+    def _record(self, buffer, observation, action, reward, done, value, log_prob) -> None:
+        buffer.add(observation, action, reward, done, value, log_prob)
+        self.stats.record(float(reward), bool(done))
+        self.num_timesteps += 1
 
     # ------------------------------------------------------------------
     # Optimisation

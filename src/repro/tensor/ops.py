@@ -210,9 +210,12 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float) -> Tenso
     are bit-identical; only the tape shrinks from eight nodes to one.
     """
     x_data = x.data
-    mean = x_data.mean(axis=-1, keepdims=True)
+    # ``sum / n`` is numpy's own ``mean`` (one sum, one true divide by the
+    # count), bit for bit, without the wrapper's per-call overhead.
+    width = x_data.shape[-1]
+    mean = x_data.sum(axis=-1, keepdims=True) / width
     centred = x_data - mean
-    variance = (centred * centred).mean(axis=-1, keepdims=True)
+    variance = (centred * centred).sum(axis=-1, keepdims=True) / width
     std = np.sqrt(variance + epsilon)
     normed = centred / std
     out = normed * scale.data + shift.data

@@ -87,6 +87,41 @@ class TestBatchDistances:
         assert distances[2, 0] == pytest.approx(2.0)
 
 
+class TestStackedBlock:
+    """The block scorer's engine calls equal one call per step, bit for bit."""
+
+    @pytest.mark.parametrize("copies_per_call", [1, 3, 64])
+    def test_stacked_distances_match_one_call_each(self, monkeypatch, copies_per_call):
+        import repro.graphs.kernels as kernels
+
+        net = Network(4, [(0, 1), (1, 2), (2, 3), (3, 2), (1, 0)])  # 0 and 1 unreachable from 2, 3
+        weights = np.random.default_rng(0).uniform(0.1, 5.0, (7, net.num_edges))
+        monkeypatch.setattr(kernels, "STACKED_DIJKSTRA_NODES", 4 * copies_per_call)
+        stacked = kernels.stacked_distances_to_targets(net, weights)
+        expected = np.stack([batch_distances_to_targets(net, w) for w in weights])
+        np.testing.assert_array_equal(stacked, expected)
+        assert np.isinf(stacked).any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_softmin_and_loads_match_one_call_each(self, seed):
+        from repro.engine.simulator_batch import stacked_destination_link_loads
+        from repro.engine.softmin_batch import stacked_softmin_ratios
+
+        net, _ = random_case(seed)
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.1, 5.0, (6, net.num_edges))
+        gammas = rng.uniform(0.5, 10.0, 6)
+        demands = np.stack([bimodal_matrix(net.num_nodes, seed=seed + i) for i in range(6)])
+        demands[2] = 0.0  # a step with no active destination
+        demands[4][:, 3] = 0.0  # and one with an idle destination
+        tables = stacked_softmin_ratios(net, weights, gammas)
+        for table, w, gamma in zip(tables, weights, gammas):
+            np.testing.assert_array_equal(table, batch_softmin_ratios(net, w, gamma))
+        loads = stacked_destination_link_loads(net, tables, demands)
+        for step_loads, table, demand in zip(loads, tables, demands):
+            np.testing.assert_array_equal(step_loads, destination_link_loads(net, table, demand))
+
+
 class TestBatchPrune:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scalar_masks(self, seed):

@@ -160,7 +160,7 @@ class TestRoutingEnv:
 
     def test_plan_then_score_equals_step(self):
         stepped, planned = self._env(seed=4), self._env(seed=4)
-        assert planned.contextual_bandit
+        assert planned.chained
         rng = np.random.default_rng(0)
         obs_a, obs_b = stepped.reset(), planned.reset()
         for _ in range(2 * stepped.episode_length):
@@ -265,9 +265,6 @@ class TestIterativeRoutingEnv:
         with pytest.raises(ValueError, match="gamma"):
             self._env(gamma_range=gamma_range)
 
-    def test_is_not_a_contextual_bandit(self):
-        assert not self._env().contextual_bandit
-
     def test_marker_state_resets_between_matrices(self):
         env = self._env()
         env.reset()
@@ -314,16 +311,19 @@ class TestMultiGraphRoutingEnv:
         env = MultiGraphRoutingEnv(self._pairs(), memory_length=3, seed=0)
         assert len(env.networks) == 2
 
-    def test_one_shot_pool_plans_and_scores_on_the_episode_env(self):
-        env = MultiGraphRoutingEnv(self._pairs(), memory_length=3, seed=0)
-        assert env.contextual_bandit
-        assert not MultiGraphRoutingEnv(self._pairs(), iterative=True, seed=0).contextual_bandit
+    @pytest.mark.parametrize("iterative", [False, True])
+    def test_pool_plans_chains_on_the_episode_env(self, iterative):
+        env = MultiGraphRoutingEnv(self._pairs(), iterative=iterative, memory_length=3, seed=0)
+        assert env.chained
         env.reset()
         inner = env._current
-        context, observation, _ = env.plan()
-        assert context[0] is inner and observation.network is inner.network
-        reward, info = env.score(context, np.zeros(inner.network.num_edges))
-        assert reward == -info["utilisation_ratio"]
+        chain, _ = env.plan_chain(inner.network.num_edges)
+        assert chain.complete and chain.observation().network is inner.network
+        assert env.observation().network is inner.network
+        for _ in range(chain.length):
+            chain.act(np.zeros(chain.action_size))
+        (reward,) = env.score_chains([chain])
+        assert reward == inner.rewarder.reward(*chain.routing())[0] < 0.0
 
     def test_requires_pairs(self):
         with pytest.raises(ValueError):
@@ -333,3 +333,121 @@ class TestMultiGraphRoutingEnv:
         rewarder = RewardComputer()
         env = MultiGraphRoutingEnv(self._pairs(), reward_computer=rewarder, memory_length=3, seed=0)
         assert all(inner.rewarder is rewarder for inner in env.inner_envs)
+
+
+def _flapping_env():
+    """Abilene under a two-link flap: planned contexts carry two networks."""
+    from repro.api.registry import DYNAMICS
+
+    net = abilene()
+    sequences = sequences_for(net, length=9, cycle=3)
+    timeline = DYNAMICS.get("link_flap")(net, 9, num_failures=2, seed=1)
+    sequences = [timeline.transform_sequence(s) for s in sequences]
+    return RoutingEnv(net, sequences, memory_length=3, seed=0, dynamics=timeline)
+
+
+def _mixed_pool():
+    nets = [abilene(), random_connected_network(7, 4, seed=0)]
+    pairs = [(n, sequences_for(n, length=5, seed=i)) for i, n in enumerate(nets)]
+    return MultiGraphRoutingEnv(pairs, memory_length=3, seed=4)
+
+
+def _plan_one_shot(env, count):
+    """``count`` planned one-shot chains, resetting after each episode."""
+    env.reset()
+    chains = []
+    for _ in range(count):
+        chain, done = env.plan_chain(1)
+        chains.append(chain)
+        if done:
+            env.reset()
+    return chains
+
+
+class TestBlockScoring:
+    """``score_chains`` scores a planned block in one stacked call, and
+    scores and fails exactly as scoring each step on its own does."""
+
+    @pytest.mark.parametrize(
+        "make_env", [_flapping_env, _mixed_pool], ids=["dynamics", "multigraph"]
+    )
+    def test_each_step_scores_on_its_own_network(self, make_env):
+        env = make_env()
+        chains = _plan_one_shot(env, 12)
+        assert len({chain.context[0].edges for chain in chains}) == 2
+        rng = np.random.default_rng(0)
+        for chain in chains:
+            chain.act(rng.uniform(-1, 1, chain.action_size))
+        rewards = env.score_chains(chains)
+        expected = [env.rewarder.reward(*chain.routing())[0] for chain in chains]
+        np.testing.assert_array_equal(rewards, expected)
+
+    def test_nan_action_at_step_k_raises_typed_error(self):
+        env = RoutingEnv(abilene(), sequences_for(abilene()), memory_length=3, seed=0)
+        chains = _plan_one_shot(env, 6)
+        m = env.network.num_edges
+        for k, chain in enumerate(chains):
+            action = np.zeros(m)
+            action[: 2 if k == 3 else 0] = np.nan
+            chain.act(action)
+        with pytest.raises(NonFiniteActionError, match=f"2 non-finite of {m} entries"):
+            env.score_chains(chains)
+
+    def test_nan_weight_in_an_iterative_chain_raises_typed_error(self):
+        net = triangle_network()
+        sequences = sequences_for(net, length=6, cycle=3)
+        env = IterativeRoutingEnv(net, sequences, memory_length=2, seed=0)
+        env.reset()
+        chains = [env.plan_chain(net.num_edges)[0] for _ in range(2)]
+        for k, chain in enumerate(chains):
+            for j in range(chain.length):
+                chain.act(np.array([np.nan if (k, j) == (1, 2) else 0.0, 0.0]))
+        with pytest.raises(NonFiniteActionError, match="1 non-finite"):
+            env.score_chains(chains)
+
+    def test_wrong_shape_action_raises_the_per_step_error(self):
+        env = RoutingEnv(abilene(), sequences_for(abilene()), memory_length=3, seed=0)
+        chains = _plan_one_shot(env, 4)
+        for k, chain in enumerate(chains):
+            chain.act(np.zeros(3 if k == 2 else chain.action_size))
+        with pytest.raises(ValueError) as per_step:
+            env.score(chains[2].context, np.zeros(3))
+        with pytest.raises(ValueError) as block:
+            env.score_chains(chains)
+        assert str(block.value) == str(per_step.value)
+
+    def test_all_zero_demand_scores_one_without_an_lp_solve(self, monkeypatch):
+        from repro.traffic import bimodal_matrix
+
+        net = abilene()
+        rewarder = RewardComputer()
+        asked = []
+        lookup = rewarder.cache.optimal_max_utilisation
+
+        def counting(network, demand):
+            asked.append(demand)
+            return lookup(network, demand)
+
+        monkeypatch.setattr(rewarder.cache, "optimal_max_utilisation", counting)
+        zero = np.zeros((net.num_nodes, net.num_nodes))
+        demand = bimodal_matrix(net.num_nodes, seed=0)
+        weights = np.ones(net.num_edges)
+        ratios = rewarder.block_ratios(
+            [(net, weights, 2.0, zero), (net, weights, 2.0, demand), (net, weights, 2.0, zero)]
+        )
+        assert ratios[0] == ratios[2] == 1.0
+        assert len(asked) == 1 and np.array_equal(asked[0], demand)
+        assert ratios[1] == -rewarder.reward(net, weights, 2.0, demand)[0]
+
+    def test_chunked_blocks_score_the_same(self, monkeypatch):
+        import repro.envs.reward as reward_module
+        import repro.graphs.kernels as kernels
+
+        env = _mixed_pool()
+        chains = _plan_one_shot(env, 10)
+        for chain in chains:
+            chain.act(np.linspace(-1, 1, chain.action_size))
+        whole = env.score_chains(chains)
+        monkeypatch.setattr(reward_module, "BLOCK_FLOATS", 1)  # one step per call
+        monkeypatch.setattr(kernels, "STACKED_DIJKSTRA_NODES", 20)  # a copy or two per Dijkstra
+        np.testing.assert_array_equal(env.score_chains(chains), whole)

@@ -1,14 +1,14 @@
 """Tests for the PPO algorithm: mechanics, a learnability check on a
 synthetic environment with a known optimal action, bit-identity with a
-step-by-step reference collector, and the RNG streams of planned one-shot
-rollouts."""
+step-by-step reference collector, and the RNG streams of planned rollouts
+(one-shot and iterative, wavefronts and block scoring)."""
 
 import numpy as np
 import pytest
 
-from repro.envs import MultiGraphRoutingEnv, RoutingEnv
+from repro.envs import IterativeRoutingEnv, MultiGraphRoutingEnv, RoutingEnv
 from repro.graphs import abilene, random_connected_network
-from repro.policies import GNNPolicy
+from repro.policies import GNNPolicy, IterativeGNNPolicy
 from repro.policies.base import ActorCriticPolicy
 from repro.rl.distributions import DiagonalGaussian
 from repro.rl.env import Env
@@ -198,7 +198,7 @@ class SequentialReferencePPO(PPO):
     Act on the current observation, step the environment and reset it when
     its episode ends.  :class:`TestSequentialReference` pins PPO's training
     on a generic env to it bit for bit, and :class:`TestPlannedRollouts`
-    PPO's planned one-shot rollouts.
+    PPO's planned rollouts of the routing envs.
     """
 
     def collect_rollout(self, buffer):
@@ -281,17 +281,28 @@ class RecordingReferencePPO(_RecordingRollouts, SequentialReferencePPO):
     pass
 
 
-def _one_shot_env(kind):
+#: n_steps per planned-rollout case.  Iterative episodes here are two DMs of
+#: Abilene's 28 sub-steps each (or of the other topology's), so 40-step
+#: windows cut chains mid-DM at every boundary and end episodes inside
+#: windows.
+_N_STEPS = {"routing": 8, "multigraph": 8, "iterative": 40, "multigraph-iterative": 40}
+
+
+def _routing_env(kind):
+    iterative = kind.endswith("iterative")
+    length = 5 if iterative else 6
     net = abilene()
-    sequences = [cyclical_sequence(net.num_nodes, 6, 3, seed=i) for i in range(3)]
+    sequences = [cyclical_sequence(net.num_nodes, length, 3, seed=i) for i in range(3)]
     if kind == "routing":
         return RoutingEnv(net, sequences, memory_length=3, seed=11)
+    if kind == "iterative":
+        return IterativeRoutingEnv(net, sequences, memory_length=3, seed=11)
     other = random_connected_network(9, 5, seed=2)
     pairs = [
         (net, sequences),
-        (other, [cyclical_sequence(other.num_nodes, 6, 3, seed=4 + i) for i in range(2)]),
+        (other, [cyclical_sequence(other.num_nodes, length, 3, seed=4 + i) for i in range(2)]),
     ]
-    return MultiGraphRoutingEnv(pairs, memory_length=3, seed=11)
+    return MultiGraphRoutingEnv(pairs, iterative=iterative, memory_length=3, seed=11)
 
 
 def _env_rngs(env):
@@ -300,22 +311,26 @@ def _env_rngs(env):
 
 
 def _planned_training(ppo_cls, kind):
-    env = _one_shot_env(kind)
-    policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=3)
-    ppo = ppo_cls(policy, env, PPOConfig(n_steps=8, batch_size=8, n_epochs=2), seed=5)
-    ppo.learn(3 * 8)
+    env = _routing_env(kind)
+    policy_cls = IterativeGNNPolicy if kind.endswith("iterative") else GNNPolicy
+    policy = policy_cls(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=3)
+    n_steps = _N_STEPS[kind]
+    ppo = ppo_cls(policy, env, PPOConfig(n_steps=n_steps, batch_size=8, n_epochs=2), seed=5)
+    ppo.learn(3 * n_steps)
     return ppo
 
 
 class TestPlannedRollouts:
-    """One-shot envs plan a rollout before one forward: same RNG streams, and
-    (policy forwards being batch-invariant) the same training, bit for bit."""
+    """Routing envs plan a rollout window as chains, advance them in
+    wavefronts and score them in one call: same RNG streams, and (policy
+    forwards being batch-invariant, the block scorer exact) the same
+    training, bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["routing", "multigraph"])
+    @pytest.mark.parametrize("kind", list(_N_STEPS))
     def test_matches_stepping_reference(self, kind):
         planned = _planned_training(RecordingPPO, kind)
         stepped = _planned_training(RecordingReferencePPO, kind)
-        assert planned.env.contextual_bandit
+        assert planned.env.chained
         assert len(planned.rollouts) == len(stepped.rollouts) == 3
         for (obs_a, dones_a, rewards_a), (obs_b, dones_b, rewards_b) in zip(
             planned.rollouts, stepped.rollouts
@@ -325,6 +340,10 @@ class TestPlannedRollouts:
             for a, b in zip(obs_a, obs_b):
                 assert a.network.edges == b.network.edges
                 np.testing.assert_array_equal(a.history, b.history)
+                if a.edge_state is None:
+                    assert b.edge_state is None
+                else:
+                    np.testing.assert_array_equal(a.edge_state, b.edge_state)
         assert planned.stats.episode_lengths == stepped.stats.episode_lengths
         assert planned.stats.episode_rewards == stepped.stats.episode_rewards
         assert planned.stats.num_episodes > 1  # auto-resets drew sequences
@@ -332,6 +351,14 @@ class TestPlannedRollouts:
         assert planned.rng.bit_generator.state == stepped.rng.bit_generator.state
         for a, b in zip(planned.policy.parameters(), stepped.policy.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_iterative_windows_cut_chains_and_end_episodes(self):
+        # The pins above only bite if the windows really cut a DM's chain
+        # and an episode ends inside one.
+        ppo = _planned_training(RecordingPPO, "iterative")
+        for _, dones, rewards in ppo.rollouts:
+            assert rewards[-1] == 0.0  # the last chain is cut mid-DM
+        assert any(dones[:-1].any() for _, dones, _ in ppo.rollouts)
 
     def test_one_forward_per_rollout(self, monkeypatch):
         batch_sizes = []
@@ -346,6 +373,27 @@ class TestPlannedRollouts:
         # Per rollout: 8 planned steps in one forward, then the bootstrap.
         assert batch_sizes == [8, 1] * 3
 
+    def test_iterative_rollout_takes_one_forward_per_wavefront(self, monkeypatch):
+        batch_sizes = []
+        original = IterativeGNNPolicy.act_batch
+
+        def counting(policy, observations, *args, **kwargs):
+            batch_sizes.append(len(observations))
+            return original(policy, observations, *args, **kwargs)
+
+        monkeypatch.setattr(IterativeGNNPolicy, "act_batch", counting)
+        net = abilene()
+        sequences = [cyclical_sequence(net.num_nodes, 12, 3, seed=i) for i in range(2)]
+        env = IterativeRoutingEnv(net, sequences, memory_length=3, seed=0)
+        policy = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2)
+        ppo = PPO(policy, env, PPOConfig(n_steps=64, batch_size=64, n_epochs=1), seed=0)
+        ppo.learn(2 * 64)
+        # 64 sub-steps of m = 28 edges: chains of 28, 28 and 8 sub-steps, then
+        # 20, 28 and 16, so 28 wavefronts each, plus the bootstrap.
+        first = [3] * 8 + [2] * 20
+        second = [3] * 16 + [2] * 4 + [1] * 8
+        assert batch_sizes == first + [1] + second + [1]
+
     def test_generic_envs_are_not_planned(self, monkeypatch):
         batch_sizes = []
         original = TinyPolicy.act_batch
@@ -356,9 +404,9 @@ class TestPlannedRollouts:
 
         monkeypatch.setattr(TinyPolicy, "act_batch", counting)
         env = TargetEnv()
-        assert not env.contextual_bandit
+        assert not env.chained
         with pytest.raises(NotImplementedError):
-            env.plan()
+            env.plan_chain(8)
         PPO(TinyPolicy(), env, PPOConfig(n_steps=8, batch_size=8, n_epochs=1)).learn(8)
         # One forward per step, then the bootstrap.
         assert batch_sizes == [1] * 9

@@ -100,6 +100,18 @@ class TestLayerNorm:
         params = list(norm.parameters())
         assert len(params) == 2
 
+    @pytest.mark.parametrize("shape", [(896, 16), (64, 16), (3, 8), (1, 16), (5, 7, 33)])
+    def test_bit_equal_to_the_np_mean_expression(self, shape):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        x = rng.normal(size=shape) * 7.0 + 2.0
+        norm = LayerNorm(shape[-1])
+        norm.scale.data[:] = rng.normal(size=shape[-1])
+        norm.shift.data[:] = rng.normal(size=shape[-1])
+        centred = x - x.mean(axis=-1, keepdims=True)
+        variance = (centred * centred).mean(axis=-1, keepdims=True)
+        expected = centred / np.sqrt(variance + norm.epsilon) * norm.scale.data + norm.shift.data
+        np.testing.assert_array_equal(norm(Tensor(x)).numpy(), expected)
+
 
 class TestMLP:
     def test_requires_two_sizes(self):
