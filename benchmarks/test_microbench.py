@@ -309,8 +309,8 @@ def _training_scenario():
     """The gated training workload: the quick-preset GNN curve on NSFNet.
 
     The quick preset's ``n_steps=64`` collects ``total_timesteps=256``
-    environment steps in four rollouts; the one-shot environment is a
-    contextual bandit, so each rollout is planned and forwarded once.
+    environment steps in four rollouts; every one-shot timestep is a
+    one-step chain, so each rollout is planned and forwarded once.
     """
     return {
         "name": "bench-training",

@@ -16,7 +16,8 @@ supplies the optimum, and the reward is ``-U_agent / U_optimal``
 
 :func:`~repro.envs.factory.make_routing_env` picks and builds the one-shot
 or iterative environment; training, evaluation and the multi-topology pool
-all go through it.
+all go through it.  Every one is chained (:mod:`repro.rl.env`), and its
+``step`` is the chain protocol at a budget of one timestep.
 """
 
 from repro.envs.observation import GraphObservation

@@ -11,8 +11,8 @@ delivered on that final sub-step (intermediate sub-steps reward 0).
 
 Because one demand matrix spans ``num_edges`` sub-steps, the normalised
 demand history is computed once per matrix and cached across its sub-steps;
-the translation/simulation on the final sub-step runs on the vectorized
-batch engine via :class:`~repro.envs.reward.RewardComputer`.
+the translation/simulation of the completed DM runs on the vectorized
+batch engine via :meth:`~repro.envs.reward.RewardComputer.block_ratios`.
 
 A DM's sub-steps depend only on each other, so each DM is a
 :class:`~repro.rl.env.Chain` (:class:`SubStepChain`): PPO plans a rollout
@@ -45,27 +45,6 @@ from repro.rl.spaces import Box
 from repro.traffic.sequences import DemandSequence
 from repro.utils.seeding import SeedLike
 from repro.utils.validation import check_gamma
-
-
-def _checked_action(action: np.ndarray) -> np.ndarray:
-    action = np.asarray(action, dtype=np.float64).reshape(-1)
-    if action.shape != (2,):
-        raise ValueError(f"action has shape {action.shape}, expected (2,)")
-    return action
-
-
-def set_edge_weight(
-    raw_weights: np.ndarray, set_flags: np.ndarray, edge: int, weight_output
-) -> None:
-    """One sub-step's transition, in place: clip the weight output(s) to
-    ``[-1, 1]`` into column ``edge`` of ``raw_weights`` and flag the edge set.
-
-    ``raw_weights`` is one DM's ``(num_edges,)`` row (the environment) or
-    ``(T, num_edges)`` for ``T`` DMs stepped in lockstep (the evaluator),
-    with ``weight_output`` a scalar or ``(T,)`` to match.
-    """
-    raw_weights[..., edge] = np.clip(weight_output, -1.0, 1.0)
-    set_flags[edge] = 1.0
 
 
 class IterativeRoutingEnv(WorkloadEnv):
@@ -117,11 +96,11 @@ class IterativeRoutingEnv(WorkloadEnv):
             self._history_step = step
         return self._history
 
-    def _observation(self, target_edge: Optional[int]) -> GraphObservation:
+    def observation(self) -> GraphObservation:
         return GraphObservation(
             self.network,
             self._current_history(),
-            edge_state=edge_markers(self._raw_weights, self._set_flags, target_edge),
+            edge_state=edge_markers(self._raw_weights, self._set_flags, self._edge_pointer),
         )
 
     def routing(
@@ -145,10 +124,7 @@ class IterativeRoutingEnv(WorkloadEnv):
         self._set_flags = np.zeros(self.network.num_edges)
         self._history_step = None
         self._history = None
-        return self._observation(target_edge=0)
-
-    def observation(self) -> GraphObservation:
-        return self._observation(target_edge=self._edge_pointer)
+        return self.observation()
 
     def chain(self, sequence: DemandSequence, step: int) -> "SubStepChain":
         """All sub-steps of ``sequence``'s demand matrix at ``step``, from no edge set."""
@@ -162,9 +138,8 @@ class IterativeRoutingEnv(WorkloadEnv):
         """The current DM's next ``budget`` sub-steps, or all it has left.
 
         A cut chain shares the environment's partial-state arrays, so its
-        actions leave the DM half set for the next plan (or ``step``); a
-        complete one takes them along and the environment moves on to the
-        next DM.
+        actions leave the DM half set for the next plan; a complete one
+        takes them along and the environment moves on to the next DM.
         """
         if self._sequence is None:
             raise RuntimeError("call reset() before step()")
@@ -192,25 +167,6 @@ class IterativeRoutingEnv(WorkloadEnv):
         self._raw_weights = np.zeros(self.network.num_edges)
         self._set_flags = np.zeros(self.network.num_edges)
         return self._step_index >= len(self._sequence)
-
-    def step(self, action: np.ndarray) -> tuple[GraphObservation, float, bool, dict]:
-        if self._sequence is None:
-            raise RuntimeError("call reset() before step()")
-        action = _checked_action(action)
-        set_edge_weight(self._raw_weights, self._set_flags, self._edge_pointer, action[0])
-        self._edge_pointer += 1
-
-        if self._edge_pointer < self.network.num_edges:
-            return self._observation(target_edge=self._edge_pointer), 0.0, False, {}
-
-        # Final sub-step: translate, evaluate, advance to the next DM.
-        routing = self.routing(
-            self._sequence.matrix(self._step_index), self._raw_weights, action[1]
-        )
-        reward, info = self.rewarder.reward(*routing)
-        info["softmin_gamma"] = routing[2]
-        done = self._next_matrix()
-        return self._observation(target_edge=0), reward, done, info
 
     @property
     def episode_length(self) -> int:
@@ -257,8 +213,11 @@ class SubStepChain(Chain):
         )
 
     def act(self, action: np.ndarray) -> None:
-        action = _checked_action(action)
-        set_edge_weight(self._raw_weights, self._set_flags, self._edge, action[0])
+        action = np.asarray(action, dtype=np.float64).reshape(-1)
+        if action.shape != (2,):
+            raise ValueError(f"action has shape {action.shape}, expected (2,)")
+        self._raw_weights[self._edge] = np.clip(action[0], -1.0, 1.0)
+        self._set_flags[self._edge] = 1.0
         self._edge += 1
         self._gamma_output = action[1]
 

@@ -106,9 +106,6 @@ class MultiGraphRoutingEnv(Env):
             raise RuntimeError("call reset() before step()")
         return self._current
 
-    def step(self, action):
-        return self._episode_env().step(action)
-
     def plan_chain(self, budget: int):
         return self._episode_env().plan_chain(budget)
 

@@ -5,10 +5,9 @@ maximum link utilisation of the agent's routing on the new demand matrix,
 normalised by the LP optimum for that matrix.  The optimum depends only on
 (network, DM), so it is memoised — cyclical training sequences revisit the
 same matrices thousands of times.  The numerator side (softmin translation
-and flow simulation) runs on the vectorized batch engine
-(:mod:`repro.engine`), which processes all destinations in one stacked
-array program per step, or — :meth:`RewardComputer.block_ratios`, for a
-planned rollout's block — all destinations of all steps at once.
+and flow simulation) runs in :meth:`RewardComputer.block_ratios` on the
+vectorized batch engine (:mod:`repro.engine`), which processes all
+destinations of all steps of a planned block at once.
 
 Dynamic scenarios pass a *different* network per step (the one a
 :class:`~repro.graphs.dynamics.NetworkTimeline` puts in force): both the
@@ -49,7 +48,7 @@ from repro.flows.simulator import (
     ratio_to_optimum,
 )
 from repro.graphs.network import Network
-from repro.routing.softmin import _validate_weights, softmin_routing
+from repro.routing.softmin import _validate_weights
 from repro.routing.strategy import RoutingStrategy
 from repro.utils.validation import check_demand_matrix, check_gamma
 
@@ -104,17 +103,17 @@ class RewardComputer:
     def __init__(self):
         self.cache = OptimalUtilisationCache()
 
-    def routing_from_weights(
-        self, network: Network, weights: np.ndarray, gamma: float
-    ) -> RoutingStrategy:
-        """Softmin-translate positive edge weights into a routing."""
-        return softmin_routing(network, weights, gamma=gamma)
-
     def utilisation_ratio(
         self, network: Network, routing: RoutingStrategy, demand_matrix: np.ndarray
     ) -> float:
         """``U_agent / U_optimal`` for one DM (≥ 1 up to LP tolerance)."""
-        return self._ratio(network, routing, demand_matrix)[0]
+        # max_link_utilisation has validated the DM, so the rule reads it as is.
+        achieved = max_link_utilisation(network, routing, demand_matrix)
+        return checked_ratio_to_optimum(
+            achieved,
+            np.asarray(demand_matrix, dtype=np.float64),
+            lambda: self.cache.optimal_max_utilisation(network, demand_matrix),
+        )[0]
 
     def ratio_from_achieved(
         self, network: Network, achieved: float, demand_matrix: np.ndarray
@@ -133,39 +132,16 @@ class RewardComputer:
             lambda: self.cache.optimal_max_utilisation(network, demand_matrix),
         )
 
-    def _ratio(
-        self, network: Network, routing: RoutingStrategy, demand_matrix: np.ndarray
-    ) -> tuple[float, float]:
-        """:meth:`ratio_from_achieved` of ``routing``'s ``U_max``, validating the DM once."""
-        # max_link_utilisation has validated the DM, so the rule reads it as is.
-        achieved = max_link_utilisation(network, routing, demand_matrix)
-        return checked_ratio_to_optimum(
-            achieved,
-            np.asarray(demand_matrix, dtype=np.float64),
-            lambda: self.cache.optimal_max_utilisation(network, demand_matrix),
-        )
-
-    def reward(
-        self,
-        network: Network,
-        weights: np.ndarray,
-        gamma: float,
-        demand_matrix: np.ndarray,
-    ) -> tuple[float, dict]:
-        """Equation 2: returns ``(reward, info)`` for one timestep."""
-        routing = self.routing_from_weights(network, weights, gamma)
-        ratio, optimal = self._ratio(network, routing, demand_matrix)
-        return -ratio, {"utilisation_ratio": ratio, "optimal_utilisation": optimal}
-
     def block_ratios(
         self, routings: Sequence[tuple[Network, np.ndarray, float, np.ndarray]]
     ) -> np.ndarray:
         """``U_agent / U_optimal`` of many ``(network, weights, gamma, demand)``.
 
-        The ratios :meth:`reward` would give one by one, bit for bit, from
+        The ratios :meth:`utilisation_ratio` gives each entry's
+        :func:`~repro.routing.softmin.softmin_routing`, bit for bit, from
         one stacked softmin and one stacked balance solve per topology (per
         :data:`BLOCK_FLOATS` worth of its steps).
-        Every entry is validated as :meth:`reward` validates it, in entry
+        Every entry's weights, γ and demand matrix are validated, in entry
         order, before anything is built; the optimum lookups then run in
         entry order too, so the LP cache sees the same sequence of solves.
         """

@@ -7,16 +7,14 @@ full edge-weight vector; softmin routing translates it; the reward is
 the agent must exploit the temporal regularity of the cyclical sequences
 to do better than any static routing.
 
-The per-step translate + simulate work runs on the vectorized batch engine
-(all destinations stacked into one tensor program) via
-:class:`~repro.envs.reward.RewardComputer`.
+The translate + simulate work runs on the vectorized batch engine (all
+destinations of a block of steps stacked into one array program) via
+:meth:`~repro.envs.reward.RewardComputer.block_ratios`.
 
 Since an observation is the demand history alone, the agent's action
-decides the reward but never the next state: the environment is a
-contextual bandit.  ``step`` is :meth:`RoutingEnv.score` on the current
-context followed by :meth:`RoutingEnv.plan`, and each timestep is a
-one-step :class:`~repro.rl.env.Chain` (:class:`OneShotChain`), so PPO plans
-a whole rollout before one batched forward and one stacked scoring call
+decides the reward but never the next state: each timestep is a one-step
+:class:`~repro.rl.env.Chain` (:class:`OneShotChain`), so PPO plans a whole
+rollout before one batched forward and one stacked scoring call
 (:meth:`WorkloadEnv.score_chains`), and
 :func:`repro.engine.batch_evaluate` scores each slice of test steps of a
 trained policy the same way.
@@ -184,7 +182,7 @@ class RoutingEnv(WorkloadEnv):
             return self.network
         return self.dynamics.network_at(step)
 
-    def _observation(self) -> GraphObservation:
+    def observation(self) -> GraphObservation:
         step = self._step_index
         # The observation emitted alongside ``done`` is never acted on and no
         # timeline step is in force past the sequence, so it shows the base.
@@ -194,19 +192,11 @@ class RoutingEnv(WorkloadEnv):
             demand_history(self._sequence, step, self.memory_length, self.demand_scale),
         )
 
-    def _context(self) -> tuple[Network, np.ndarray]:
-        if self._sequence is None:
-            raise RuntimeError("call reset() first")
-        return self.network_at(self._step_index), self._sequence.matrix(self._step_index)
-
     # ------------------------------------------------------------------
     def reset(self) -> GraphObservation:
         self._sequence = self._select_sequence()
         self._step_index = self.memory_length
-        return self._observation()
-
-    def observation(self) -> GraphObservation:
-        return self._observation()
+        return self.observation()
 
     def chain(self, sequence: DemandSequence, step: int) -> "OneShotChain":
         """The one-step chain acting on ``sequence``'s demand matrix at ``step``."""
@@ -217,27 +207,12 @@ class RoutingEnv(WorkloadEnv):
         )
 
     def plan_chain(self, budget: int) -> tuple["OneShotChain", bool]:
-        """:meth:`plan` as a one-step chain (one-shot chains fit any budget)."""
+        """The current timestep as a one-step chain (one-shot chains fit any budget)."""
         if self._sequence is None:
             raise RuntimeError("call reset() first")
         chain = self.chain(self._sequence, self._step_index)
         self._step_index += 1
         return chain, self._step_index >= len(self._sequence)
-
-    def plan(self) -> tuple[tuple[Network, np.ndarray], GraphObservation, bool]:
-        """Advance one step without an action.
-
-        The context is ``(network, demand_matrix)`` of the step being left,
-        the one the action chosen for the current observation is scored on.
-        """
-        context = self._context()
-        self._step_index += 1
-        done = self._step_index >= len(self._sequence)
-        return context, self._observation(), done
-
-    def score(self, context: tuple[Network, np.ndarray], action: np.ndarray) -> tuple[float, dict]:
-        """Equation 2 for ``action`` on a planned ``(network, demand)``."""
-        return self.rewarder.reward(*self.routing(context, action))
 
     def routing(
         self, context: tuple[Network, np.ndarray], action: np.ndarray
@@ -251,11 +226,6 @@ class RoutingEnv(WorkloadEnv):
             )
         weights = weights_from_action(action, self.weight_scale)
         return network, weights, self.softmin_gamma, demand
-
-    def step(self, action: np.ndarray) -> tuple[GraphObservation, float, bool, dict]:
-        reward, info = self.score(self._context(), action)
-        _, observation, done = self.plan()
-        return observation, reward, done, info
 
     @property
     def episode_length(self) -> int:

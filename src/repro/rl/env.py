@@ -29,10 +29,10 @@ can then plan a whole window before choosing any action:
   stacked scoring call for the whole block;
 * :meth:`Env.observation`: what the agent acts on next.
 
-Planning a window, acting on it in wavefronts and scoring it draws the
-environment's randomness and yields the rewards that ``step`` would, one
-timestep at a time.  A chained environment with one-timestep chains is a
-contextual bandit: its actions never move the next observation.
+:meth:`Env.step` is this protocol at a budget of one timestep, so planning
+a window, acting on it in wavefronts and scoring it draws the
+environment's randomness and yields the rewards of stepping one timestep
+at a time.
 
 Observations and actions are *objects* — fixed-topology environments emit
 numpy arrays exactly like Gym, while multi-topology environments emit
@@ -52,7 +52,7 @@ from repro.utils.seeding import SeedLike, rng_from_seed
 
 
 class Env:
-    """Base environment.  Subclasses implement ``reset`` and ``step``."""
+    """Base environment.  Subclasses implement ``reset`` and the chain protocol."""
 
     #: Set by subclasses when the action is a fixed-size array.
     action_space: Optional[Box] = None
@@ -64,12 +64,22 @@ class Env:
         raise NotImplementedError
 
     def step(self, action: Any) -> tuple[Any, float, bool, dict]:
-        """Advance one timestep.
+        """Advance one timestep: plan it, act on it, score it.
 
-        Returns ``(observation, reward, done, info)``; after ``done`` is
-        True the caller must ``reset`` before stepping again.
+        The chain protocol at a budget of one: :meth:`plan_chain` plans the
+        next timestep, ``action`` is taken on it, and :meth:`score_chains`
+        rewards it if it completes its chain (an earlier sub-step rewards
+        0).  Returns ``(observation, reward, done, {})``; after ``done`` is
+        True the caller must ``reset`` before stepping again.  A refused
+        action (wrong shape, non-finite entries) raises after its timestep
+        was planned, so it consumes the timestep: the next ``step`` acts on
+        the timestep after it.  A non-chained environment raises
+        ``NotImplementedError``.
         """
-        raise NotImplementedError
+        chain, done = self.plan_chain(1)
+        chain.act(action)
+        reward = float(self.score_chains([chain])[0]) if chain.complete else 0.0
+        return self.observation(), reward, done, {}
 
     #: True when timesteps group into independent chains (see the module
     #: docstring); such environments implement :meth:`plan_chain`,
@@ -163,7 +173,7 @@ def act_on_chains(
 
 
 class EpisodeStats:
-    """Tracks per-episode reward/length across ``step`` calls.
+    """Tracks per-episode reward/length across recorded timesteps.
 
     PPO uses this to produce the learning curves of the paper's Figure 7
     (mean total reward per episode over training).

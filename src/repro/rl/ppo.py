@@ -87,10 +87,10 @@ class PPO:
     policy:
         Any :class:`repro.policies.base.ActorCriticPolicy`.
     env:
-        Environment following :class:`repro.rl.env.Env`.  Rollouts run one
-        ``policy.act_batch`` per timestep, or — when the environment is
-        chained, like every routing env — one per wavefront of a planned
-        window (see :meth:`collect_rollout`).
+        A chained :class:`repro.rl.env.Env`, like every routing env.
+        Rollouts run one ``policy.act_batch`` per wavefront of a planned
+        window (see :meth:`collect_rollout`); any other env raises
+        ``TypeError``.
     config:
         Hyperparameters; defaults are sensible for the GDDR experiments.
     seed:
@@ -110,6 +110,11 @@ class PPO:
         seed: SeedLike = None,
         logger: Optional[RunLogger] = None,
     ):
+        if not env.chained:
+            raise TypeError(
+                f"PPO trains on chained environments (Env.chained); "
+                f"{type(env).__name__} is not chained"
+            )
         self.policy = policy
         self.env = env
         self.config = config or PPOConfig()
@@ -126,7 +131,7 @@ class PPO:
     def collect_rollout(self, buffer: RolloutBuffer) -> None:
         """Fill ``buffer`` with ``n_steps`` transitions.
 
-        A chained environment (see :mod:`repro.rl.env`) is planned for the
+        The chained environment (see :mod:`repro.rl.env`) is planned for the
         whole window before any forward: chain after chain, each reset right
         after the plan that ended its episode, so the environment draws its
         randomness in timestep order.  The window's Gaussian noise is then
@@ -135,37 +140,15 @@ class PPO:
         (:func:`~repro.rl.env.act_on_chains`): one forward for one-shot
         chains, at most ``num_edges`` for the iterative env.  Every chain the
         window completes is scored by one stacked call, and a chain it cuts
-        keeps its partial state in the environment for the next window.  Any
-        other environment is stepped: one forward per timestep, with a reset
-        after each step that ends an episode.  Either way the action RNG and
-        the environment's RNG see the draws of stepping one timestep at a
-        time, and forwards are batch-invariant, so the rollout is the same
-        bit for bit.
+        keeps its partial state in the environment for the next window.  The
+        action RNG and the environment's RNG see the draws of stepping one
+        timestep at a time (:meth:`~repro.rl.env.Env.step`), and forwards are
+        batch-invariant, so the rollout is the same bit for bit.
         """
         buffer.reset()
         env = self.env
         if self._last_observation is None:
             self._last_observation = env.reset()
-        if env.chained:
-            self._collect_chains(buffer)
-        else:
-            while not buffer.full:
-                observation = self._last_observation
-                actions, log_probs, values = self.policy.act_batch([observation], self.rng)
-                self._last_observation, reward, done, _ = env.step(actions[0])
-                if done:
-                    self._last_observation = env.reset()
-                self._record(
-                    buffer, observation, actions[0], reward, done, values[0], log_probs[0]
-                )
-        # Bootstrap from the value of the state after the last stored transition.
-        _, _, last_values = self.policy.act_batch(
-            [self._last_observation], self.rng, deterministic=True
-        )
-        buffer.compute_returns_and_advantages(last_values[0], last_done=buffer.dones[-1])
-
-    def _collect_chains(self, buffer: RolloutBuffer) -> None:
-        env = self.env
         chains, dones = [], []
         budget = buffer.n_steps
         while budget:
@@ -186,22 +169,17 @@ class PPO:
             for i in range(chain.length):
                 last = chain.complete and i == chain.length - 1
                 reward = next(rewards) if last else 0.0
-                self._record(
-                    buffer,
-                    observations[t],
-                    actions[t],
-                    reward,
-                    done and last,
-                    values[t],
-                    log_probs[t],
-                )
+                ended = done and last
+                buffer.add(observations[t], actions[t], reward, ended, values[t], log_probs[t])
+                self.stats.record(float(reward), ended)
+                self.num_timesteps += 1
                 t += 1
         self._last_observation = env.observation()
-
-    def _record(self, buffer, observation, action, reward, done, value, log_prob) -> None:
-        buffer.add(observation, action, reward, done, value, log_prob)
-        self.stats.record(float(reward), bool(done))
-        self.num_timesteps += 1
+        # Bootstrap from the value of the state after the last stored transition.
+        _, _, last_values = self.policy.act_batch(
+            [self._last_observation], self.rng, deterministic=True
+        )
+        buffer.compute_returns_and_advantages(last_values[0], last_done=buffer.dones[-1])
 
     # ------------------------------------------------------------------
     # Optimisation

@@ -55,6 +55,7 @@ from repro.envs.reward import weights_from_action
 from repro.envs.routing_env import demand_normaliser
 from repro.flows.lp import LinearProgramCache, use_lp_cache
 from repro.flows.simulator import max_link_utilisation
+from repro.routing.softmin import softmin_routing
 from repro.routing.strategy import DestinationRouting
 from repro.utils.seeding import rng_from_seed
 
@@ -248,9 +249,7 @@ class ServiceEngine:
         observation = GraphObservation(self.network, history / self.demand_scale)
         actions, _, _ = policy.act_batch([observation], self._rng, deterministic=True)
         weights = weights_from_action(actions[0], self.weight_scale)
-        routing = self.rewarder.routing_from_weights(
-            self.network, weights, self.softmin_gamma
-        )
+        routing = softmin_routing(self.network, weights, gamma=self.softmin_gamma)
         return max_link_utilisation(self.network, routing, request.demand)
 
     # -- full runs -----------------------------------------------------

@@ -19,10 +19,11 @@ from repro.flows.lp import (
     demand_destinations,
     solve_optimal_max_utilisation,
 )
+from repro.flows.simulator import max_link_utilisation
 from repro.graphs.network import Network
 from repro.routing.oblivious import _FLOW_TOLERANCE, cancel_flow_cycles
 from repro.routing.shortest_path import ecmp_routing
-from repro.routing.softmin import DEFAULT_GAMMA, _validate_weights, softmin
+from repro.routing.softmin import DEFAULT_GAMMA, _validate_weights, softmin, softmin_routing
 from repro.routing.strategy import DestinationRouting, RoutingStrategy
 from repro.tensor import Tensor, no_grad
 from repro.utils.seeding import rng_from_seed
@@ -631,13 +632,35 @@ def reference_rollout_policy(
         dynamics=timeline,
     )
     rng = rng_from_seed(seed)
+    sub_steps = network.num_edges if iterative else 1  # per DM; the last is scored
     ratios: list[float] = []
     for _ in range(len(sequences)):
         observation = env.reset()
         done = False
+        t = 0
         while not done:
             actions, _, _ = policy.act_batch([observation], rng, deterministic=True)
-            observation, _, done, info = env.step(actions[0])
-            if "utilisation_ratio" in info:
-                ratios.append(info["utilisation_ratio"])
+            observation, reward, done, _ = env.step(actions[0])
+            t += 1
+            if t % sub_steps == 0:
+                ratios.append(-reward)
     return EvaluationResult(tuple(ratios))
+
+
+# ---------------------------------------------------------------------------
+# Reward oracle: Equation 2 for one step, as the environments scored each
+# step before ``RewardComputer.block_ratios`` scored them a block at a time.
+# ---------------------------------------------------------------------------
+
+
+def reference_reward(
+    rewarder, network: Network, weights: np.ndarray, gamma: float, demand_matrix: np.ndarray
+) -> float:
+    """``-U_agent / U_optimal`` of one ``(network, weights, gamma, demand)`` step.
+
+    The single-DM softmin translation and simulation, over ``rewarder``'s
+    cached LP optimum; ``block_ratios`` must match it bit for bit.
+    """
+    routing = softmin_routing(network, weights, gamma=gamma)
+    achieved = max_link_utilisation(network, routing, demand_matrix)
+    return -rewarder.ratio_from_achieved(network, achieved, demand_matrix)[0]

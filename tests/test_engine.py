@@ -599,11 +599,13 @@ class TestNonFiniteDemand:
 
 
 class TestDemandValidatedOnce:
-    """One reward validates its demand matrix once along the reward path."""
+    """A scored step validates its demand matrix once along the reward path."""
 
     def test_reward_checks_the_demand_matrix_once(self, monkeypatch):
+        import repro.envs.reward as reward_module
         import repro.flows.lp as lp_module
         import repro.flows.simulator as simulator_module
+        from repro.envs import RoutingEnv
         from repro.utils.validation import check_demand_matrix
 
         calls = []
@@ -612,17 +614,22 @@ class TestDemandValidatedOnce:
             calls.append(num_nodes)
             return check_demand_matrix(matrix, num_nodes)
 
-        for module in (simulator_module, lp_module):
+        for module in (reward_module, simulator_module, lp_module):
             monkeypatch.setattr(module, "check_demand_matrix", counting)
         net = abilene()
-        dm = bimodal_matrix(net.num_nodes, seed=0)
-        rewarder = RewardComputer()
-        weights = np.ones(net.num_edges)
-        rewarder.reward(net, weights, 2.0, dm)
-        assert len(calls) == 2  # the simulation, then the LP on its cache miss
+        sequence = cyclical_sequence(net.num_nodes, 4, 2, seed=0)
+        env = RoutingEnv(net, [sequence], memory_length=1, sample_sequences=False, seed=0)
+        env.reset()
+        env.step(np.zeros(net.num_edges))
+        assert len(calls) == 2  # the block scorer, then the LP on its cache miss
         calls.clear()
-        rewarder.reward(net, weights, 2.0, dm)
-        assert len(calls) == 1  # the optimum is cached: the simulation only
+        env.reset()
+        env.step(np.zeros(net.num_edges))
+        assert len(calls) == 1  # the optimum is cached: the block scorer only
+        calls.clear()
+        weights = np.ones(net.num_edges)
+        env.rewarder.block_ratios([(net, weights, 2.0, sequence.matrix(1))] * 3)
+        assert len(calls) == 3  # one per scored DM
 
 
 class TestEmptyEvaluationResult:

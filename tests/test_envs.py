@@ -1,5 +1,7 @@
 """Tests for the routing environments (one-shot, iterative, multigraph)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.envs import (
 from repro.envs.routing_env import demand_normaliser
 from repro.graphs import abilene, random_connected_network
 from repro.traffic import cyclical_sequence
-from tests.helpers import triangle_network
+from tests.helpers import reference_reward, triangle_network
 
 
 def sequences_for(net, count=2, length=8, cycle=4, seed=0):
@@ -94,9 +96,14 @@ class TestRoutingEnv:
     def test_reward_is_negative_ratio(self):
         env = self._env()
         env.reset()
-        _, reward, _, info = env.step(np.zeros(env.network.num_edges))
-        assert reward == pytest.approx(-info["utilisation_ratio"])
-        assert info["utilisation_ratio"] >= 1.0 - 1e-6
+        action = np.zeros(env.network.num_edges)
+        demand = env.sequences[0].matrix(env.memory_length)
+        _, reward, _, info = env.step(action)
+        weights = weights_from_action(action, env.weight_scale)
+        expected = reference_reward(env.rewarder, env.network, weights, env.softmin_gamma, demand)
+        assert reward == expected
+        assert -reward >= 1.0 - 1e-6
+        assert info == {}
 
     def test_step_before_reset_raises(self):
         env = self._env()
@@ -158,32 +165,6 @@ class TestRoutingEnv:
         with pytest.raises(ValueError, match="gamma"):
             RoutingEnv(net, sequences_for(net), softmin_gamma=gamma)
 
-    def test_plan_then_score_equals_step(self):
-        stepped, planned = self._env(seed=4), self._env(seed=4)
-        assert planned.chained
-        rng = np.random.default_rng(0)
-        obs_a, obs_b = stepped.reset(), planned.reset()
-        for _ in range(2 * stepped.episode_length):
-            action = rng.uniform(-1, 1, stepped.network.num_edges)
-            obs_a, reward_a, done_a, info_a = stepped.step(action)
-            context, obs_b, done_b = planned.plan()
-            reward_b, info_b = planned.score(context, action)
-            assert (reward_a, done_a, info_a) == (reward_b, done_b, info_b)
-            np.testing.assert_array_equal(obs_a.history, obs_b.history)
-            if done_a:
-                obs_a, obs_b = stepped.reset(), planned.reset()
-
-    def test_score_checks_action_shape(self):
-        env = self._env()
-        env.reset()
-        context, _, _ = env.plan()
-        with pytest.raises(ValueError, match="shape"):
-            env.score(context, np.zeros(3))
-
-    def test_plan_before_reset_raises(self):
-        with pytest.raises(RuntimeError, match="reset"):
-            self._env().plan()
-
 
 class TestIterativeRoutingEnv:
     def _env(self, **kwargs):
@@ -214,7 +195,7 @@ class TestIterativeRoutingEnv:
             rewards.append(reward)
         assert all(r == 0.0 for r in rewards[:-1])
         assert rewards[-1] < 0.0
-        assert "softmin_gamma" in info
+        assert info == {}
 
     def test_episode_length_formula(self):
         env = self._env()
@@ -323,7 +304,7 @@ class TestMultiGraphRoutingEnv:
         for _ in range(chain.length):
             chain.act(np.zeros(chain.action_size))
         (reward,) = env.score_chains([chain])
-        assert reward == inner.rewarder.reward(*chain.routing())[0] < 0.0
+        assert reward == reference_reward(inner.rewarder, *chain.routing()) < 0.0
 
     def test_requires_pairs(self):
         with pytest.raises(ValueError):
@@ -333,6 +314,79 @@ class TestMultiGraphRoutingEnv:
         rewarder = RewardComputer()
         env = MultiGraphRoutingEnv(self._pairs(), reward_computer=rewarder, memory_length=3, seed=0)
         assert all(inner.rewarder is rewarder for inner in env.inner_envs)
+
+
+def _refusal_env(kind):
+    if kind == "iterative":
+        net = triangle_network()
+        sequences = sequences_for(net, length=6, cycle=3)
+        return IterativeRoutingEnv(net, sequences, memory_length=2, seed=0)
+    if kind == "multigraph":
+        return MultiGraphRoutingEnv(TestMultiGraphRoutingEnv()._pairs(), memory_length=3, seed=0)
+    return RoutingEnv(abilene(), sequences_for(abilene()), memory_length=3, seed=0)
+
+
+def _action_size(observation):
+    return 2 if observation.edge_state is not None else observation.network.num_edges
+
+
+def _timestep(observation):
+    """The demand history and (iterative) target edge an observation shows."""
+    state = observation.edge_state
+    return observation.history.tobytes(), None if state is None else state[:, 2].tobytes()
+
+
+_KINDS = ["routing", "iterative", "multigraph"]
+
+
+class TestRefusedActions:
+    """``Env.step`` refuses a bad action with the error its chain raises."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_wrong_shape(self, kind):
+        env = _refusal_env(kind)
+        message = f"action has shape (3,), expected ({_action_size(env.reset())},)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            env.step(np.zeros(3))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_nan_action(self, kind):
+        env = _refusal_env(kind)
+        m = env.reset().network.num_edges
+        if kind == "iterative":
+            # NaN weights for edges 0 and 1 surface when the last edge is set.
+            for j in range(m - 1):
+                env.step(np.array([np.nan if j < 2 else 0.0, 0.0]))
+            action = np.zeros(2)
+        else:
+            action = np.zeros(m)
+            action[[0, 5]] = np.nan
+        with pytest.raises(NonFiniteActionError, match=f"2 non-finite of {m} entries"):
+            env.step(action)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("routing", "call reset() first"),
+            ("iterative", "call reset() before step()"),
+            ("multigraph", "call reset() before step()"),
+        ],
+        ids=_KINDS,
+    )
+    def test_step_before_reset(self, kind, message):
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            _refusal_env(kind).step(np.zeros(2))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_refused_action_consumes_its_timestep(self, kind):
+        refused, taken = _refusal_env(kind), _refusal_env(kind)
+        before = refused.reset()
+        taken.reset()
+        with pytest.raises(ValueError, match="shape"):
+            refused.step(np.zeros(3))
+        taken.step(np.zeros(_action_size(before)))
+        after = refused.observation()
+        assert _timestep(after) == _timestep(taken.observation()) != _timestep(before)
 
 
 def _flapping_env():
@@ -379,7 +433,7 @@ class TestBlockScoring:
         for chain in chains:
             chain.act(rng.uniform(-1, 1, chain.action_size))
         rewards = env.score_chains(chains)
-        expected = [env.rewarder.reward(*chain.routing())[0] for chain in chains]
+        expected = [reference_reward(env.rewarder, *chain.routing()) for chain in chains]
         np.testing.assert_array_equal(rewards, expected)
 
     def test_nan_action_at_step_k_raises_typed_error(self):
@@ -410,8 +464,10 @@ class TestBlockScoring:
         chains = _plan_one_shot(env, 4)
         for k, chain in enumerate(chains):
             chain.act(np.zeros(3 if k == 2 else chain.action_size))
+        stepped = RoutingEnv(abilene(), sequences_for(abilene()), memory_length=3, seed=0)
+        stepped.reset()
         with pytest.raises(ValueError) as per_step:
-            env.score(chains[2].context, np.zeros(3))
+            stepped.step(np.zeros(3))
         with pytest.raises(ValueError) as block:
             env.score_chains(chains)
         assert str(block.value) == str(per_step.value)
@@ -437,7 +493,7 @@ class TestBlockScoring:
         )
         assert ratios[0] == ratios[2] == 1.0
         assert len(asked) == 1 and np.array_equal(asked[0], demand)
-        assert ratios[1] == -rewarder.reward(net, weights, 2.0, demand)[0]
+        assert ratios[1] == -reference_reward(rewarder, net, weights, 2.0, demand)
 
     def test_chunked_blocks_score_the_same(self, monkeypatch):
         import repro.envs.reward as reward_module

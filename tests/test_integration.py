@@ -21,10 +21,11 @@ from repro import (
     batch_evaluate_routing,
     cyclical_sequence,
 )
-from repro.envs import IterativeRoutingEnv, RewardComputer
+from repro.envs import IterativeRoutingEnv, RewardComputer, weights_from_action
 from repro.graphs import random_modification
 from repro.routing import ecmp_routing, shortest_path_routing
 from repro.traffic import train_test_sequences
+from tests.helpers import reference_reward
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +150,11 @@ class TestQualitativeShapes:
         env.reset()
         rng = np.random.default_rng(0)
         for _ in range(3):
-            _, reward, done, info = env.step(rng.uniform(-1, 1, net.num_edges))
+            action = rng.uniform(-1, 1, net.num_edges)
+            demand = env._sequence.matrix(env._step_index)
+            _, reward, done, _ = env.step(action)
             assert reward <= -(1.0 - 1e-6)
-            assert reward == pytest.approx(-info["utilisation_ratio"])
+            weights = weights_from_action(action, env.weight_scale)
+            assert reward == reference_reward(rewarder, net, weights, env.softmin_gamma, demand)
             if done:
                 env.reset()

@@ -3,6 +3,8 @@ synthetic environment with a known optimal action, bit-identity with a
 step-by-step reference collector, and the RNG streams of planned rollouts
 (one-shot and iterative, wavefronts and block scoring)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.graphs import abilene, random_connected_network
 from repro.policies import GNNPolicy, IterativeGNNPolicy
 from repro.policies.base import ActorCriticPolicy
 from repro.rl.distributions import DiagonalGaussian
-from repro.rl.env import Env
+from repro.rl.env import Chain, Env
 from repro.rl.ppo import PPO, PPOConfig, TrainingDivergedError
 from repro.rl.spaces import Box
 from repro.tensor import Tensor
@@ -22,11 +24,28 @@ from repro.utils.logging import RunLogger
 from tests.helpers import reference_act
 
 
+class TargetChain(Chain):
+    """One :class:`TargetEnv` timestep."""
+
+    length = 1
+    action_size = 1
+    complete = True
+
+    def observation(self):
+        return np.array([1.0, 0.0])
+
+    def act(self, action):
+        self.action = action
+
+
 class TargetEnv(Env):
     """Reward = -(action - target)^2; optimal mean action = target.
 
-    Observation is a constant vector; episodes last ``horizon`` steps.
+    Observation is a constant vector; episodes last ``horizon`` steps, each
+    a one-step chain.
     """
+
+    chained = True
 
     def __init__(self, target: float = 0.5, horizon: int = 8):
         self.target = target
@@ -37,13 +56,19 @@ class TargetEnv(Env):
 
     def reset(self):
         self._t = 0
+        return self.observation()
+
+    def observation(self):
         return np.array([1.0, 0.0])
 
-    def step(self, action):
+    def plan_chain(self, budget):
         self._t += 1
-        reward = -float((np.asarray(action)[0] - self.target) ** 2)
-        done = self._t >= self.horizon
-        return np.array([1.0, 0.0]), reward, done, {}
+        return TargetChain(), self._t >= self.horizon
+
+    def score_chains(self, chains):
+        return np.array(
+            [-float((np.asarray(chain.action)[0] - self.target) ** 2) for chain in chains]
+        )
 
 
 class TinyPolicy(ActorCriticPolicy):
@@ -84,6 +109,10 @@ class TestPPOMechanics:
             PPOConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             PPO(TinyPolicy(), TargetEnv()).learn(0)
+
+    def test_refuses_a_non_chained_env(self):
+        with pytest.raises(TypeError, match=re.escape("Env.chained")):
+            PPO(TinyPolicy(), Env())
 
     def test_timesteps_accumulate(self):
         ppo = PPO(TinyPolicy(), TargetEnv(), PPOConfig(n_steps=16, batch_size=8, n_epochs=1))
@@ -393,20 +422,3 @@ class TestPlannedRollouts:
         first = [3] * 8 + [2] * 20
         second = [3] * 16 + [2] * 4 + [1] * 8
         assert batch_sizes == first + [1] + second + [1]
-
-    def test_generic_envs_are_not_planned(self, monkeypatch):
-        batch_sizes = []
-        original = TinyPolicy.act_batch
-
-        def counting(policy, observations, *args, **kwargs):
-            batch_sizes.append(len(observations))
-            return original(policy, observations, *args, **kwargs)
-
-        monkeypatch.setattr(TinyPolicy, "act_batch", counting)
-        env = TargetEnv()
-        assert not env.chained
-        with pytest.raises(NotImplementedError):
-            env.plan_chain(8)
-        PPO(TinyPolicy(), env, PPOConfig(n_steps=8, batch_size=8, n_epochs=1)).learn(8)
-        # One forward per step, then the bootstrap.
-        assert batch_sizes == [1] * 9

@@ -171,13 +171,17 @@ class TestModule:
         assert len(list(Shared().parameters())) == 2
 
     def test_state_dict_roundtrip(self):
-        mlp = MLP([3, 4, 2], RNG)
+        mlp = MLP([3, 4, 2], np.random.default_rng(0))
+        x = Tensor(np.ones((1, 3)))
+        before = mlp(x).numpy()
+        params = [p.data.copy() for p in mlp.parameters()]
         state = mlp.state_dict()
         for p in mlp.parameters():
             p.data = p.data * 0.0
         mlp.load_state_dict(state)
-        out = mlp(Tensor(np.ones((1, 3)))).numpy()
-        assert np.abs(out).sum() > 0.0
+        np.testing.assert_array_equal(mlp(x).numpy(), before)
+        for p, original in zip(mlp.parameters(), params):
+            np.testing.assert_array_equal(p.data, original)
 
     def test_load_state_dict_length_mismatch(self):
         mlp = MLP([3, 4, 2], RNG)
