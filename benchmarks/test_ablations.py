@@ -91,27 +91,6 @@ def test_lp_formulation_cost(benchmark, abilene_demand, formulation):
     assert result.max_utilisation == pytest.approx(reference, rel=1e-6)
 
 
-@pytest.mark.benchmark(group="ablation-reducer")
-@pytest.mark.parametrize("reducer", ["sum", "mean", "attention"])
-def test_gn_reducer_forward_cost(benchmark, reducer):
-    """Aggregation ablation (paper §VII-A weighs GAT vs the full GN block):
-    forward cost and output sanity of each ρ pooling on the same batch."""
-    from repro.envs.observation import GraphObservation
-    from repro.policies import GNNPolicy
-
-    net = abilene()
-    dm = bimodal_matrix(net.num_nodes, seed=2)
-    policy = GNNPolicy(
-        memory_length=5, latent=16, hidden=32, num_processing_steps=3,
-        reducer=reducer, seed=0,
-    )
-    obs = GraphObservation(net, np.stack([dm] * 5) / dm.mean())
-    rng = np.random.default_rng(0)
-    actions, _, values = benchmark(policy.act_batch, [obs], rng)
-    assert actions[0].shape == (net.num_edges,)
-    assert np.isfinite(values[0])
-
-
 @pytest.mark.benchmark(group="ablation-memory")
 def test_memory_length_observation_size(benchmark):
     """History window scaling: the GNN observation stays O(|V|) per step

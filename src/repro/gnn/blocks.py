@@ -8,11 +8,8 @@ poolings, in the canonical order:
    pools the updated attributes of edges *received* at ``i``;
 3. **global update** — ``u' = φ_u([ρ_{e→u}(e'), ρ_{v→u}(v'), u])``.
 
-Each φ is an MLP (as in the paper); each ρ is an unsorted segment reduction
-(the paper uses ``tf.unsorted_segment_sum``; ``mean`` is available for
-ablations since sum-pooling makes magnitudes grow with graph size, and
-``attention`` implements GAT-style weighted aggregation — the alternative
-GNN family the paper's §VII-A weighs against the full GN block).
+Each φ is an MLP (as in the paper); each ρ is an unsorted segment sum, the
+paper's ``tf.unsorted_segment_sum`` (:func:`repro.tensor.segment_sum`).
 """
 
 from __future__ import annotations
@@ -22,18 +19,8 @@ from typing import Optional
 import numpy as np
 
 from repro.gnn.graphs_tuple import GraphsTuple
-from repro.tensor import (
-    Tensor,
-    concatenate,
-    gather_rows,
-    segment_mean,
-    segment_softmax,
-    segment_sum,
-)
-from repro.tensor.nn import MLP, Linear, Module
-
-_REDUCERS = {"sum": segment_sum, "mean": segment_mean}
-REDUCER_NAMES = ("sum", "mean", "attention")
+from repro.tensor import concatenate, gather_rows, segment_sum
+from repro.tensor.nn import MLP, Module
 
 
 class GNBlock(Module):
@@ -45,34 +32,12 @@ class GNBlock(Module):
         The φ MLPs.  Their input widths must match the concatenations
         described in the module docstring; :meth:`build` computes them
         for you.
-    reducer:
-        ``"sum"`` (paper default), ``"mean"``, or ``"attention"``
-        (GAT-style: a learned scalar score per updated edge, softmaxed
-        over the edges sharing a receiver, weights the edge→node pooling;
-        edge→global pooling stays a sum so graph-level magnitude
-        information survives).
-    attention_model:
-        Required when ``reducer="attention"``: a module mapping updated
-        edge attributes to one score per edge (``build`` creates a Linear).
     """
 
-    def __init__(
-        self,
-        edge_model: MLP,
-        node_model: MLP,
-        global_model: MLP,
-        reducer: str = "sum",
-        attention_model: Optional[Module] = None,
-    ):
-        if reducer not in REDUCER_NAMES:
-            raise ValueError(f"unknown reducer {reducer!r}; choose from {sorted(REDUCER_NAMES)}")
-        if reducer == "attention" and attention_model is None:
-            raise ValueError("reducer='attention' requires an attention_model")
+    def __init__(self, edge_model: MLP, node_model: MLP, global_model: MLP):
         self.edge_model = edge_model
         self.node_model = node_model
         self.global_model = global_model
-        self.reducer = reducer
-        self.attention_model = attention_model
 
     @classmethod
     def build(
@@ -86,7 +51,6 @@ class GNBlock(Module):
         depth: int = 2,
         activation: str = "relu",
         layer_norm: bool = True,
-        reducer: str = "sum",
     ) -> "GNBlock":
         """Construct a block whose three MLPs map to a common width ``out``.
 
@@ -104,26 +68,9 @@ class GNBlock(Module):
             sizes = [width_in] + [hidden] * depth + [out]
             return MLP(sizes, rng, activation=activation, layer_norm=layer_norm)
 
-        attention_model = Linear(out, 1, rng) if reducer == "attention" else None
-        return cls(
-            make(edge_input),
-            make(node_input),
-            make(global_input),
-            reducer=reducer,
-            attention_model=attention_model,
-        )
-
-    def _aggregate_received(self, new_edges: Tensor, graph: GraphsTuple) -> Tensor:
-        """ρ(e→v): pool updated edge attributes at their receivers."""
-        if self.reducer == "attention":
-            scores = self.attention_model(new_edges)  # (E, 1)
-            weights = segment_softmax(scores, graph.receivers, graph.num_nodes)
-            return segment_sum(new_edges * weights, graph.receivers, graph.num_nodes)
-        return _REDUCERS[self.reducer](new_edges, graph.receivers, graph.num_nodes)
+        return cls(make(edge_input), make(node_input), make(global_input))
 
     def forward(self, graph: GraphsTuple) -> GraphsTuple:
-        reduce = _REDUCERS.get(self.reducer, segment_sum)
-
         sender_nodes = gather_rows(graph.nodes, graph.senders)
         receiver_nodes = gather_rows(graph.nodes, graph.receivers)
         edge_globals = gather_rows(graph.globals_, graph.edge_graph_ids)
@@ -132,13 +79,14 @@ class GNBlock(Module):
         )
         new_edges = self.edge_model(edge_input)
 
-        received = self._aggregate_received(new_edges, graph)
+        # ρ(e→v): pool updated edge attributes at their receivers.
+        received = segment_sum(new_edges, graph.receivers, graph.num_nodes)
         node_globals = gather_rows(graph.globals_, graph.node_graph_ids)
         node_input = concatenate([graph.nodes, received, node_globals], axis=1)
         new_nodes = self.node_model(node_input)
 
-        edges_per_graph = reduce(new_edges, graph.edge_graph_ids, graph.num_graphs)
-        nodes_per_graph = reduce(new_nodes, graph.node_graph_ids, graph.num_graphs)
+        edges_per_graph = segment_sum(new_edges, graph.edge_graph_ids, graph.num_graphs)
+        nodes_per_graph = segment_sum(new_nodes, graph.node_graph_ids, graph.num_graphs)
         global_input = concatenate(
             [edges_per_graph, nodes_per_graph, graph.globals_], axis=1
         )

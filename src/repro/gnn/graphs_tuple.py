@@ -8,6 +8,12 @@ graphs are stacked into one ``(N_total, f_v)`` tensor, edges into
 which graph each row belongs to.  Segment operations over those id arrays
 implement all pooling, so a batch of heterogeneous topologies costs the
 same small number of matrix multiplies as a single graph.
+
+The incidence arrays of a batch depend only on its topologies, which repeat
+on every rollout and minibatch, so :func:`batch_graphs` builds them once
+per tuple of topologies and shares them (read-only) between calls; only the
+feature blocks are stacked per call.  Because the arrays repeat, so do the
+keys of the cached segment-sum matrices (:func:`repro.tensor.segment_sum`).
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.graphs.kernels import _graph_structure
 from repro.graphs.network import Network
 from repro.tensor import Tensor
+from repro.utils.caching import KeyedLRU
 
 
 @dataclass
@@ -91,6 +99,34 @@ def _feature_matrix(features: Optional[np.ndarray], rows: int, name: str) -> np.
     return features
 
 
+#: Batch incidence arrays keyed on the topologies' shared structures
+#: (:func:`repro.graphs.kernels._graph_structure`, one per distinct edge
+#: list): a rollout's and a minibatch's batches hit, a batch of fresh random
+#: topologies misses and costs what building the arrays always did.
+_INCIDENCE_CACHE = KeyedLRU(max_entries=128)
+
+
+def _batch_incidence(networks: Sequence[Network]) -> tuple[np.ndarray, ...]:
+    """``(senders, receivers, node_graph_ids, edge_graph_ids)`` of a batch."""
+    key = tuple(_graph_structure(network) for network in networks)
+    return _INCIDENCE_CACHE.lookup(key, lambda: _build_incidence(networks))
+
+
+def _build_incidence(networks: Sequence[Network]) -> tuple[np.ndarray, ...]:
+    senders, receivers, node_ids, edge_ids = [], [], [], []
+    offset = 0
+    for i, network in enumerate(networks):
+        senders.append(network.senders + offset)
+        receivers.append(network.receivers + offset)
+        node_ids.append(np.full(network.num_nodes, i, dtype=np.int64))
+        edge_ids.append(np.full(network.num_edges, i, dtype=np.int64))
+        offset += network.num_nodes
+    arrays = tuple(np.concatenate(part) for part in (senders, receivers, node_ids, edge_ids))
+    for array in arrays:
+        array.flags.writeable = False  # shared by every batch of these topologies
+    return arrays
+
+
 def batch_graphs(
     networks: Sequence[Network],
     node_features: Sequence[Optional[np.ndarray]],
@@ -103,7 +139,7 @@ def batch_graphs(
     ----------
     networks:
         The topologies; incidence arrays come from here with node indices
-        offset per graph.
+        offset per graph, built once per tuple of topologies.
     node_features:
         Per graph, an array ``(num_nodes, f_v)`` (or 1-D, or None for a
         zero placeholder).  Feature widths must agree across graphs.
@@ -121,8 +157,6 @@ def batch_graphs(
         raise ValueError("global_features length must match networks")
 
     node_blocks, edge_blocks, global_blocks = [], [], []
-    senders, receivers, node_ids, edge_ids = [], [], [], []
-    offset = 0
     for i, network in enumerate(networks):
         n, m = network.num_nodes, network.num_edges
         node_blocks.append(_feature_matrix(node_features[i], n, f"node_features[{i}]"))
@@ -137,19 +171,15 @@ def batch_graphs(
         else:
             raw_global = np.asarray(raw_global, dtype=np.float64).reshape(1, -1)
             global_blocks.append(raw_global)
-        senders.append(network.senders + offset)
-        receivers.append(network.receivers + offset)
-        node_ids.append(np.full(n, i, dtype=np.int64))
-        edge_ids.append(np.full(m, i, dtype=np.int64))
-        offset += n
 
+    senders, receivers, node_graph_ids, edge_graph_ids = _batch_incidence(networks)
     return GraphsTuple(
         nodes=Tensor(np.vstack(node_blocks)),
         edges=Tensor(np.vstack(edge_blocks)),
         globals_=Tensor(np.vstack(global_blocks)),
-        senders=np.concatenate(senders),
-        receivers=np.concatenate(receivers),
-        node_graph_ids=np.concatenate(node_ids),
-        edge_graph_ids=np.concatenate(edge_ids),
+        senders=senders,
+        receivers=receivers,
+        node_graph_ids=node_graph_ids,
+        edge_graph_ids=edge_graph_ids,
         num_graphs=len(networks),
     )

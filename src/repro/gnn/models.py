@@ -41,7 +41,7 @@ class EncodeProcessDecode(Module):
         How many times the core block runs (message-passing rounds); the
         effective receptive field grows one hop per step, so this should
         be at least the network diameter for global information flow.
-    hidden / depth / activation / reducer:
+    hidden / depth / activation:
         Passed through to the MLPs / core block.
     decoder_gain:
         Multiplier on the decoders' final-layer weights.  The default
@@ -65,7 +65,6 @@ class EncodeProcessDecode(Module):
         hidden: int = 32,
         depth: int = 2,
         activation: str = "relu",
-        reducer: str = "sum",
         decoder_gain: float = 0.01,
     ):
         if num_processing_steps < 1:
@@ -93,7 +92,6 @@ class EncodeProcessDecode(Module):
             out=latent,
             depth=depth,
             activation=activation,
-            reducer=reducer,
         )
 
         self.edge_decoder: Optional[MLP] = (

@@ -27,10 +27,12 @@ class _GraphStructure:
     ``indptr``/``indices`` are the canonical CSR pattern of the *transposed*
     graph (rows by receiver, columns by sender) and ``perm`` maps edge
     weights into its data slots; ``order``/``starts``/``seg_of_pos`` are
-    the :func:`edge_segments` layout.
+    the :func:`edge_segments` layout; ``blocks`` memoises the
+    block-diagonal patterns of :func:`stacked_distances_to_targets` per
+    number of copies.
     """
 
-    __slots__ = ("indptr", "indices", "perm", "order", "starts", "seg_of_pos")
+    __slots__ = ("indptr", "indices", "perm", "order", "starts", "seg_of_pos", "blocks")
 
     def __init__(self, network):
         # A Network has no parallel edges, so each edge owns one CSR slot.
@@ -43,6 +45,20 @@ class _GraphStructure:
         new_segment = np.r_[True, sorted_senders[1:] != sorted_senders[:-1]]
         self.starts = np.flatnonzero(new_segment)
         self.seg_of_pos = np.cumsum(new_segment) - 1
+        self.blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def block_pattern(self, copies: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(indices, indptr)`` of ``copies`` diagonal copies of this pattern."""
+        pattern = self.blocks.get(copies)
+        if pattern is None:
+            n, e = len(self.indptr) - 1, len(self.indices)
+            offsets = np.arange(copies)[:, np.newaxis]
+            pattern = (
+                (self.indices + n * offsets).ravel().astype(np.int32),
+                np.r_[0, (self.indptr[1:] + e * offsets).ravel()].astype(np.int32),
+            )
+            self.blocks[copies] = pattern
+        return pattern
 
 
 #: Structures are tiny (a few index arrays) and keyed on the exact edge
@@ -115,19 +131,14 @@ def stacked_distances_to_targets(network, weights: np.ndarray) -> np.ndarray:
     """
     weights = np.asarray(weights, dtype=np.float64)
     structure = _graph_structure(network)
-    n, e = network.num_nodes, network.num_edges
+    n = network.num_nodes
     per_call = max(1, STACKED_DIJKSTRA_NODES // n)
     distances = np.empty((len(weights), n, n))
     for start in range(0, len(weights), per_call):
         block = weights[start : start + per_call]
         copies = np.arange(len(block))
-        offsets = copies[:, np.newaxis]
-        graph = _csr(
-            block[:, structure.perm].ravel(),
-            (structure.indices + n * offsets).ravel().astype(np.int32),
-            np.r_[0, (structure.indptr[1:] + e * offsets).ravel()].astype(np.int32),
-            n * len(block),
-        )
+        indices, indptr = structure.block_pattern(len(block))
+        graph = _csr(block[:, structure.perm].ravel(), indices, indptr, n * len(block))
         full = dijkstra(graph, directed=True).reshape(len(block), n, len(block), n)
         distances[start : start + len(block)] = full[copies, :, copies, :]
     return distances

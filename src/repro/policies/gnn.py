@@ -32,7 +32,7 @@ class GNNPolicy(ActorCriticPolicy):
     ----------
     memory_length:
         Demand-history window; node input width is ``2 * memory_length``.
-    latent / num_processing_steps / hidden / depth / reducer:
+    latent / num_processing_steps / hidden / depth:
         Graph-network hyperparameters (see
         :class:`~repro.gnn.models.EncodeProcessDecode`).
     seed:
@@ -46,7 +46,6 @@ class GNNPolicy(ActorCriticPolicy):
         num_processing_steps: int = 3,
         hidden: int = 32,
         depth: int = 2,
-        reducer: str = "sum",
         seed: SeedLike = None,
         initial_log_std: float = -0.7,
     ):
@@ -63,7 +62,6 @@ class GNNPolicy(ActorCriticPolicy):
             num_processing_steps=num_processing_steps,
             hidden=hidden,
             depth=depth,
-            reducer=reducer,
         )
         self.distribution = DiagonalGaussian(initial_log_std=initial_log_std)
 

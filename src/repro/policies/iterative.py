@@ -39,7 +39,6 @@ class IterativeGNNPolicy(ActorCriticPolicy):
         num_processing_steps: int = 3,
         hidden: int = 32,
         depth: int = 2,
-        reducer: str = "sum",
         seed: SeedLike = None,
         initial_log_std: float = -0.7,
     ):
@@ -57,7 +56,6 @@ class IterativeGNNPolicy(ActorCriticPolicy):
             num_processing_steps=num_processing_steps,
             hidden=hidden,
             depth=depth,
-            reducer=reducer,
         )
         self.distribution = DiagonalGaussian(initial_log_std=initial_log_std)
 

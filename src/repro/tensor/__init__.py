@@ -28,9 +28,6 @@ from repro.tensor.ops import (
     log_softmax,
     maximum,
     minimum,
-    segment_max,
-    segment_mean,
-    segment_softmax,
     segment_sum,
     softmax,
     stack,
@@ -50,7 +47,4 @@ __all__ = [
     "log_softmax",
     "gather_rows",
     "segment_sum",
-    "segment_mean",
-    "segment_max",
-    "segment_softmax",
 ]

@@ -20,8 +20,10 @@ across the refactor.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.tensor.tensor import unbroadcast
+from repro.utils.caching import KeyedLRU
 
 
 class Operation:
@@ -268,10 +270,9 @@ def _affine_grads(parents, grad):
     """The MatMul + Add gradient rules for ``x @ w + b`` given ``d(pre)``."""
     x, w, b = parents
     x_data, w_data = x.data, w.data
-    db = unbroadcast(grad, b.data.shape)
     if x_data.ndim == 1:
-        return ((x, grad @ w_data.T), (w, np.outer(x_data, grad)), (b, db))
-    return ((x, grad @ w_data.T), (w, x_data.T @ grad), (b, db))
+        return ((x, grad @ w_data.T), (w, np.outer(x_data, grad)), (b, grad))
+    return ((x, grad @ w_data.T), (w, x_data.T @ grad), (b, grad.sum(axis=0)))
 
 
 class LinearReLU(Operation):
@@ -324,8 +325,12 @@ class LayerNorm(Operation):
         x, scale, shift = self.parents
         c, s, normed = self.centred, self.std, self.normed
         count = float(x.data.shape[-1])
-        dshift = unbroadcast(grad, shift.data.shape)
-        dscale = unbroadcast(grad * normed, scale.data.shape)
+        dshift, dscale = grad, grad * normed
+        if grad.ndim > 1:
+            # ``scale``/``shift`` are ``(width,)``: the batch axes sum out
+            # (a 1-D ``grad`` is returned as is: a sum would turn -0.0 to 0.0).
+            batch_axes = tuple(range(grad.ndim - 1))
+            dshift, dscale = dshift.sum(axis=batch_axes), dscale.sum(axis=batch_axes)
         dnormed = grad * scale.data
         # Div: both branches of ``c / s``.
         dc = dnormed / s
@@ -497,6 +502,61 @@ class LogSoftmax(Operation):
 # ---------------------------------------------------------------------------
 
 
+class ScatterCache(KeyedLRU):
+    """Row-scatter matrices keyed on ``(num_segments, ids.tobytes())``.
+
+    Entry ``(s, k)`` of ``scatter(ids, s)`` is 1 where ``ids[k] == s``, so
+    ``scatter @ x`` sums the rows of ``x`` per segment: the forward of
+    :func:`~repro.tensor.ops.segment_sum` and the backward of a row gather.
+    A batch's id arrays repeat on every forward and backward, so each
+    matrix is built once and shared by every caller.
+    """
+
+    def matrix(self, ids: np.ndarray, num_segments: int) -> csr_matrix:
+        return self.lookup(
+            (num_segments, ids.tobytes()), lambda: _scatter_matrix(ids, num_segments)
+        )
+
+
+def _scatter_matrix(ids: np.ndarray, num_segments: int) -> csr_matrix:
+    """The CSR matrix of :class:`ScatterCache`, columns of a row in ``ids`` order.
+
+    The pattern is canonical by construction (a stable sort), so it is
+    filled in directly rather than re-validated by the constructor.
+    """
+    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
+        raise IndexError(f"segment ids must lie in [0, {num_segments})")
+    counts = np.bincount(ids, minlength=num_segments)
+    matrix = csr_matrix.__new__(csr_matrix)
+    matrix.data = np.ones(len(ids))
+    matrix.indices = np.argsort(ids, kind="stable").astype(np.int32)
+    matrix.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    matrix._shape = (num_segments, len(ids))
+    return matrix
+
+
+#: One 896-edge matrix is ~15 KB, so a full cache stays a few MB.
+_SCATTER_CACHE = ScatterCache(max_entries=256)
+
+
+def scatter_rows(x: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """``out[s] = sum of x[k] over ids[k] == s``, bit-equal to ``np.add.at``.
+
+    ``np.add.at(zeros, ids, x)`` adds each row into its segment one at a
+    time, in ``ids`` order, starting from zero.  A CSR product does the
+    same: each output row starts at zero and adds its entries (here
+    ``1.0 * x[k]``, which is ``x[k]`` exactly) in column order, and the
+    columns of a row are the stable order of ``ids``.  So every element,
+    ``-0.0``, ``inf`` and NaN included, matches, at a fraction of the
+    per-call cost.
+    """
+    scatter = _SCATTER_CACHE.matrix(ids, num_segments)
+    if x.ndim <= 2:
+        return scatter @ x
+    flat = scatter @ x.reshape(len(x), -1)
+    return flat.reshape((num_segments,) + x.shape[1:])
+
+
 class GatherRows(Operation):
     __slots__ = ("indices",)
 
@@ -506,9 +566,7 @@ class GatherRows(Operation):
 
     def backward(self, grad):
         (a,) = self.parents
-        full = np.zeros_like(a.data)
-        np.add.at(full, self.indices, grad)
-        return ((a, full),)
+        return ((a, scatter_rows(grad, self.indices, len(a.data))),)
 
 
 class SegmentSum(Operation):
@@ -520,15 +578,3 @@ class SegmentSum(Operation):
 
     def backward(self, grad):
         return ((self.parents[0], grad[self.segment_ids]),)
-
-
-class SegmentMax(Operation):
-    __slots__ = ("segment_ids", "winners")
-
-    def __init__(self, parents, segment_ids, winners):
-        self.parents = parents
-        self.segment_ids = segment_ids
-        self.winners = winners
-
-    def backward(self, grad):
-        return ((self.parents[0], grad[self.segment_ids] * self.winners),)

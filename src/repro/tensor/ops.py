@@ -342,59 +342,18 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` grouped by ``segment_ids``.
+    """Sum rows of ``a`` grouped by ``segment_ids``; empty segments give zero.
 
     The reproduction's stand-in for ``tf.unsorted_segment_sum`` — the pooling
-    (ρ) function used by the paper's graph-network blocks.
+    (ρ) function used by the paper's graph-network blocks.  The sum is one
+    cached CSR product (:func:`repro.tensor.operation.scatter_rows`), which
+    adds each segment's rows in ``segment_ids`` order from zero, exactly as
+    ``np.add.at`` does, so the result is bit-equal to it.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_shape = (num_segments,) + a.data.shape[1:]
-    out = np.zeros(out_shape, dtype=a.data.dtype)
-    np.add.at(out, segment_ids, a.data)
+    out = _op.scatter_rows(a.data, segment_ids, num_segments)
     if _GRAD.value and a.requires_grad:
         return Tensor._from_op(out, _op.SegmentSum((a,), segment_ids))
-    return Tensor._constant(out)
-
-
-def segment_mean(a: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Mean of rows grouped by ``segment_ids``; empty segments give zero."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
-    safe_counts = np.maximum(counts, 1.0)
-    summed = segment_sum(a, segment_ids, num_segments)
-    divisor = safe_counts.reshape((-1,) + (1,) * (a.data.ndim - 1))
-    return div(summed, Tensor(divisor))
-
-
-def segment_softmax(a: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Softmax over rows grouped by ``segment_ids``.
-
-    Each segment's entries are exponentiated and normalised so they sum to
-    one within the segment (rows of ``a`` must be 1-D scores or per-column
-    independent scores).  Numerically stabilised by subtracting each
-    segment's maximum, which is treated as a constant (the standard
-    softmax-stability trick).  This is the attention-normalisation
-    primitive for GAT-style aggregation.
-    """
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    maxima = segment_max(a, segment_ids, num_segments).detach()
-    shifted = sub(a, gather_rows(maxima, segment_ids))
-    exps = exp(shifted)
-    sums = segment_sum(exps, segment_ids, num_segments)
-    return div(exps, gather_rows(sums, segment_ids))
-
-
-def segment_max(a: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Max of rows grouped by ``segment_ids``; empty segments give zero."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_shape = (num_segments,) + a.data.shape[1:]
-    out = np.full(out_shape, -np.inf, dtype=a.data.dtype)
-    np.maximum.at(out, segment_ids, a.data)
-    empty = np.isinf(out)
-    out = np.where(empty, 0.0, out)
-    if _GRAD.value and a.requires_grad:
-        winners = (a.data == out[segment_ids]).astype(np.float64)
-        return Tensor._from_op(out, _op.SegmentMax((a,), segment_ids, winners))
     return Tensor._constant(out)
 
 

@@ -1,7 +1,7 @@
 """First-order optimisers operating on lists of parameter tensors.
 
-:class:`Adam` reproduces the stable-baselines PPO2 default; :class:`SGD` is
-kept for tests and ablations.  Global-norm gradient clipping
+One optimiser, :class:`Adam`, the stable-baselines PPO2 default, stepped
+over flat moment buffers.  Global-norm gradient clipping
 (:func:`clip_grad_norm`) matches ``max_grad_norm`` in PPO implementations.
 """
 
@@ -28,48 +28,21 @@ def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
     return total
 
 
-class Optimizer:
-    """Base class: holds parameters and implements ``zero_grad``."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float):
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 1e-2, momentum: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v -= self.lr * p.grad
-            # In place: anything holding p.data (views, optimizer state
-            # keyed on the buffer) keeps seeing the updated parameter.
-            p.data += v
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam with bias correction (Kingma & Ba 2015).
 
     Defaults follow the stable-baselines PPO2 configuration the paper trained
     with (``lr=2.5e-4`` there; we default to ``3e-4`` and let experiment
     configs override).
+
+    The first and second moments of every parameter live in one flat ``m``
+    and one flat ``v``, so a step is one set of vector operations over all
+    parameters rather than a handful of numpy calls per parameter.  Every
+    operation is elementwise, so each element sees the same IEEE arithmetic
+    as a per-parameter loop and the result is bit-identical to it.  A
+    parameter whose ``grad`` is ``None`` keeps its moments and its data.
+    Parameters are updated in place, so their ``data`` arrays keep their
+    identity across steps.
     """
 
     def __init__(
@@ -80,30 +53,54 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ):
-        super().__init__(parameters, lr)
+        self.parameters = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
+        self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        sizes = [p.data.size for p in self.parameters]
+        self._bounds = np.cumsum([0] + sizes)
+        self._m = np.zeros(self._bounds[-1])
+        self._v = np.zeros(self._bounds[-1])
+
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for p, m, v in zip(self.parameters, self._m, self._v):
-            if p.grad is None:
-                continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            # Same subtraction as the old rebinding update, applied in place
-            # so the parameter buffer's identity is stable across steps.
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        live = [i for i, p in enumerate(self.parameters) if p.grad is not None]
+        if not live:
+            return
+        grad = np.concatenate([self.parameters[i].grad.ravel() for i in live])
+        if len(live) == len(self.parameters):
+            m, v = self._m, self._v
+        else:
+            slots = np.concatenate(
+                [np.arange(self._bounds[i], self._bounds[i + 1]) for i in live]
+            )
+            m, v = self._m[slots], self._v[slots]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad**2
+        if m is not self._m:
+            self._m[slots], self._v[slots] = m, v
+        m_hat = m / bias1
+        v_hat = v / bias2
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        start = 0
+        for i in live:
+            p = self.parameters[i]
+            stop = start + p.data.size
+            # In place, so the parameter buffer's identity is stable.
+            p.data -= update[start:stop].reshape(p.data.shape)
+            start = stop
 
     def set_lr(self, lr: float) -> None:
         """Update the learning rate (used by linear-decay schedules)."""

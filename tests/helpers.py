@@ -664,3 +664,52 @@ def reference_reward(
     routing = softmin_routing(network, weights, gamma=gamma)
     achieved = max_link_utilisation(network, routing, demand_matrix)
     return -rewarder.ratio_from_achieved(network, achieved, demand_matrix)[0]
+
+
+# ---------------------------------------------------------------------------
+# Tensor-kernel oracles: the ``np.add.at`` scatters and the per-parameter
+# Adam loop that the cached CSR scatter and the flat Adam step replace.
+# ---------------------------------------------------------------------------
+
+
+def reference_segment_sum(x: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """``segment_sum``'s forward as ``np.add.at`` into zeros."""
+    out = np.zeros((num_segments,) + x.shape[1:])
+    np.add.at(out, ids, x)
+    return out
+
+
+def reference_gather_rows_grad(grad: np.ndarray, indices: np.ndarray, shape: tuple) -> np.ndarray:
+    """The gradient of ``gather_rows(a, indices)`` for an ``a`` of ``shape``."""
+    full = np.zeros(shape)
+    np.add.at(full, indices, grad)
+    return full
+
+
+def reference_adam_step(
+    parameters: list,
+    ms: list,
+    vs: list,
+    step: int,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    epsilon: float = 1e-8,
+) -> None:
+    """Adam step number ``step`` (1-based), one parameter at a time, in place.
+
+    ``ms``/``vs`` are per-parameter moment arrays; a parameter whose grad is
+    ``None`` keeps its moments and its data.
+    """
+    bias1 = 1.0 - beta1**step
+    bias2 = 1.0 - beta2**step
+    for p, m, v in zip(parameters, ms, vs):
+        if p.grad is None:
+            continue
+        m *= beta1
+        m += (1.0 - beta1) * p.grad
+        v *= beta2
+        v += (1.0 - beta2) * p.grad**2
+        m_hat = m / bias1
+        v_hat = v / bias2
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + epsilon)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.gnn import EncodeProcessDecode, GNBlock, batch_graphs
 from repro.tensor import Tensor
-from repro.tensor.nn import MLP
 from tests.helpers import line_network, square_network, triangle_network
 
 RNG = np.random.default_rng(21)
@@ -82,10 +81,10 @@ class TestBatchGraphs:
 
 
 class TestGNBlock:
-    def _block(self, reducer="sum"):
+    def _block(self):
         return GNBlock.build(
             edge_in=1, node_in=2, global_in=1, rng=np.random.default_rng(0),
-            hidden=8, out=4, reducer=reducer,
+            hidden=8, out=4,
         )
 
     def test_output_shapes(self):
@@ -114,17 +113,6 @@ class TestGNBlock:
         (out.nodes.sum() + out.edges.sum() + out.globals_.sum()).backward()
         for mlp in (block.edge_model, block.node_model, block.global_model):
             assert all(p.grad is not None for p in mlp.parameters())
-
-    def test_mean_reducer_differs_from_sum(self):
-        g = tuple_for([square_network()], seed=5)
-        out_sum = self._block("sum")(g).nodes.numpy()
-        out_mean = self._block("mean")(g).nodes.numpy()
-        assert not np.allclose(out_sum, out_mean)
-
-    def test_unknown_reducer(self):
-        mlp = MLP([4, 4], np.random.default_rng(0))
-        with pytest.raises(ValueError, match="reducer"):
-            GNBlock(mlp, mlp, mlp, reducer="median")
 
     def test_message_passing_propagates_information(self):
         """Changing one node's input features must affect its neighbours."""

@@ -36,7 +36,7 @@ from repro.routing.proportional import capacity_proportional_routing, inverse_we
 from repro.routing.shortest_path import ecmp_routing, shortest_path_routing
 from repro.routing.softmin import softmin, softmin_routing
 from repro.routing.strategy import validate_routing
-from repro.tensor import Tensor, segment_mean, segment_sum
+from repro.tensor import Tensor, segment_sum
 from repro.traffic import bimodal_matrix
 from tests.helpers import (
     reference_ecmp_table,
@@ -308,23 +308,6 @@ class TestSegmentOpProperties:
         expected = np.zeros((num_segments, 1))
         np.add.at(expected, ids, arr)
         np.testing.assert_allclose(out, expected, atol=1e-9)
-
-    @given(
-        values=st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=30),
-        num_segments=st.integers(1, 6),
-        seed=st.integers(0, 100),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_segment_mean_bounded_by_extremes(self, values, num_segments, seed):
-        arr = np.asarray(values)[:, None]
-        ids = np.random.default_rng(seed).integers(0, num_segments, size=len(values))
-        out = segment_mean(Tensor(arr), ids, num_segments).numpy().ravel()
-        for segment in range(num_segments):
-            members = arr.ravel()[ids == segment]
-            if members.size:
-                assert members.min() - 1e-9 <= out[segment] <= members.max() + 1e-9
-            else:
-                assert out[segment] == 0.0
 
 
 class TestDemandProperties:

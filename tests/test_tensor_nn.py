@@ -6,7 +6,7 @@ import pytest
 from repro.tensor import Tensor
 from repro.tensor.init import get_initializer, glorot_uniform, he_normal, orthogonal, zeros
 from repro.tensor.nn import MLP, LayerNorm, Linear, Module, Sequential, get_activation
-from repro.tensor.optim import SGD, Adam, clip_grad_norm
+from repro.tensor.optim import Adam, clip_grad_norm
 from tests.helpers import check_gradient
 
 RNG = np.random.default_rng(11)
@@ -211,25 +211,6 @@ class TestOptimizers:
         target = np.array([1.0, -2.0, 3.0])
         param = Tensor(np.zeros(3), requires_grad=True)
         return param, target
-
-    def test_sgd_descends_quadratic(self):
-        param, target = self._quadratic_setup()
-        opt = SGD([param], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            loss = ((param - Tensor(target)) ** 2).sum()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(param.numpy(), target, atol=1e-3)
-
-    def test_sgd_momentum_descends(self):
-        param, target = self._quadratic_setup()
-        opt = SGD([param], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            opt.zero_grad()
-            ((param - Tensor(target)) ** 2).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(param.numpy(), target, atol=1e-2)
 
     def test_adam_descends_quadratic(self):
         param, target = self._quadratic_setup()

@@ -14,8 +14,6 @@ from repro.tensor import (
     log_softmax,
     maximum,
     minimum,
-    segment_max,
-    segment_mean,
     segment_sum,
     softmax,
     stack,
@@ -308,27 +306,3 @@ class TestGatherScatterSegment:
         ids = np.array([0, 1, 0, 2, 1])
         mult = Tensor(RNG.normal(size=(3, 2)))
         check_gradient(lambda t: segment_sum(t, ids, 3) * mult, RNG.normal(size=(5, 2)))
-
-    def test_segment_mean_forward(self):
-        x = Tensor(np.array([[2.0], [4.0], [6.0]]))
-        out = segment_mean(x, [0, 0, 1], 2)
-        np.testing.assert_allclose(out.numpy(), [[3.0], [6.0]])
-
-    def test_segment_mean_empty_segment_is_zero(self):
-        out = segment_mean(Tensor([[2.0]]), [0], 2)
-        np.testing.assert_allclose(out.numpy(), [[2.0], [0.0]])
-
-    def test_segment_mean_grad(self):
-        ids = np.array([0, 0, 1, 1, 1])
-        mult = Tensor(RNG.normal(size=(2, 3)))
-        check_gradient(lambda t: segment_mean(t, ids, 2) * mult, RNG.normal(size=(5, 3)))
-
-    def test_segment_max_forward(self):
-        x = Tensor(np.array([[1.0], [5.0], [3.0]]))
-        out = segment_max(x, [0, 0, 1], 2)
-        np.testing.assert_allclose(out.numpy(), [[5.0], [3.0]])
-
-    def test_segment_max_grad_routes_to_winner(self):
-        x = Tensor(np.array([[1.0], [5.0], [3.0]]), requires_grad=True)
-        segment_max(x, [0, 0, 1], 2).sum().backward()
-        np.testing.assert_allclose(x.grad, [[0.0], [1.0], [1.0]])
