@@ -60,12 +60,14 @@ def inputs(num_rows: int, layout: str, seed: int) -> np.ndarray:
         return special_values((num_rows,), seed)
     if layout == "2-D":
         return special_values((num_rows, 5), seed)
+    if layout == "column":
+        return special_values((num_rows, 1), seed)
     if layout == "strided":  # a non-contiguous column slice
         return special_values((num_rows, 10), seed)[:, ::2]
     return np.asfortranarray(special_values((num_rows, 5), seed))
 
 
-LAYOUTS = ["1-D", "2-D", "strided", "fortran"]
+LAYOUTS = ["1-D", "2-D", "column", "strided", "fortran"]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -74,7 +76,7 @@ class TestScatterMatchesAddAt:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_segment_sum_forward(self, case, layout):
         ids, num_segments = ID_CASES[case]
-        for seed in range(3):
+        for seed in range(5):
             x = inputs(len(ids), layout, seed)
             out = segment_sum(Tensor(x), ids, num_segments).numpy()
             assert_bits_equal(out, reference_segment_sum(x, ids, num_segments))
@@ -83,7 +85,7 @@ class TestScatterMatchesAddAt:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_gather_rows_backward(self, case, layout):
         ids, num_rows = ID_CASES[case]
-        for seed in range(3):
+        for seed in range(5):
             upstream = inputs(len(ids), layout, seed)
             a = Tensor(np.zeros((num_rows,) + upstream.shape[1:]), requires_grad=True)
             gather_rows(a, ids).backward(upstream)
