@@ -19,6 +19,8 @@ across the refactor.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
@@ -556,16 +558,16 @@ def scatter_rows(x: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarra
     costs more than ``np.add.at`` itself.
     """
     scatter = _SCATTER_CACHE.matrix(ids, num_segments)
-    pattern = (scatter.indptr, scatter.indices, scatter.data, x.ravel())
+    pattern = (scatter.indptr, scatter.indices, scatter.data)
     out = np.zeros((num_segments,) + x.shape[1:])
     if x.ndim == 1:
         # The vector kernel, as ``@`` picks: where two NaNs meet, it keeps
         # the one ``np.add.at`` keeps on 1-D input; the matrix kernel keeps
         # the one it keeps on 2-D input.
-        csr_matvec(num_segments, len(ids), *pattern, out)
+        csr_matvec(num_segments, len(ids), *pattern, x.ravel(), out)
     else:
-        width = out.size // num_segments if num_segments else 0
-        csr_matvecs(num_segments, len(ids), width, *pattern, out.ravel())
+        width = math.prod(x.shape[1:])
+        csr_matvecs(num_segments, len(ids), width, *pattern, x.ravel(), out.ravel())
     return out
 
 

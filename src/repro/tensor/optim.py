@@ -78,19 +78,20 @@ class Adam:
         if not live:
             return
         grad = np.concatenate([self.parameters[i].grad.ravel() for i in live])
+        # A slice views the moment buffers; an index array copies them, so
+        # they are written back after the update.
         if len(live) == len(self.parameters):
-            m, v = self._m, self._v
+            slots = slice(None)
         else:
             slots = np.concatenate(
                 [np.arange(self._bounds[i], self._bounds[i + 1]) for i in live]
             )
-            m, v = self._m[slots], self._v[slots]
+        m, v = self._m[slots], self._v[slots]
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
         v += (1.0 - self.beta2) * grad**2
-        if m is not self._m:
-            self._m[slots], self._v[slots] = m, v
+        self._m[slots], self._v[slots] = m, v
         m_hat = m / bias1
         v_hat = v / bias2
         update = self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
