@@ -18,7 +18,7 @@ keys of the cached segment-sum matrices (:func:`repro.tensor.segment_sum`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,13 +77,19 @@ class GraphsTuple:
         """Copy of this tuple with some attribute tensors replaced.
 
         The structure (incidence arrays) is shared, which is what GN blocks
-        need: they transform attributes, never topology.
+        need: they transform attributes, never topology.  Built by the
+        constructor directly: ``dataclasses.replace`` introspects the fields
+        on every call, and a forward makes five of these.
         """
-        return replace(
-            self,
-            nodes=nodes if nodes is not None else self.nodes,
-            edges=edges if edges is not None else self.edges,
-            globals_=globals_ if globals_ is not None else self.globals_,
+        return GraphsTuple(
+            nodes if nodes is not None else self.nodes,
+            edges if edges is not None else self.edges,
+            globals_ if globals_ is not None else self.globals_,
+            self.senders,
+            self.receivers,
+            self.node_graph_ids,
+            self.edge_graph_ids,
+            self.num_graphs,
         )
 
 
