@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from repro.tensor.tensor import unbroadcast
@@ -506,59 +505,41 @@ class LogSoftmax(Operation):
 
 
 class ScatterCache(KeyedLRU):
-    """Row-scatter matrices keyed on ``(num_segments, ids.tobytes())``.
+    """CSR row-scatter patterns keyed on ``(num_segments, ids.tobytes())``.
 
-    Entry ``(s, k)`` of ``scatter(ids, s)`` is 1 where ``ids[k] == s``, so
-    ``scatter @ x`` sums the rows of ``x`` per segment: the forward of
-    :func:`~repro.tensor.ops.segment_sum` and the backward of a row gather.
-    A batch's id arrays repeat on every forward and backward, so each
-    matrix is built once and shared by every caller.
+    ``(indptr, indices, data)`` of the ``(num_segments, len(ids))`` matrix
+    that is 1 where ``ids[k] == s``: times ``x`` it sums the rows of ``x``
+    per segment, the forward of :func:`~repro.tensor.ops.segment_sum` and
+    the backward of a row gather.  A batch's id arrays repeat on every
+    forward and backward, so each pattern is built once and shared.
     """
 
-    def matrix(self, ids: np.ndarray, num_segments: int) -> csr_matrix:
+    def pattern(self, ids: np.ndarray, num_segments: int) -> tuple[np.ndarray, ...]:
         return self.lookup(
-            (num_segments, ids.tobytes()), lambda: _scatter_matrix(ids, num_segments)
+            (num_segments, ids.tobytes()), lambda: _scatter_pattern(ids, num_segments)
         )
 
 
-def _scatter_matrix(ids: np.ndarray, num_segments: int) -> csr_matrix:
-    """The CSR matrix of :class:`ScatterCache`, columns of a row in ``ids`` order.
-
-    The pattern is canonical by construction (a stable sort), so it is
-    filled in directly rather than re-validated by the constructor.
-    """
+def _scatter_pattern(ids: np.ndarray, num_segments: int) -> tuple[np.ndarray, ...]:
+    """The pattern of :class:`ScatterCache`; a row's columns are in ``ids`` order."""
     if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
         raise IndexError(f"segment ids must lie in [0, {num_segments})")
-    counts = np.bincount(ids, minlength=num_segments)
-    matrix = csr_matrix.__new__(csr_matrix)
-    matrix.data = np.ones(len(ids))
-    matrix.indices = np.argsort(ids, kind="stable").astype(np.int32)
-    matrix.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-    matrix._shape = (num_segments, len(ids))
-    return matrix
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=num_segments))))
+    indices = np.argsort(ids, kind="stable")
+    return indptr.astype(np.int32), indices.astype(np.int32), np.ones(len(ids))
 
 
-#: One 896-edge matrix is ~15 KB, so a full cache stays a few MB.
+#: One 896-edge pattern is ~15 KB, so a full cache stays a few MB.
 _SCATTER_CACHE = ScatterCache(max_entries=256)
 
 
 def scatter_rows(x: np.ndarray, ids: np.ndarray, num_segments: int) -> np.ndarray:
-    """``out[s] = sum of x[k] over ids[k] == s``, bit-equal to ``np.add.at``.
+    """``out[s] = sum of x[k] over ids[k] == s``: the CSR product ``scatter @ x``.
 
-    ``np.add.at(zeros, ids, x)`` adds each row into its segment one at a
-    time, in ``ids`` order, starting from zero.  A CSR product does the
-    same: each output row starts at zero and adds its entries (here
-    ``1.0 * x[k]``, which is ``x[k]`` exactly) in column order, and the
-    columns of a row are the stable order of ``ids``.  So every element,
-    ``-0.0``, ``inf`` and NaN included, matches, at a fraction of the
-    per-call cost.
-
-    The product is scipy's own CSR kernel, called as ``scatter @ x`` calls
-    it, minus the operator's dispatch, which at a single graph's sizes
-    costs more than ``np.add.at`` itself.
+    It calls scipy's CSR kernels as ``@`` does, without the operator's
+    dispatch, which at a single graph's sizes costs more than ``np.add.at``.
     """
-    scatter = _SCATTER_CACHE.matrix(ids, num_segments)
-    pattern = (scatter.indptr, scatter.indices, scatter.data)
+    pattern = _SCATTER_CACHE.pattern(ids, num_segments)
     out = np.zeros((num_segments,) + x.shape[1:])
     if x.ndim == 1:
         # The vector kernel, as ``@`` picks: where two NaNs meet, it keeps

@@ -346,9 +346,12 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
 
     The reproduction's stand-in for ``tf.unsorted_segment_sum`` — the pooling
     (ρ) function used by the paper's graph-network blocks.  The sum is one
-    cached CSR product (:func:`repro.tensor.operation.scatter_rows`), which
-    adds each segment's rows in ``segment_ids`` order from zero, exactly as
-    ``np.add.at`` does, so the result is bit-equal to it.
+    cached CSR product (:func:`repro.tensor.operation.scatter_rows`), and
+    it is bit-equal to ``np.add.at(zeros, segment_ids, a)``, ``-0.0``,
+    ``inf`` and NaN included: ``np.add.at`` adds each row into its segment
+    in ``segment_ids`` order, starting from zero, and a CSR product starts
+    each output row at zero and adds its entries (``1.0 * a[k]``, which is
+    ``a[k]`` exactly) in column order, the stable order of ``segment_ids``.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     out = _op.scatter_rows(a.data, segment_ids, num_segments)

@@ -101,6 +101,8 @@ class TestStackedBlock:
         expected = np.stack([batch_distances_to_targets(net, w) for w in weights])
         np.testing.assert_array_equal(stacked, expected)
         assert np.isinf(stacked).any()
+        # Again over the block patterns the first call memoised.
+        np.testing.assert_array_equal(kernels.stacked_distances_to_targets(net, weights), expected)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_softmin_and_loads_match_one_call_each(self, seed):

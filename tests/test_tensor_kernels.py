@@ -112,11 +112,11 @@ class TestScatterMatchesAddAt:
 
 
 class TestScatterCache:
-    def test_equal_ids_share_one_matrix(self):
+    def test_equal_ids_share_one_pattern(self):
         ids = np.array([4, 1, 1, 0, 9])
-        first = _SCATTER_CACHE.matrix(ids, 10)
-        assert _SCATTER_CACHE.matrix(ids.copy(), 10) is first
-        assert _SCATTER_CACHE.matrix(ids, 11) is not first
+        first = _SCATTER_CACHE.pattern(ids, 10)
+        assert _SCATTER_CACHE.pattern(ids.copy(), 10) is first
+        assert _SCATTER_CACHE.pattern(ids, 11) is not first
 
     def test_a_batch_reuses_its_matrices_across_forward_and_backward(self):
         _SCATTER_CACHE.clear()
