@@ -13,7 +13,7 @@ The incidence arrays of a batch depend only on its topologies, which repeat
 on every rollout and minibatch, so :func:`batch_graphs` builds them once
 per tuple of topologies and shares them (read-only) between calls; only the
 feature blocks are stacked per call.  Because the arrays repeat, so do the
-keys of the cached segment-sum matrices (:func:`repro.tensor.segment_sum`).
+keys of the cached segment-sum patterns (:func:`repro.tensor.segment_sum`).
 """
 
 from __future__ import annotations

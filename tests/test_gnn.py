@@ -44,7 +44,20 @@ class TestBatchGraphs:
         assert g.num_edges == a.num_edges + b.num_edges
         # Second graph's senders must be offset by 3.
         np.testing.assert_array_equal(g.senders[a.num_edges :], b.senders + 3)
+        np.testing.assert_array_equal(g.receivers[a.num_edges :], b.receivers + 3)
         np.testing.assert_array_equal(g.node_graph_ids, [0, 0, 0, 1, 1, 1, 1])
+        np.testing.assert_array_equal(
+            g.edge_graph_ids, np.repeat([0, 1], [a.num_edges, b.num_edges])
+        )
+
+    def test_incidence_built_once_per_topology_tuple_and_read_only(self):
+        features = [np.ones((3, 1)), np.ones((4, 1))]
+        first = batch_graphs([triangle_network(), square_network()], node_features=features)
+        again = batch_graphs([triangle_network(), square_network()], node_features=features)
+        for name in ("senders", "receivers", "node_graph_ids", "edge_graph_ids"):
+            assert getattr(again, name) is getattr(first, name)
+            assert not getattr(first, name).flags.writeable
+        assert again.nodes is not first.nodes
 
     def test_heterogeneous_sizes_allowed(self):
         g = tuple_for([triangle_network(), square_network(), line_network(6)])

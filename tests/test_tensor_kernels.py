@@ -136,34 +136,6 @@ class TestScatterCache:
         assert _SCATTER_CACHE.misses == misses + 1
 
 
-class TestBatchIncidence:
-    def test_built_once_per_topology_tuple_and_read_only(self):
-        nets = [triangle_network(), square_network()]
-        features = [np.ones((3, 1)), np.ones((4, 1))]
-        first = batch_graphs(nets, node_features=features)
-        again = batch_graphs([triangle_network(), square_network()], node_features=features)
-        for name in ("senders", "receivers", "node_graph_ids", "edge_graph_ids"):
-            assert getattr(again, name) is getattr(first, name)
-            assert not getattr(first, name).flags.writeable
-        assert again.nodes is not first.nodes
-
-    def test_matches_the_per_call_concatenation(self):
-        nets = [square_network(), triangle_network(), square_network()]
-        graph = batch_graphs(nets, node_features=[None] * 3)
-        offsets = np.cumsum([0] + [n.num_nodes for n in nets])[:-1]
-        np.testing.assert_array_equal(
-            graph.senders, np.concatenate([n.senders + o for n, o in zip(nets, offsets)])
-        )
-        np.testing.assert_array_equal(
-            graph.receivers, np.concatenate([n.receivers + o for n, o in zip(nets, offsets)])
-        )
-        np.testing.assert_array_equal(graph.node_graph_ids, np.repeat([0, 1, 2], [4, 3, 4]))
-        np.testing.assert_array_equal(
-            graph.edge_graph_ids, np.repeat([0, 1, 2], [n.num_edges for n in nets])
-        )
-        assert graph.senders.dtype == graph.edge_graph_ids.dtype == np.int64
-
-
 class TestFlatAdam:
     def _parameters(self):
         rng = np.random.default_rng(3)
