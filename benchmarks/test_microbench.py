@@ -533,10 +533,7 @@ def service():
         routing={"strategies": ["shortest_path", "ecmp"]},
         training={"preset": "quick"},
     )
-    # Window 0: these benches measure the per-request path, not the
-    # coalescing wait.
-    spec = api.ServiceSpec(scenario=scenario, batch_window_ms=0.0)
-    with api.serve(spec) as server:
+    with api.serve(api.ServiceSpec(scenario=scenario)) as server:
         dm = bimodal_matrix(11, seed=3)
         server.evaluate(api.RouteRequest(demand=dm))  # prime every cache
         yield server, dm

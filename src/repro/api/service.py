@@ -4,8 +4,8 @@ The service boundary is three frozen dataclasses, all JSON round-trippable
 with the same eager validation as :mod:`repro.api.spec`:
 
 * :class:`ServiceSpec` — *what to deploy*: a scenario plus server knobs
-  (bind address, coalescing window, batch width, optional result-store
-  directory for memoised full runs);
+  (bind address, batch width, optional result-store directory for
+  memoised full runs);
 * :class:`RouteRequest` — *one query*: a demand matrix, an optional demand
   history for learned policies, and an optional label filter;
 * :class:`RouteResponse` — *one answer*: per-routing-entry achieved /
@@ -85,11 +85,9 @@ class ServiceSpec:
         Bind address.  Port 0 (the default) binds an ephemeral port; the
         started server reports the real one.
     workers:
-        Maximum requests coalesced into one evaluation tick.
-    batch_window_ms:
-        How long a tick waits for more requests to coalesce after the
-        first arrives.  0 disables the wait (each tick takes whatever is
-        already queued).
+        Maximum requests coalesced into one evaluation tick.  A tick
+        starts as soon as a request is queued and takes what is queued
+        then; requests that arrive while it runs form the next tick.
     result_store:
         Optional directory for a :class:`repro.api.store.ResultStore`;
         when set, full ``/run`` results are memoised there per spec hash.
@@ -108,7 +106,6 @@ class ServiceSpec:
     host: str = "127.0.0.1"
     port: int = 0
     workers: int = 8
-    batch_window_ms: float = 2.0
     result_store: Optional[str] = None
     max_queue_depth: int = 256
     tick_timeout_s: Optional[float] = None
@@ -145,17 +142,6 @@ class ServiceSpec:
             raise SpecValidationError(
                 f"service.workers must be an int >= 1, got {self.workers!r}"
             )
-        try:
-            window = float(self.batch_window_ms)
-        except (TypeError, ValueError):
-            raise SpecValidationError(
-                f"service.batch_window_ms must be a number, got {self.batch_window_ms!r}"
-            ) from None
-        if not np.isfinite(window) or window < 0.0:
-            raise SpecValidationError(
-                f"service.batch_window_ms must be finite and >= 0, got {window}"
-            )
-        object.__setattr__(self, "batch_window_ms", window)
         if self.result_store is not None and (
             not isinstance(self.result_store, str) or not self.result_store
         ):
@@ -200,8 +186,6 @@ class ServiceSpec:
             data["port"] = self.port
         if self.workers != 8:
             data["workers"] = self.workers
-        if self.batch_window_ms != 2.0:
-            data["batch_window_ms"] = self.batch_window_ms
         if self.result_store is not None:
             data["result_store"] = self.result_store
         if self.max_queue_depth != 256:

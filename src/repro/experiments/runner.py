@@ -172,12 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max requests coalesced into one evaluation tick",
     )
     serve_p.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        help="coalescing window: how long a tick waits for companions",
-    )
-    serve_p.add_argument(
         "--store",
         metavar="DIR",
         default=None,
@@ -339,7 +333,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        batch_window_ms=args.window_ms,
         result_store=args.store,
         max_queue_depth=args.queue_depth,
         tick_timeout_s=args.tick_timeout,

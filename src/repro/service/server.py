@@ -3,16 +3,19 @@
 Request lifecycle::
 
     handler thread:  parse JSON -> RouteRequest -> batcher.submit() [blocks]
-    batcher thread:  wait for work -> sleep batch_window_ms -> take up to
-                     `workers` queued requests -> one engine tick
-                     (ServiceEngine.evaluate_batch) -> distribute results
+    batcher thread:  wait for work -> take up to `workers` queued requests
+                     -> one engine tick (ServiceEngine.evaluate_batch)
+                     -> distribute results
     handler thread:  RouteResponse -> JSON
 
-Coalescing is what turns K concurrent identical requests into one LP solve:
-the tick evaluates them sequentially against the engine's caches, so the
-first pays the (already-warm) solve and the rest hit.  Distinct-support
-requests in one tick don't serialise behind each other's *builds* either —
-cache misses build outside the cache lock (see
+Coalescing is driven by the queue, not by a timer: the batcher wakes on the
+first queued request and takes whatever is queued, so a request on an idle
+server starts its tick at once, and requests that arrive while a tick runs
+form the next one.  It is what turns K concurrent identical requests into
+one LP solve: the tick evaluates them sequentially against the engine's
+caches, so the first pays the (already-warm) solve and the rest hit.
+Distinct-support requests in one tick don't serialise behind each other's
+*builds* either — cache misses build outside the cache lock (see
 :class:`repro.utils.caching.KeyedLRU`).
 
 Reload is copy-and-swap: the new :class:`ServiceEngine` is built completely
@@ -186,14 +189,9 @@ class _Batcher:
                     self._cv.wait()
                 if self._closed and not self._queue:
                     return
-            # Coalescing window: give concurrent callers a chance to land
-            # in this tick.  Spec knobs are read through the server so a
-            # reload's new window/width apply from the next tick.
-            window = self._server.spec.batch_window_ms / 1000.0
-            if window > 0.0:
-                time.sleep(window)
-            width = self._server.spec.workers
-            with self._cv:
+                # Spec knobs are read through the server so a reload's new
+                # width applies from the next tick.
+                width = self._server.spec.workers
                 now = time.time()
                 batch = []
                 while self._queue and len(batch) < width:

@@ -20,6 +20,7 @@ across the refactor.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
@@ -505,19 +506,34 @@ class LogSoftmax(Operation):
 
 
 class ScatterCache(KeyedLRU):
-    """CSR row-scatter patterns keyed on ``(num_segments, ids.tobytes())``.
+    """CSR row-scatter patterns, one per ``(num_segments, ids)``.
 
     ``(indptr, indices, data)`` of the ``(num_segments, len(ids))`` matrix
     that is 1 where ``ids[k] == s``: times ``x`` it sums the rows of ``x``
     per segment, the forward of :func:`~repro.tensor.ops.segment_sum` and
     the backward of a row gather.  A batch's id arrays repeat on every
     forward and backward, so each pattern is built once and shared.
+
+    A read-only array that owns its data, as ``batch_graphs``' shared
+    incidence arrays are, is keyed on its identity, so a lookup does not
+    copy it.  The entry holds a weak reference to the array: a new array
+    that reuses a dead one's ``id`` does not match it and gets its own
+    pattern.  Any other array is keyed on its bytes.
     """
 
     def pattern(self, ids: np.ndarray, num_segments: int) -> tuple[np.ndarray, ...]:
-        return self.lookup(
-            (num_segments, ids.tobytes()), lambda: _scatter_pattern(ids, num_segments)
+        if ids.flags.writeable or ids.base is not None:
+            return self.lookup(
+                (num_segments, ids.tobytes()), lambda: _scatter_pattern(ids, num_segments)
+            )
+        key = (num_segments, id(ids))
+        owner, pattern = self.lookup(
+            key, lambda: (weakref.ref(ids), _scatter_pattern(ids, num_segments))
         )
+        if owner() is not ids:
+            pattern = _scatter_pattern(ids, num_segments)
+            self.insert(key, (weakref.ref(ids), pattern))
+        return pattern
 
 
 def _scatter_pattern(ids: np.ndarray, num_segments: int) -> tuple[np.ndarray, ...]:

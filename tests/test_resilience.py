@@ -319,7 +319,6 @@ class TestCircuitBreaker:
 def chaos_server():
     spec = ServiceSpec(
         scenario=_scenario(name="resilience-test", strategies=("ecmp",)),
-        batch_window_ms=10.0,
         max_queue_depth=1,
         tick_timeout_s=1.0,
     )
@@ -358,10 +357,17 @@ class TestBatcherResilience:
                 other.append(exc)
 
         threads = [threading.Thread(target=submit) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        # The first tick is held, so the queue (depth 1) fills behind it
+        # and the remaining submissions are shed.
+        with inject(
+            FaultPlan.single(
+                "service.tick", kind="delay", delay_s=0.3, probability=1.0, limit=1
+            )
+        ):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert not other, other
         assert len(successes) >= 1 and len(sheds) >= 1
@@ -443,7 +449,6 @@ class TestBatcherResilience:
         outcome = {}
         new_spec = ServiceSpec(
             scenario=_scenario(name="resilience-reloaded", strategies=("ecmp",)),
-            batch_window_ms=10.0,
             max_queue_depth=1,
             tick_timeout_s=1.0,
         )

@@ -1,6 +1,7 @@
 """The persistent routing service: engine, coalescing batcher, HTTP, client."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from repro.api.runner import _SeedRun, _strategy_factory
 from repro.api.service import RouteRequest, ServiceSpec
 from repro.api.spec import ScenarioSpec, SpecValidationError
 from repro.engine.evaluate import batch_evaluate_routing
+from repro.faults import FaultPlan, active_plan, inject
+from repro.service import server as server_module
 from repro.service.engine import ServiceEngine
 from repro.service.server import ServiceClosedError, ServiceServer, serve
 
@@ -33,9 +36,7 @@ def _scenario(name="service-test", strategies=("shortest_path", "ecmp")):
 
 @pytest.fixture(scope="module")
 def server():
-    # Window long enough that concurrent submissions reliably share a tick.
-    spec = ServiceSpec(scenario=_scenario(), batch_window_ms=25.0)
-    with serve(spec) as running:
+    with serve(ServiceSpec(scenario=_scenario())) as running:
         yield running
 
 
@@ -130,7 +131,13 @@ class TestCoalescing:
         np.fill_diagonal(demand, 0.0)
         cache = server.engine.rewarder.cache
         misses_before = cache.misses
-        responses = self._fire(server, [RouteRequest(demand=demand)] * 6)
+        # The first tick is held, so the submissions behind it queue up and
+        # coalesce into the next one.
+        held = FaultPlan.single(
+            "service.tick", kind="delay", delay_s=0.2, probability=1.0, limit=1
+        )
+        with inject(held):
+            responses = self._fire(server, [RouteRequest(demand=demand)] * 6)
         assert all(r is not None for r in responses)
         # One solve for K concurrent identical matrices; everyone coalesced.
         assert cache.misses == misses_before + 1
@@ -154,6 +161,25 @@ class TestCoalescing:
         optima = {r.entry("ecmp").optimal for r in responses}
         assert all(np.isfinite(ratios))
         assert len(optima) == len(demands)
+
+    def test_idle_request_starts_its_tick_without_sleeping(self, client, monkeypatch):
+        # Coalescing is driven by the queue: a lone request on an idle
+        # server is taken into a tick at once, with no wait for companions.
+        sleeps = []
+
+        class CountingTime:
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+            def sleep(self, seconds):
+                sleeps.append(seconds)
+                time.sleep(seconds)
+
+        assert active_plan() is None
+        monkeypatch.setattr(server_module, "time", CountingTime())
+        response = client.evaluate(np.zeros((11, 11)))
+        assert response.batched == 1
+        assert sleeps == []
 
 
 class TestErrors:
@@ -255,8 +281,7 @@ def _policy_scenario(name="policy-service-test"):
 class TestPolicyServing:
     @pytest.fixture(scope="class")
     def policy_server(self):
-        spec = ServiceSpec(scenario=_policy_scenario(), batch_window_ms=0.0)
-        with serve(spec) as running:
+        with serve(ServiceSpec(scenario=_policy_scenario())) as running:
             yield running
 
     def test_policy_answers_deterministically(self, policy_server):
@@ -353,7 +378,7 @@ class TestReloadUnderTraffic:
         # The tick thread sits inside act_batch's no_grad while the main
         # thread retrains the same deployment: the retraining must still
         # record gradients, and both requests must be answered.
-        spec = ServiceSpec(scenario=_policy_scenario("reload-traffic"), batch_window_ms=0.0)
+        spec = ServiceSpec(scenario=_policy_scenario("reload-traffic"))
         demand = np.ones((11, 11))
         np.fill_diagonal(demand, 0.0)
         request = RouteRequest(demand=demand, labels=("mlp",))

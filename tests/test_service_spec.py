@@ -17,6 +17,9 @@ from repro.api.spec import ScenarioSpec, SpecValidationError
 # on ScenarioSpec or any sub-spec — stay omitted from to_dict() at their
 # defaults; a change here orphans every stored result.
 FIG6_SCENARIO_HASH = "b859a860b24aeccf233a10a00b02915b0988989d03a5c3d364a9abfa8fd96059"
+# The service spec that only names fig6: its server knobs are all omitted
+# at their defaults, so deleting or adding a knob must leave it unchanged.
+FIG6_SERVICE_HASH = "4d3517f51f58faf72cdb3afeb9bca57ab3d74d728dc2a085da6751a3432594ec"
 
 
 class TestServiceSpec:
@@ -37,7 +40,6 @@ class TestServiceSpec:
             host="0.0.0.0",
             port=9000,
             workers=4,
-            batch_window_ms=5.0,
             result_store="results/",
         )
         again = ServiceSpec.from_json(spec.to_json())
@@ -53,7 +55,7 @@ class TestServiceSpec:
     def test_non_defaults_emitted(self):
         data = ServiceSpec(scenario="fig6", port=9000, workers=2).to_dict()
         assert data["port"] == 9000 and data["workers"] == 2
-        assert "host" not in data and "batch_window_ms" not in data
+        assert "host" not in data
 
     def test_resilience_knobs_round_trip_and_stay_off_default_hashes(self):
         # New knobs (PR 10) follow the same stability rule: omitted at
@@ -72,6 +74,7 @@ class TestServiceSpec:
     def test_fig6_scenario_hash_pinned(self):
         spec = ServiceSpec(scenario="fig6")
         assert spec.scenario.spec_hash() == FIG6_SCENARIO_HASH
+        assert spec.spec_hash() == FIG6_SERVICE_HASH
         # Server knobs live outside the scenario: they never touch its hash.
         knobbed = ServiceSpec(scenario="fig6", port=9000, workers=2)
         assert knobbed.scenario.spec_hash() == FIG6_SCENARIO_HASH
@@ -79,6 +82,12 @@ class TestServiceSpec:
     def test_unknown_keys_rejected(self):
         with pytest.raises(SpecValidationError, match="unknown"):
             ServiceSpec.from_dict({"scenario": "fig6", "threads": 4})
+
+    def test_deleted_window_key_rejected_as_unknown(self):
+        # Ticks take whatever is queued, so there is no coalescing window; a
+        # spec that still names one fails loudly instead of being ignored.
+        with pytest.raises(SpecValidationError, match="unknown.*batch_window_ms"):
+            ServiceSpec.from_dict({"scenario": "fig6", "batch_window_ms": 2.0})
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -88,8 +97,6 @@ class TestServiceSpec:
             {"port": 65536},
             {"port": True},
             {"workers": 0},
-            {"batch_window_ms": -1.0},
-            {"batch_window_ms": float("nan")},
             {"result_store": ""},
             {"max_queue_depth": 0},
             {"max_queue_depth": True},

@@ -6,12 +6,14 @@ product; ``Adam.step`` runs over flat moment buffers.  Each must equal the
 every bit, so these compare ``.view(np.uint64)``.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.gnn import batch_graphs
 from repro.tensor import Tensor, gather_rows, segment_sum
-from repro.tensor.operation import _SCATTER_CACHE
+from repro.tensor.operation import _SCATTER_CACHE, ScatterCache, _scatter_pattern
 from repro.tensor.optim import Adam
 from tests.helpers import (
     line_network,
@@ -111,12 +113,31 @@ class TestScatterMatchesAddAt:
             segment_sum(Tensor(np.ones((2, 1))), [-1, 0], 2)
 
 
+def assert_patterns_equal(actual, expected) -> None:
+    for got, want in zip(actual, expected, strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 class TestScatterCache:
     def test_equal_ids_share_one_pattern(self):
         ids = np.array([4, 1, 1, 0, 9])
         first = _SCATTER_CACHE.pattern(ids, 10)
         assert _SCATTER_CACHE.pattern(ids.copy(), 10) is first
         assert _SCATTER_CACHE.pattern(ids, 11) is not first
+
+    def test_read_only_ids_are_recognised_by_identity(self):
+        cache = ScatterCache(max_entries=8)
+        ids = np.array([2, 0, 2, 1])
+        ids.flags.writeable = False
+        first = cache.pattern(ids, 3)
+        assert cache.pattern(ids, 3) is first and cache.misses == 1
+        assert_patterns_equal(first, _scatter_pattern(ids, 3))
+        # A stale entry: its id now names another array, so it must not match.
+        other = np.array([1, 1, 0, 0])
+        other.flags.writeable = False
+        cache.insert((3, id(other)), (weakref.ref(ids), first))
+        assert_patterns_equal(cache.pattern(other, 3), _scatter_pattern(other, 3))
 
     def test_a_batch_reuses_its_matrices_across_forward_and_backward(self):
         _SCATTER_CACHE.clear()
